@@ -4,8 +4,8 @@ Given a strongly convex full-dimensional rational polyhedral cone, this
 package computes, in exact rational arithmetic:
 
   * the face lattice and dual description of the cone,
-  * barycentric and interior-ray (stellar) subdivisions with their
-    cone-counting multiplicity tables,
+  * barycentric and interior-ray (staged stellar, built from face chains)
+    subdivisions with their cone-counting multiplicity tables,
   * shellings of the barycentric boundary complex,
   * higher-direct-image dimensions of reflexive differential forms via
     exact chain-complex linear algebra,
@@ -22,7 +22,6 @@ from .subdivision import (
     chain_count_oracle,
     interior_ray_subdivision,
     multiplicity_table,
-    stellar_subdivision,
 )
 from .shelling import (
     SimplicialComplex,
@@ -59,7 +58,6 @@ __all__ = [
     "pick_degree",
     "quotient_interval",
     "barycentric_subdivision",
-    "stellar_subdivision",
     "interior_ray_subdivision",
     "multiplicity_table",
     "chain_count_oracle",

@@ -257,9 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
             "affine toric varieties."
         ),
     )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="reserved for randomized property tests"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, subdivision=None):

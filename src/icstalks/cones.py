@@ -283,28 +283,20 @@ def validate_degree(lattice: FaceLattice, fid: int, u: Vector) -> bool:
 def pick_degree(lattice: FaceLattice, fid: int) -> DegreeVector:
     """A lattice degree in the relative interior of the dual face of ``fid``.
 
-    Default construction: the sum of the dual-cone generators annihilating the
-    face.  The result is validated by direct pairing against every ray; on
-    failure an exhaustive search over small nonnegative combinations of those
-    generators is attempted before giving up.
+    The degree is the sum of the dual-cone generators annihilating the face.
+    Their common zero set on sigma is exactly the face, so the sum pairs to 0
+    on the face's rays and positively on every other ray.  The result is
+    still validated by direct pairing against every ray, and a failure
+    raises ``DegenerateSelection``.
     """
     if fid >= len(lattice.faces):
         raise NotComparable(f"face {fid} is not in the lattice")
     face = lattice.faces[fid]
     gens = [lattice.dual_generators[i] for i in sorted(face.normals)]
     candidate = vector_sum(gens, lattice.rank)
-    if validate_degree(lattice, fid, candidate):
-        return DegreeVector(u=candidate, face=fid)
-    for bound in (1, 2, 3):
-        for coeffs in itertools.product(range(bound + 1), repeat=len(gens)):
-            if not any(coeffs):
-                continue
-            u = (0,) * lattice.rank
-            for c, g in zip(coeffs, gens):
-                u = vector_add(u, tuple(c * x for x in g))
-            if validate_degree(lattice, fid, u):
-                return DegreeVector(u=u, face=fid)
-    raise DegenerateSelection(f"no valid degree found for face {fid}")
+    if not validate_degree(lattice, fid, candidate):
+        raise DegenerateSelection(f"no valid degree found for face {fid}")
+    return DegreeVector(u=candidate, face=fid)
 
 
 def second_degree(lattice: FaceLattice, deg: DegreeVector) -> DegreeVector | None:

@@ -36,6 +36,7 @@ from .cones import DegreeVector, dot, pick_degree, second_degree, validate_degre
 from .errors import CrossCheckMismatch, DegreeMismatch
 from .linalg import (
     coordinates_in_basis,
+    determinant,
     integer_rank,
     is_zero_matrix,
     mat_mul,
@@ -124,26 +125,10 @@ def _wedge_coordinates(vectors, dim: int, size: int) -> dict[tuple[int, ...], Fr
         return {(): Fraction(1)}
     out: dict[tuple[int, ...], Fraction] = {}
     for cols in itertools.combinations(range(dim), size):
-        minor = _det([[v[c] for c in cols] for v in vectors])
+        minor = determinant([[v[c] for c in cols] for v in vectors])
         if minor:
             out[cols] = minor
     return out
-
-
-def _det(m) -> Fraction:
-    k = len(m)
-    if k == 0:
-        return Fraction(1)
-    if k == 1:
-        return Fraction(m[0][0])
-    if k == 2:
-        return Fraction(m[0][0] * m[1][1] - m[0][1] * m[1][0])
-    total = Fraction(0)
-    for j in range(k):
-        if m[0][j]:
-            sub = [row[:j] + row[j + 1 :] for row in m[1:]]
-            total += (-1) ** j * Fraction(m[0][j]) * _det(sub)
-    return total
 
 
 def _block(sub: SubdivisionMap, mu: ConeSet, nu: ConeSet, p: int):

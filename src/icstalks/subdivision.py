@@ -1,16 +1,25 @@
 """Simplicial subdivisions of a cone and their multiplicity tables.
 
-Two constructions are provided:
+Both subdivisions come from one face-chain construction.  Pick a set of
+*centred* faces of sigma, each of dimension >= 2, and give each one an
+interior ray: the primitive sum of the face's ray generators.  A cone of the
+subdivision is a face g of sigma that is not centred, joined with the
+interior rays of a chain of centred faces whose smallest member contains g
+(the chain may be empty).  Its minimal containing face of sigma is the top
+of the chain, or g itself when the chain is empty.
 
-  * ``barycentric_subdivision``: one interior ray per nonzero face (the
-    primitive sum of the face's ray generators); maximal cones correspond to
-    maximal chains of nonzero faces.  Built directly from chains, so that the
-    chain-counting oracle is an independent cross-check of the multiplicity
-    table rather than a restatement of the construction.
-  * ``stellar_subdivision`` and the staged ``interior_ray_subdivision``
-    recipe: star subdivision at an interior ray of a face, applied to every
-    face of dimension >= 3 in decreasing dimension order.  Low-dimensional
-    faces are already simplicial, so the result is a simplicial fan.
+  * ``barycentric_subdivision`` centres every face of dimension >= 2, so its
+    maximal cones correspond to maximal chains of nonzero faces.  The table
+    is read off the geometric pushforward, so the chain-counting oracle stays
+    an independent cross-check of it rather than a restatement of the
+    construction.
+  * ``interior_ray_subdivision`` centres every face of dimension >= 3.  It
+    equals the staged stellar subdivision that stars those faces in
+    decreasing dimension order: once every face of dimension > d is starred,
+    the only cones containing the interior ray of a d-face f are the joins of
+    f itself with chains above it, so starring f swaps f for the joins of its
+    proper faces with the new ray.  Faces of dimension <= 2 are simplicial
+    already, so the result is a simplicial fan.
 
 The multiplicity table d_l(tau) counts l-dimensional cones of the subdivision
 whose minimal containing face of sigma is tau.  The minimal containing face is
@@ -20,81 +29,14 @@ relative interior of precisely that face.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cones import (
-    FaceLattice,
-    Vector,
-    dot,
-    dual_cone,
-    primitive,
-    primitive_from_rational,
-    rank_of,
-    vector_sum,
-)
-from .errors import NotSimplicialResult
+from .cones import FaceLattice, Vector, dot, primitive, rank_of, vector_sum
+from .errors import CrossCheckMismatch, InvariantViolation, NotSimplicialResult
 from .linalg import rref
 
 ConeSet = frozenset[int]
-
-
-class _ConeGeom:
-    """Exact membership and face enumeration for a cone of arbitrary rank."""
-
-    def __init__(self, ray_vectors: list[Vector]):
-        self.rays = list(ray_vectors)
-        self.dim = rank_of(self.rays)
-        # basis of the span as echelon rows; coordinates read off pivot columns
-        self.span_basis, self.pivot_cols = rref([list(r) for r in self.rays])
-        span_coords = [self._span_coords(r) for r in self.rays]
-        if self.dim:
-            int_coords = [
-                primitive_from_rational(c) if any(c) else tuple(c) for c in span_coords
-            ]
-            self.span_normals = dual_cone(int_coords, self.dim)
-            self.int_coords = int_coords
-        else:
-            self.span_normals = []
-            self.int_coords = []
-
-    def _span_coords(self, vec) -> tuple | None:
-        coords = [Fraction(vec[c]) for c in self.pivot_cols]
-        n = len(vec)
-        for j in range(n):
-            s = sum(
-                (coef * row[j] for coef, row in zip(coords, self.span_basis)),
-                Fraction(0),
-            )
-            if s != Fraction(vec[j]):
-                return None
-        return tuple(coords)
-
-    def contains(self, vec: Vector) -> bool:
-        coords = self._span_coords(vec)
-        if coords is None:
-            return False
-        if self.dim == 0:
-            return not any(vec)
-        scaled = primitive_from_rational(coords) if any(coords) else (0,) * self.dim
-        return all(dot(u, scaled) >= 0 for u in self.span_normals)
-
-    def local_faces(self) -> set[frozenset[int]]:
-        """All faces of the cone, as sets of local ray indices."""
-        n_normals = len(self.span_normals)
-        out: set[frozenset[int]] = set()
-        for size in range(n_normals + 1):
-            for subset in itertools.combinations(range(n_normals), size):
-                zero = frozenset(
-                    i
-                    for i, r in enumerate(self.int_coords)
-                    if all(dot(self.span_normals[s], r) == 0 for s in subset)
-                )
-                out.add(zero)
-        if self.dim == 0:
-            out.add(frozenset())
-        return out
 
 
 @dataclass
@@ -189,159 +131,95 @@ def multiplicity_table(sub: SubdivisionMap) -> MultiplicityTable:
     return table
 
 
-def barycentric_subdivision(lattice: FaceLattice) -> SubdivisionMap:
-    """The subdivision whose maximal cones are maximal chains of nonzero faces."""
+def _chain_subdivision(
+    lattice: FaceLattice, centred: list[int], kind: str
+) -> SubdivisionMap:
+    """The subdivision with an interior ray at each face in ``centred``.
+
+    Sigma's rays keep their lattice indices; the interior ray of
+    ``centred[k]`` gets index ``len(lattice.rays) + k``.  Every centred face
+    must have dimension >= 2.  The construction is checked, not trusted:
+    every cone must be simplicial, every maximal cone full-dimensional, and
+    the geometric pushforward of a cone must be the top of its chain.
+    """
     n = lattice.rank
+    faces = lattice.faces
     rays: list[Vector] = list(lattice.rays)
     ray_face: list[int] = [0] * len(rays)
-    face_ray: dict[int, int] = {}
-    for f in lattice.faces:
+    for f in faces:
         if f.dim == 1:
             (ri,) = f.rays
-            face_ray[f.id] = ri
             ray_face[ri] = f.id
-    for f in lattice.faces:
-        if f.dim >= 2:
-            vec = primitive(
-                vector_sum([lattice.rays[i] for i in sorted(f.rays)], n)
-            )
-            face_ray[f.id] = len(rays)
-            rays.append(vec)
-            ray_face.append(f.id)
+    centre: dict[int, int] = {}
+    for fid in centred:
+        centre[fid] = len(rays)
+        face_rays = [lattice.rays[i] for i in sorted(faces[fid].rays)]
+        rays.append(primitive(vector_sum(face_rays, n)))
+        ray_face.append(fid)
 
-    # enumerate chains of nonzero faces by increasing top face
-    chains_to: dict[int, list[tuple[int, ...]]] = {}
-    for f in sorted((f for f in lattice.faces if f.dim >= 1), key=lambda f: f.dim):
-        chains = [(f.id,)]
-        for g in lattice.faces:
-            if 1 <= g.dim < f.dim and lattice.leq(g.id, f.id):
-                chains.extend(ch + (f.id,) for ch in chains_to[g.id])
-        chains_to[f.id] = chains
+    # chains of centred faces keyed by their smallest member, each as
+    # (interior rays, top face); larger faces first, so the chains above
+    # a face are known before it is reached
+    chains_from: dict[int, list[tuple[ConeSet, int]]] = {}
+    for fid in sorted(centred, key=lattice.dim, reverse=True):
+        chains = [(frozenset((centre[fid],)), fid)]
+        for hid in centred:
+            if hid != fid and lattice.leq(fid, hid):
+                chains.extend((rs | {centre[fid]}, top) for rs, top in chains_from[hid])
+        chains_from[fid] = chains
 
-    cones: set[ConeSet] = {frozenset()}
-    chain_of: dict[ConeSet, tuple[int, ...]] = {}
-    for f_id, chains in chains_to.items():
-        for ch in chains:
-            cone = frozenset(face_ray[fid] for fid in ch)
-            cones.add(cone)
-            chain_of[cone] = ch
-    maximal = sorted(
-        (c for c, ch in chain_of.items() if len(ch) == n), key=sorted
-    )
-    if n == 0:
-        maximal = [frozenset()]
+    top_of: dict[ConeSet, int] = {}
+    for g in faces:
+        if g.id in centre:
+            continue
+        top_of[g.rays] = g.id
+        for fid in centred:
+            if lattice.leq(g.id, fid):
+                for rs, top in chains_from[fid]:
+                    top_of[g.rays | rs] = top
 
+    for cone in top_of:
+        if rank_of([rays[i] for i in cone]) != len(cone):
+            raise NotSimplicialResult(f"{kind} cone {sorted(cone)} is not simplicial")
+    # the cones are closed under faces, so a cone is maximal unless it is a
+    # facet of another cone
+    cones = set(top_of)
+    covered = {c - {i} for c in cones for i in c}
+    maximal = sorted(cones - covered, key=sorted)
+    if any(len(c) != n for c in maximal):
+        raise NotSimplicialResult(f"{kind} maximal cones must be full-dimensional")
     sub = SubdivisionMap(
         lattice=lattice,
         rays=rays,
         ray_face=ray_face,
         cones=cones,
         maximal=maximal,
-        kind="barycentric",
+        kind=kind,
     )
-    for cone, ch in chain_of.items():
-        assert rank_of([rays[i] for i in cone]) == len(cone), "chain cone not simplicial"
-        assert sub.pushforward[cone] == ch[-1], "pushforward must be the chain top"
+    for cone, top in top_of.items():
+        if sub.pushforward[cone] != top:
+            raise CrossCheckMismatch(
+                f"{kind} cone {sorted(cone)} lies over face {sub.pushforward[cone]}, "
+                f"not over its chain top {top}"
+            )
     return sub
 
 
-def fan_of_lattice(lattice: FaceLattice) -> SubdivisionMap:
-    """Sigma itself, viewed as the trivial (identity) subdivision."""
-    cones = {f.rays for f in lattice.faces}
-    ray_face = [0] * len(lattice.rays)
-    for f in lattice.faces:
-        if f.dim == 1:
-            (ri,) = f.rays
-            ray_face[ri] = f.id
-    return SubdivisionMap(
-        lattice=lattice,
-        rays=list(lattice.rays),
-        ray_face=ray_face,
-        cones=set(cones),
-        maximal=[lattice.faces[lattice.top_id].rays],
-        kind="identity",
-    )
-
-
-def stellar_subdivision(sub: SubdivisionMap, face_id: int) -> SubdivisionMap:
-    """Star subdivision at an interior ray of a face of sigma.
-
-    The new ray is the primitive sum of the face's primitive ray generators.
-    Cones containing the new ray are replaced by joins of the ray with the
-    faces of those cones that do not contain it.  Subdividing a 1-dimensional
-    face only re-tags the existing ray.
-    """
-    lattice = sub.lattice
-    face = lattice.faces[face_id]
-    if face.dim == 0:
-        raise ValueError("cannot subdivide the zero face")
-    if face.dim == 1:
-        return SubdivisionMap(
-            lattice=lattice,
-            rays=list(sub.rays),
-            ray_face=list(sub.ray_face),
-            cones=set(sub.cones),
-            maximal=list(sub.maximal),
-            kind=sub.kind,
-        )
-    for idx, vec, tagged in sub.added_rays():
-        if tagged == face_id:
-            raise ValueError(
-                f"face {face_id} already carries an interior ray; "
-                "subdivide in weakly decreasing dimension order"
-            )
-    rho = primitive(vector_sum([lattice.rays[i] for i in sorted(face.rays)], lattice.rank))
-    if rho in sub.rays:
-        raise ValueError("the interior ray of the face is already present")
-    rho_idx = len(sub.rays)
-    rays = list(sub.rays) + [rho]
-    ray_face = list(sub.ray_face) + [face_id]
-
-    geom: dict[ConeSet, _ConeGeom] = {
-        c: _ConeGeom([sub.rays[i] for i in sorted(c)]) for c in sub.cones
-    }
-    ray_pos: dict[ConeSet, list[int]] = {c: sorted(c) for c in sub.cones}
-    containing = {c for c in sub.cones if geom[c].contains(rho)}
-    new_cones: set[ConeSet] = {c for c in sub.cones if c not in containing}
-    for c in containing:
-        for loc in geom[c].local_faces():
-            g = frozenset(ray_pos[c][i] for i in loc)
-            assert g in sub.cones, "fan is not closed under faces"
-            if g in containing:
-                continue
-            new_cones.add(g | {rho_idx})
-    maximal = [
-        c for c in new_cones if not any(c < d for d in new_cones)
-    ]
-    return SubdivisionMap(
-        lattice=lattice,
-        rays=rays,
-        ray_face=ray_face,
-        cones=new_cones,
-        maximal=sorted(maximal, key=sorted),
-        kind="stellar",
-    )
+def barycentric_subdivision(lattice: FaceLattice) -> SubdivisionMap:
+    """The subdivision whose maximal cones are maximal chains of nonzero faces."""
+    centred = [f.id for f in lattice.faces if f.dim >= 2]
+    return _chain_subdivision(lattice, centred, "barycentric")
 
 
 def interior_ray_subdivision(lattice: FaceLattice) -> SubdivisionMap:
     """Interior rays added to every face of dimension >= 3, largest first.
 
+    This is the staged stellar subdivision in decreasing dimension order.
     Faces of dimension <= 2 are simplicial already, so the result is a
     simplicial subdivision; this is validated, not assumed.
     """
-    sub = fan_of_lattice(lattice)
-    for d in range(lattice.rank, 2, -1):
-        for fid in lattice.faces_of_dim(d):
-            sub = stellar_subdivision(sub, fid)
-    sub.kind = "interior-ray"
-    if not sub.is_simplicial():
-        raise NotSimplicialResult(
-            "staged interior-ray subdivision left a non-simplicial cone"
-        )
-    for c in sub.maximal:
-        if len(c) != lattice.rank:
-            raise NotSimplicialResult("maximal cones must be full-dimensional")
-    return sub
+    centred = [fid for d in range(lattice.rank, 2, -1) for fid in lattice.faces_of_dim(d)]
+    return _chain_subdivision(lattice, centred, "interior-ray")
 
 
 class ChainCounter:
@@ -404,12 +282,33 @@ def in_simplicial_cone(sub: SubdivisionMap, cone: ConeSet, point) -> bool:
 
 
 def validate_subdivision(sub: SubdivisionMap, samples: int = 0) -> None:
-    """Desk-scale fan validity checks: simpliciality, tags, disjoint interiors."""
+    """Desk-scale fan validity checks: simpliciality, tags, covering, disjoint interiors.
+
+    Covering: a ridge (a maximal cone minus one ray) lies in one maximal cone
+    when it lies on the boundary of sigma and in two otherwise.  With the
+    disjoint-interior probe this shows that the maximal cones cover sigma.
+    """
     lattice = sub.lattice
     n = lattice.rank
     assert sub.is_simplicial()
     for c in sub.maximal:
         assert len(c) == n
+    if not sub.maximal:
+        raise InvariantViolation(lattice.top_id, "covering", "the fan has no maximal cone")
+    ridge_count: dict[ConeSet, int] = {}
+    for c in sub.maximal:
+        for i in c:
+            ridge_count[c - {i}] = ridge_count.get(c - {i}, 0) + 1
+    for ridge, count in ridge_count.items():
+        tau = sub.pushforward[ridge]
+        expected = 2 if tau == lattice.top_id else 1
+        if count != expected:
+            raise InvariantViolation(
+                tau,
+                "covering",
+                f"ridge {sorted(ridge)} over face {tau} lies in {count} maximal "
+                f"cones, expected {expected}",
+            )
     for idx, vec, fid in sub.added_rays():
         assert lattice.face_of_point(vec) == fid
     for cone, tau in sub.pushforward.items():

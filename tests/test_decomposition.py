@@ -12,10 +12,8 @@ from icstalks.polynomials import LaurentPolynomial, poly_from_pairs
 from icstalks.subdivision import (
     MultiplicityTable,
     barycentric_subdivision,
-    fan_of_lattice,
     interior_ray_subdivision,
     multiplicity_table,
-    stellar_subdivision,
 )
 
 L = LaurentPolynomial
@@ -37,7 +35,7 @@ def test_fiber_poincare_stellar_3dim():
             m, [(k, k * k) for k in range(m)]
         )
         lat = face_lattice([(x, y, 1) for x, y in verts])
-        sub = stellar_subdivision(fan_of_lattice(lat), lat.top_id)
+        sub = interior_ray_subdivision(lat)
         fib = fiber_poincare(multiplicity_table(sub), lat.top_id)
         q2m1 = poly_from_pairs([(2, 1), (0, -1)])
         assert fib == q2m1**2 + m * q2m1 + m

@@ -9,11 +9,7 @@ from icstalks.shelling import (
     lexicographic_shelling,
     verify_shelling,
 )
-from icstalks.subdivision import (
-    barycentric_subdivision,
-    fan_of_lattice,
-    stellar_subdivision,
-)
+from icstalks.subdivision import barycentric_subdivision, interior_ray_subdivision
 
 SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
 ORTHANT3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -40,7 +36,7 @@ def test_complex_from_simplicial_3cone():
 
 def test_complex_from_stellar_square():
     lat = face_lattice(SQUARE)
-    cx = complex_from_fan(stellar_subdivision(fan_of_lattice(lat), lat.top_id))
+    cx = complex_from_fan(interior_ray_subdivision(lat))
     assert len(cx.facets) == 4
 
 

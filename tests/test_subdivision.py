@@ -1,19 +1,20 @@
 import pytest
 
 from icstalks.cones import dot, face_lattice
+from icstalks.decomposition import solve_decomposition
+from icstalks.errors import InvariantViolation
 from icstalks.subdivision import (
     barycentric_subdivision,
     chain_count_oracle,
-    fan_of_lattice,
     interior_ray_subdivision,
     multiplicity_table,
-    stellar_subdivision,
     validate_subdivision,
 )
 
 SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
 TRIANGLE = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
 CUBE = [(x, y, z, 1) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+CUBE5 = [(x, y, z, w, 1) for x in (0, 1) for y in (0, 1) for z in (0, 1) for w in (0, 1)]
 
 
 def test_barycentric_square_cone_counts():
@@ -98,19 +99,10 @@ def test_chain_count_recursion():
 def test_stellar_3dim_counts():
     for rays, v in ((TRIANGLE, 3), (SQUARE, 4)):
         lat = face_lattice(rays)
-        sub = stellar_subdivision(fan_of_lattice(lat), lat.top_id)
+        sub = interior_ray_subdivision(lat)
         d = multiplicity_table(sub)
         sigma = lat.top_id
         assert [d.get(l, sigma) for l in (1, 2, 3)] == [1, v, v]
-
-
-def test_stellar_at_ray_is_identity():
-    lat = face_lattice(SQUARE)
-    fan = fan_of_lattice(lat)
-    ray_face = lat.faces_of_dim(1)[0]
-    same = stellar_subdivision(fan, ray_face)
-    assert same.cones == fan.cones
-    assert same.rays == fan.rays
 
 
 def test_interior_ray_cube_recipe():
@@ -137,11 +129,21 @@ def test_interior_ray_low_rank_is_identity():
         assert not sub.added_rays()
 
 
-def test_stellar_order_precondition():
-    lat = face_lattice(SQUARE)
-    sub = stellar_subdivision(fan_of_lattice(lat), lat.top_id)
-    with pytest.raises(ValueError):
-        stellar_subdivision(sub, lat.top_id)
+def test_validate_rejects_uncovered_fan():
+    lat = face_lattice(CUBE)
+    sub = interior_ray_subdivision(lat)
+    sub.maximal = sub.maximal[1:]
+    with pytest.raises(InvariantViolation):
+        validate_subdivision(sub)
+
+
+def test_interior_ray_rank5_cube_matches_barycentric_stalks():
+    lat = face_lattice(CUBE5)
+    interior = interior_ray_subdivision(lat)
+    assert len(interior.maximal) == 192
+    a = solve_decomposition(lat, multiplicity_table(barycentric_subdivision(lat)))
+    b = solve_decomposition(lat, multiplicity_table(interior))
+    assert a.Htilde == b.Htilde
 
 
 def test_total_cone_count_equals_table_total():
