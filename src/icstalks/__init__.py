@@ -16,7 +16,7 @@ package computes, in exact rational arithmetic:
 """
 
 from .polynomials import BiLaurentPolynomial, LaurentPolynomial
-from .cones import FaceLattice, face_lattice, pick_degree, quotient_interval
+from .cones import FaceLattice, face_lattice, pick_degree
 from .subdivision import (
     barycentric_subdivision,
     chain_count_oracle,
@@ -56,7 +56,6 @@ __all__ = [
     "FaceLattice",
     "face_lattice",
     "pick_degree",
-    "quotient_interval",
     "barycentric_subdivision",
     "interior_ray_subdivision",
     "multiplicity_table",

@@ -95,12 +95,7 @@ def cmd_fibers(args) -> int:
     lattice = spec.lattice()
     sub = _subdivide(lattice, args.subdivision)
     dec = solve_decomposition(lattice, multiplicity_table(sub))
-    payload = {
-        "F": [
-            {"tau": t, "poly": dec.F[t].to_json_obj(), "text": dec.F[t].to_text()}
-            for t in sorted(dec.F)
-        ]
-    }
+    payload = {"F": dec.to_json_obj()["F"]}
     lines = [f"fiber Poincare polynomials over {spec.name} ({args.subdivision}):"]
     for t in sorted(dec.F):
         lines.append(f"  F(face {t}) = {dec.F[t].to_text()}")

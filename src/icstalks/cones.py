@@ -11,7 +11,7 @@ concern at this scale (rank <= 6, a couple dozen rays).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -141,6 +141,7 @@ class FaceLattice:
         self._enumerate_faces()
         self.covers = self._covering_pairs()
         self._validate()
+        self._chain_counts: dict[tuple[int, int, int], int] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -205,9 +206,6 @@ class FaceLattice:
     def top_id(self) -> int:
         return len(self.faces) - 1
 
-    def face(self, fid: int) -> Face:
-        return self.faces[fid]
-
     def dim(self, fid: int) -> int:
         return self.faces[fid].dim
 
@@ -225,9 +223,6 @@ class FaceLattice:
     def faces_of_dim(self, d: int) -> list[int]:
         return [f.id for f in self.faces if f.dim == d]
 
-    def ids_by_dim(self) -> list[int]:
-        return [f.id for f in self.faces]
-
     def facets_of(self, fid: int) -> list[int]:
         """Faces covered by ``fid``."""
         return sorted(lo for lo, hi in self.covers if hi == fid)
@@ -238,6 +233,22 @@ class FaceLattice:
             for f in self.faces
             if f.id not in (lo, hi) and self.leq(lo, f.id) and self.leq(f.id, hi)
         ]
+
+    def chain_count(self, lo: int, hi: int, length: int) -> int:
+        """Number of chains lo < v_1 < ... < v_length = hi of faces (memoized)."""
+        if hi == lo:
+            return 1 if length == 0 else 0
+        if length <= 0:
+            return 0
+        if length == 1:
+            return 1 if self.leq(lo, hi) else 0
+        key = (lo, hi, length)
+        if key not in self._chain_counts:
+            self._chain_counts[key] = sum(
+                self.chain_count(lo, mid, length - 1)
+                for mid in self.strictly_between(lo, hi)
+            )
+        return self._chain_counts[key]
 
     def face_of_point(self, point: Vector) -> int:
         """The face whose relative interior contains a point of sigma."""
@@ -312,59 +323,3 @@ def second_degree(lattice: FaceLattice, deg: DegreeVector) -> DegreeVector | Non
         if u != deg.u and validate_degree(lattice, deg.face, u):
             return DegreeVector(u=u, face=deg.face)
     return None
-
-
-@dataclass
-class IntervalPoset:
-    """The interval [lo, hi] of a face lattice, re-graded to start at rank 0.
-
-    As an abstract graded poset this is the face lattice of the quotient cone
-    of hi by the span of lo; elements keep their ids in the ambient lattice.
-    """
-
-    lattice: FaceLattice
-    lo: int
-    hi: int
-    elements: list[int] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.lattice.leq(self.lo, self.hi):
-            raise NotComparable(f"face {self.lo} is not contained in face {self.hi}")
-        self.elements = sorted(
-            (
-                f.id
-                for f in self.lattice.faces
-                if self.lattice.leq(self.lo, f.id) and self.lattice.leq(f.id, self.hi)
-            ),
-            key=lambda fid: (self.lattice.dim(fid), fid),
-        )
-
-    def rank(self, fid: int) -> int:
-        return self.lattice.dim(fid) - self.lattice.dim(self.lo)
-
-    @property
-    def length(self) -> int:
-        return self.rank(self.hi)
-
-    def strictly_between(self, a: int, b: int) -> list[int]:
-        return [
-            e
-            for e in self.elements
-            if e not in (a, b) and self.lattice.leq(a, e) and self.lattice.leq(e, b)
-        ]
-
-    def covers(self) -> list[tuple[int, int]]:
-        out = []
-        for a in self.elements:
-            for b in self.elements:
-                if (
-                    self.lattice.dim(b) == self.lattice.dim(a) + 1
-                    and self.lattice.leq(a, b)
-                ):
-                    out.append((a, b))
-        return out
-
-
-def quotient_interval(lattice: FaceLattice, lo: int, hi: int) -> IntervalPoset:
-    """The interval [lo, hi] re-graded so lo has rank 0."""
-    return IntervalPoset(lattice=lattice, lo=lo, hi=hi)

@@ -9,13 +9,16 @@ Writing Ft_tau = q^{-d_tau} F_tau, the stalk identity
 
     Ft_tau = sum_{mu <= tau} Ht_{mu,tau} * D_mu
 
-determines the normalized stalk polynomials Ht and the multiplicities D by
-induction over the poset: at each face the already-known terms are moved to
-the left, and the remainder splits uniquely into a part supported in strictly
-negative degrees (Ht_{0,tau}) plus a palindromic part (D_tau).  Off-diagonal
-stalks Ht_{mu,tau} depend only on the interval [mu, tau] as a graded poset
-and are computed there with chain-count multiplicities (the barycentric
-counts of the quotient cone); the solver memoizes them per interval.
+determines the normalized stalk polynomials Ht and the multiplicities D.
+One recursion solves it on every interval [lo, hi] of the face poset,
+shorter intervals first, as in Stanley's toric h/g recursion: with
+Ht_{lo,lo} = D_{lo,lo} = 1, the normalized fiber of [lo, hi] minus the known
+terms Ht_{mid,hi} * D_{lo,mid} (lo < mid < hi) splits uniquely into a part
+supported in strictly negative degrees (Ht_{lo,hi}) plus a palindromic part
+(D_{lo,hi}).  The fiber of [0, tau] is F_tau, so D_tau = D_{0,tau}.
+Off-diagonal stalks Ht_{mu,tau} depend only on [mu, tau] as a graded poset;
+the fiber of an interval with lo != 0 is its chain-count series, the
+barycentric fiber of the quotient cone of hi by lo.
 
 The solved table is validated after the fact: nonnegative integer
 coefficients, palindromic D, strictly negative support of off-diagonal Ht,
@@ -31,18 +34,22 @@ from dataclasses import dataclass, field
 from .cones import FaceLattice
 from .errors import InvariantViolation, NegativeCoefficient
 from .polynomials import LaurentPolynomial, Q_SQUARED_MINUS_ONE
-from .subdivision import MultiplicityTable, chain_counter
+from .subdivision import MultiplicityTable
+
+
+def _fiber_series(counts: list[int]) -> LaurentPolynomial:
+    """sum_l counts[l] (q^2 - 1)^(n - l), where n = len(counts) - 1."""
+    n = len(counts) - 1
+    out = LaurentPolynomial.zero()
+    for l, count in enumerate(counts):
+        if count:
+            out = out + count * Q_SQUARED_MINUS_ONE ** (n - l)
+    return out
 
 
 def fiber_poincare(d: MultiplicityTable, tau: int) -> LaurentPolynomial:
     """Poincare polynomial of the fiber over the orbit of tau."""
-    lattice = d.lattice
-    d_tau = lattice.dim(tau)
-    out = LaurentPolynomial.zero()
-    for l in range(d_tau + 1):
-        count = d.get(l, tau)
-        if count:
-            out = out + count * Q_SQUARED_MINUS_ONE ** (d_tau - l)
+    out = _fiber_series([d.get(l, tau) for l in range(d.lattice.dim(tau) + 1)])
     if not (out.is_integer() and out.is_nonnegative()):
         raise NegativeCoefficient(
             f"fiber series of face {tau} has a negative coefficient: {out.to_text()}"
@@ -107,86 +114,37 @@ class DecompositionResult:
         }
 
 
-class IntervalStalkSolver:
-    """Stalk polynomials of intervals [lo, hi], with chain-count multiplicities.
-
-    These are the stalk data of the quotient cone of hi by lo under its own
-    barycentric subdivision; they depend only on the graded poset structure
-    of the interval.  Memoized per (lo, hi) pair; no isomorphism detection.
-    """
-
-    def __init__(self, lattice: FaceLattice):
-        self.lattice = lattice
-        self.counter = chain_counter(lattice)
-        self._h: dict[tuple[int, int], LaurentPolynomial] = {}
-        self._d: dict[tuple[int, int], LaurentPolynomial] = {}
-
-    def _fiber(self, lo: int, hi: int) -> LaurentPolynomial:
-        length = self.lattice.dim(hi) - self.lattice.dim(lo)
-        out = LaurentPolynomial.zero()
-        for l in range(length + 1):
-            count = self.counter.count(lo, hi, l)
-            if count:
-                out = out + count * Q_SQUARED_MINUS_ONE ** (length - l)
-        return out
-
-    def _solve(self, lo: int, hi: int) -> None:
-        key = (lo, hi)
-        if key in self._h:
-            return
-        if lo == hi:
-            self._h[key] = LaurentPolynomial.one()
-            self._d[key] = LaurentPolynomial.one()
-            return
-        length = self.lattice.dim(hi) - self.lattice.dim(lo)
-        lhs = self._fiber(lo, hi).shift(-length)
-        for mid in self.lattice.strictly_between(lo, hi):
-            lhs = lhs - self.htilde(mid, hi) * self.dpal(lo, mid)
-        negative, palindromic = split_palindromic_negative(lhs)
-        self._h[key] = negative
-        self._d[key] = palindromic
-
-    def htilde(self, lo: int, hi: int) -> LaurentPolynomial:
-        """Ht of the interval: q^0 on the diagonal, else the negative part."""
-        self._solve(lo, hi)
-        return self._h[(lo, hi)]
-
-    def dpal(self, lo: int, hi: int) -> LaurentPolynomial:
-        """D at the top of the interval under its barycentric multiplicities."""
-        self._solve(lo, hi)
-        return self._d[(lo, hi)]
-
-
-def _interval_solver(lattice: FaceLattice) -> IntervalStalkSolver:
-    solver = getattr(lattice, "_interval_stalks", None)
-    if solver is None:
-        solver = IntervalStalkSolver(lattice)
-        lattice._interval_stalks = solver
-    return solver
-
-
 def solve_decomposition(
     lattice: FaceLattice, d: MultiplicityTable
 ) -> DecompositionResult:
-    """Solve for every Ht_{mu,tau} and D_tau from the multiplicity table."""
-    solver = _interval_solver(lattice)
+    """Solve for every Ht_{mu,tau} and D_tau from the multiplicity table.
+
+    Face ids increase with dimension, so walking hi in id order and lo in
+    reverse id order reaches every interval after the shorter ones it needs.
+    """
     result = DecompositionResult(lattice=lattice)
+    htilde = result.Htilde
+    dpal: dict[tuple[int, int], LaurentPolynomial] = {}
     zero = lattice.zero_id
     for f in lattice.faces:
-        tau = f.id
-        result.F[tau] = fiber_poincare(d, tau)
-        if tau == zero:
-            result.Htilde[(zero, zero)] = LaurentPolynomial.one()
-            result.D[zero] = LaurentPolynomial.one()
-            continue
-        lhs = result.F[tau].shift(-f.dim)
-        for mu in lattice.strictly_between(zero, tau):
-            result.Htilde[(mu, tau)] = solver.htilde(mu, tau)
-            lhs = lhs - result.Htilde[(mu, tau)] * result.D[mu]
-        negative, palindromic = split_palindromic_negative(lhs)
-        result.Htilde[(zero, tau)] = negative
-        result.D[tau] = palindromic
-        result.Htilde[(tau, tau)] = LaurentPolynomial.one()
+        hi = f.id
+        result.F[hi] = fiber_poincare(d, hi)
+        for lo in reversed([g.id for g in lattice.faces if lattice.leq(g.id, hi)]):
+            if lo == hi:
+                htilde[(lo, hi)] = dpal[(lo, hi)] = LaurentPolynomial.one()
+                continue
+            length = f.dim - lattice.dim(lo)
+            if lo == zero:
+                fiber = result.F[hi]
+            else:
+                fiber = _fiber_series(
+                    [lattice.chain_count(lo, hi, l) for l in range(length + 1)]
+                )
+            lhs = fiber.shift(-length)
+            for mid in lattice.strictly_between(lo, hi):
+                lhs = lhs - htilde[(mid, hi)] * dpal[(lo, mid)]
+            htilde[(lo, hi)], dpal[(lo, hi)] = split_palindromic_negative(lhs)
+        result.D[hi] = dpal[(zero, hi)]
     _validate(result)
     return result
 

@@ -1,12 +1,19 @@
 """Exact sparse Laurent polynomial arithmetic in one and two variables.
 
 Coefficients are ``fractions.Fraction`` throughout; no floating point is used
-anywhere.  Two immutable types are provided:
+anywhere.  Two immutable types share one ring core and differ only in their
+exponent type:
 
   ``LaurentPolynomial``    one variable q, terms stored as {exponent: coeff}
   ``BiLaurentPolynomial``  two variables K, L; the K-exponent may be a
                            half-integer, so it is stored *doubled* (an int)
                            and the terms are {(k_twice, l): coeff}
+
+The core holds the term map and everything that does not look inside an
+exponent: zero purging, scalar lifting, equality and hashing, the ring
+operations, the coefficient predicates and the sign-joined text renderer.
+Each type supplies its key normalisation, the exponent of the constant term
+and exponent addition.  Polynomials of different types never compare equal.
 
 Zero coefficients are never stored; the zero polynomial has an empty term
 map.  Quantities that must end up with integer K-exponents go through
@@ -15,6 +22,7 @@ map.  Quantities that must end up with integer K-exponents go through
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -35,39 +43,37 @@ def _format_coeff(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-class LaurentPolynomial:
-    """A Laurent polynomial in a single variable (rendered as q by default)."""
+class _LaurentCore:
+    """The term map and ring arithmetic shared by both polynomial types.
+
+    Subclasses set ``_key`` (normalise an exponent), ``_CONST`` (the exponent
+    of the constant term) and ``_add_exp`` (multiply two monomials).
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[int, object] | None = None):
+    def __init__(self, terms: Mapping | None = None):
         data = {}
         if terms:
+            key = self._key
             for exp, c in terms.items():
                 c = _coeff(c)
                 if c != 0:
-                    data[int(exp)] = c
+                    data[key(exp)] = c
         self._terms = data
 
     @classmethod
-    def zero(cls) -> "LaurentPolynomial":
+    def zero(cls):
         return cls()
 
     @classmethod
-    def one(cls) -> "LaurentPolynomial":
-        return cls({0: 1})
-
-    @classmethod
-    def term(cls, exponent: int, coeff=1) -> "LaurentPolynomial":
-        return cls({exponent: coeff})
-
-    def coefficient(self, exponent: int) -> Fraction:
-        return self._terms.get(exponent, Fraction(0))
+    def one(cls):
+        return cls({cls._CONST: 1})
 
     def items(self):
         return self._terms.items()
 
-    def support(self) -> list[int]:
+    def support(self) -> list:
         return sorted(self._terms)
 
     @property
@@ -77,56 +83,108 @@ class LaurentPolynomial:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LaurentPolynomial):
-            return self._terms == other._terms
+    def _lift(self, other):
+        """``other`` as a polynomial of this type, or None if it is not one."""
+        if type(other) is type(self):
+            return other
         if isinstance(other, (int, Fraction)):
-            return self == LaurentPolynomial({0: other})
-        return NotImplemented
+            return type(self)({self._CONST: other})
+        return None
+
+    def __eq__(self, other) -> bool:
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return self._terms == other._terms
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    def __add__(self, other) -> "LaurentPolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPolynomial({0: other})
+    def __add__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
         out = dict(self._terms)
         for e, c in other._terms.items():
             out[e] = out.get(e, Fraction(0)) + c
-        return LaurentPolynomial(out)
+        return type(self)(out)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial({e: -c for e, c in self._terms.items()})
+    def __neg__(self):
+        return type(self)({e: -c for e, c in self._terms.items()})
 
-    def __sub__(self, other) -> "LaurentPolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPolynomial({0: other})
+    def __sub__(self, other):
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other) -> "LaurentPolynomial":
+    def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return LaurentPolynomial({e: c * other for e, c in self._terms.items()})
-        out: dict[int, Fraction] = {}
+            return type(self)({e: c * other for e, c in self._terms.items()})
+        if type(other) is not type(self):
+            return NotImplemented
+        add_exp = self._add_exp
+        out: dict = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                e = e1 + e2
+                e = add_exp(e1, e2)
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return LaurentPolynomial(out)
+        return type(self)(out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPolynomial":
+    def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a Laurent polynomial is not supported")
-        out = LaurentPolynomial.one()
+        out = self.one()
         for _ in range(n):
             out = out * self
         return out
+
+    def is_integer(self) -> bool:
+        return all(c.denominator == 1 for c in self._terms.values())
+
+    def is_nonnegative(self) -> bool:
+        return all(c > 0 for c in self._terms.values())
+
+    def _render(self, monomial_text) -> str:
+        """Terms in exponent order joined by signs; ``monomial_text(key)`` is
+        the variable part of a term, empty for the constant term."""
+        if not self._terms:
+            return "0"
+        parts = []
+        for e in sorted(self._terms):
+            c = self._terms[e]
+            mono = monomial_text(e)
+            body = _format_coeff(abs(c))
+            if mono:
+                body = mono if abs(c) == 1 else f"{body}*{mono}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.to_text()})"
+
+
+class LaurentPolynomial(_LaurentCore):
+    """A Laurent polynomial in a single variable (rendered as q by default)."""
+
+    __slots__ = ()
+    _key = int
+    _CONST = 0
+    _add_exp = operator.add
+
+    @classmethod
+    def term(cls, exponent: int, coeff=1) -> "LaurentPolynomial":
+        return cls({exponent: coeff})
+
+    def coefficient(self, exponent: int) -> Fraction:
+        return self._terms.get(exponent, Fraction(0))
 
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiply by q^k."""
@@ -154,48 +212,19 @@ class LaurentPolynomial:
             out[key] = out.get(key, Fraction(0)) + coeff * c**e
         return BiLaurentPolynomial(out)
 
-    def is_integer(self) -> bool:
-        return all(c.denominator == 1 for c in self._terms.values())
-
-    def is_nonnegative(self) -> bool:
-        return all(c > 0 for c in self._terms.values())
-
     def is_palindromic(self) -> bool:
         return self == self.mirror()
 
-    def max_degree(self) -> int | None:
-        return max(self._terms) if self._terms else None
-
-    def min_degree(self) -> int | None:
-        return min(self._terms) if self._terms else None
-
     def to_text(self, var: str = "q") -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for e in sorted(self._terms):
-            c = self._terms[e]
-            if e == 0:
-                body = _format_coeff(abs(c))
-            else:
-                v = var if e == 1 else f"{var}^{e}"
-                body = v if abs(c) == 1 else f"{_format_coeff(abs(c))}*{v}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return self._render(lambda e: "" if e == 0 else var if e == 1 else f"{var}^{e}")
 
     def to_json_obj(self, var: str = "q") -> list[dict]:
         return [
             {var: e, "c": _format_coeff(self._terms[e])} for e in sorted(self._terms)
         ]
 
-    def __repr__(self):
-        return f"LaurentPolynomial({self.to_text()})"
 
-
-class BiLaurentPolynomial:
+class BiLaurentPolynomial(_LaurentCore):
     """A Laurent polynomial in K and L with half-integer K-exponents allowed.
 
     Keys of the term map are ``(k_twice, l)`` where ``k_twice`` is twice the
@@ -203,24 +232,17 @@ class BiLaurentPolynomial:
     even.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _CONST = (0, 0)
 
-    def __init__(self, terms: Mapping[tuple[int, int], object] | None = None):
-        data = {}
-        if terms:
-            for (kt, l), c in terms.items():
-                c = _coeff(c)
-                if c != 0:
-                    data[(int(kt), int(l))] = c
-        self._terms = data
+    @staticmethod
+    def _key(exp) -> tuple[int, int]:
+        kt, l = exp
+        return (int(kt), int(l))
 
-    @classmethod
-    def zero(cls) -> "BiLaurentPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "BiLaurentPolynomial":
-        return cls({(0, 0): 1})
+    @staticmethod
+    def _add_exp(a, b) -> tuple[int, int]:
+        return (a[0] + b[0], a[1] + b[1])
 
     @classmethod
     def monomial(cls, k_twice: int, l: int, coeff=1) -> "BiLaurentPolynomial":
@@ -229,72 +251,6 @@ class BiLaurentPolynomial:
 
     def coefficient(self, k_twice: int, l: int) -> Fraction:
         return self._terms.get((k_twice, l), Fraction(0))
-
-    def items(self):
-        return self._terms.items()
-
-    def support(self) -> list[tuple[int, int]]:
-        return sorted(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BiLaurentPolynomial):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self == BiLaurentPolynomial({(0, 0): other})
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other) -> "BiLaurentPolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = BiLaurentPolynomial({(0, 0): other})
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return BiLaurentPolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BiLaurentPolynomial":
-        return BiLaurentPolynomial({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other) -> "BiLaurentPolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = BiLaurentPolynomial({(0, 0): other})
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other) -> "BiLaurentPolynomial":
-        if isinstance(other, (int, Fraction)):
-            return BiLaurentPolynomial(
-                {k: c * other for k, c in self._terms.items()}
-            )
-        out: dict[tuple[int, int], Fraction] = {}
-        for (k1, l1), c1 in self._terms.items():
-            for (k2, l2), c2 in other._terms.items():
-                key = (k1 + k2, l1 + l2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return BiLaurentPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "BiLaurentPolynomial":
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial is not supported")
-        out = BiLaurentPolynomial.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     @property
     def is_integral(self) -> bool:
@@ -305,12 +261,6 @@ class BiLaurentPolynomial:
             bad = sorted(k for k in self._terms if k[0] % 2 != 0)
             raise NonIntegralExponent(f"half-integer K-exponents present: {bad}")
         return self
-
-    def is_integer(self) -> bool:
-        return all(c.denominator == 1 for c in self._terms.values())
-
-    def is_nonnegative(self) -> bool:
-        return all(c > 0 for c in self._terms.values())
 
     def chi_y(self) -> LaurentPolynomial:
         """Specialize K = (-y)^{-1}, L = -1; requires integral K-exponents.
@@ -327,35 +277,19 @@ class BiLaurentPolynomial:
         return LaurentPolynomial(out)
 
     @staticmethod
-    def _format_exponent(var: str, kt: int) -> str:
-        if kt == 2:
-            return var
-        if kt % 2 == 0:
-            return f"{var}^{kt // 2}"
-        return f"{var}^({kt}/2)"
+    def _monomial_text(key: tuple[int, int]) -> str:
+        kt, l = key
+        factors = []
+        if kt != 0:
+            factors.append(
+                "K" if kt == 2 else f"K^({kt}/2)" if kt % 2 else f"K^{kt // 2}"
+            )
+        if l != 0:
+            factors.append("L" if l == 1 else f"L^{l}")
+        return "*".join(factors)
 
     def to_text(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for (kt, l) in sorted(self._terms):
-            c = self._terms[(kt, l)]
-            factors = []
-            if kt != 0:
-                factors.append(self._format_exponent("K", kt))
-            if l != 0:
-                factors.append("L" if l == 1 else f"L^{l}")
-            if not factors:
-                body = _format_coeff(abs(c))
-            else:
-                body = "*".join(factors)
-                if abs(c) != 1:
-                    body = f"{_format_coeff(abs(c))}*{body}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return self._render(self._monomial_text)
 
     def to_json_obj(self) -> list[dict]:
         out = []
@@ -364,13 +298,9 @@ class BiLaurentPolynomial:
             out.append({"k": k, "l": l, "c": _format_coeff(self._terms[(kt, l)])})
         return out
 
-    def __repr__(self):
-        return f"BiLaurentPolynomial({self.to_text()})"
-
 
 # Common building blocks.
 
-Q = LaurentPolynomial.term(1)          # the variable q
 Q_SQUARED_MINUS_ONE = LaurentPolynomial({2: 1, 0: -1})
 K_INV = BiLaurentPolynomial.monomial(-2, 0)   # K^{-1}
 L_VAR = BiLaurentPolynomial.monomial(0, 1)    # L

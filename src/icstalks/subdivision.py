@@ -122,12 +122,23 @@ def multiplicity_table(sub: SubdivisionMap) -> MultiplicityTable:
         l = len(cone)
         tau = sub.pushforward[cone]
         counts[(l, tau)] = counts.get((l, tau), 0) + 1
-    table = MultiplicityTable(counts, sub.lattice)
+    lattice = sub.lattice
+    table = MultiplicityTable(counts, lattice)
     for (l, tau), c in counts.items():
-        assert l <= sub.lattice.dim(tau), "a cone cannot exceed its minimal face"
-        if l == 0:
-            assert tau == sub.lattice.zero_id and c == 1
-    assert table.total() == len(sub.cones)
+        if l > lattice.dim(tau):
+            raise InvariantViolation(
+                tau, "multiplicity", f"a {l}-cone lies over the {lattice.dim(tau)}-face {tau}"
+            )
+        if l == 0 and (tau != lattice.zero_id or c != 1):
+            raise InvariantViolation(
+                tau, "multiplicity", "the zero cone must be the one 0-cone, over the zero face"
+            )
+    if table.total() != len(sub.cones):
+        raise InvariantViolation(
+            lattice.top_id,
+            "multiplicity",
+            f"the table counts {table.total()} cones, the fan has {len(sub.cones)}",
+        )
     return table
 
 
@@ -222,40 +233,9 @@ def interior_ray_subdivision(lattice: FaceLattice) -> SubdivisionMap:
     return _chain_subdivision(lattice, centred, "interior-ray")
 
 
-class ChainCounter:
-    """Counts chains lo < v_1 < ... < v_l = el of faces strictly above lo."""
-
-    def __init__(self, lattice: FaceLattice):
-        self.lattice = lattice
-        self._memo: dict[tuple[int, int, int], int] = {}
-
-    def count(self, lo: int, el: int, length: int) -> int:
-        if el == lo:
-            return 1 if length == 0 else 0
-        if length <= 0:
-            return 0
-        if length == 1:
-            return 1 if self.lattice.leq(lo, el) else 0
-        key = (lo, el, length)
-        if key not in self._memo:
-            total = 0
-            for mid in self.lattice.strictly_between(lo, el):
-                total += self.count(lo, mid, length - 1)
-            self._memo[key] = total
-        return self._memo[key]
-
-
-def chain_counter(lattice: FaceLattice) -> ChainCounter:
-    counter = getattr(lattice, "_chain_counter", None)
-    if counter is None:
-        counter = ChainCounter(lattice)
-        lattice._chain_counter = counter
-    return counter
-
-
 def chain_count_oracle(lattice: FaceLattice, tau: int, length: int) -> int:
     """Number of chains of nonzero faces of the given length ending at tau."""
-    return chain_counter(lattice).count(lattice.zero_id, tau, length)
+    return lattice.chain_count(lattice.zero_id, tau, length)
 
 
 def in_simplicial_cone(sub: SubdivisionMap, cone: ConeSet, point) -> bool:

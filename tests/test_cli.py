@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import icstalks
 from icstalks.cli import main
 
 SQUARE_SPEC = {
@@ -192,10 +194,15 @@ def test_deterministic_output(capsys, square_file):
 
 
 def test_module_entry_point(square_file):
+    # the child process imports the same package as the tests, also when
+    # pytest's ``pythonpath`` setting put it on sys.path instead of PYTHONPATH
+    src = os.path.dirname(os.path.dirname(icstalks.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "icstalks", "faces", "--cone", square_file],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "10 faces" in proc.stdout

@@ -6,11 +6,10 @@ from icstalks.cones import (
     face_lattice,
     pick_degree,
     primitive,
-    quotient_interval,
     second_degree,
     validate_degree,
 )
-from icstalks.errors import NotComparable, NotFullDimensional, NotStronglyConvex
+from icstalks.errors import NotFullDimensional, NotStronglyConvex
 
 ORTHANT3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
@@ -144,29 +143,3 @@ def test_pick_degree_validates_on_all_faces():
                 assert second is not None
                 assert second.u != deg.u
                 assert validate_degree(lat, f.id, second.u)
-
-
-def test_quotient_interval_full_is_whole_lattice():
-    lat = face_lattice(SQUARE)
-    interval = quotient_interval(lat, lat.zero_id, lat.top_id)
-    assert interval.elements == [f.id for f in lat.faces]
-    assert interval.length == 3
-
-
-def test_quotient_interval_ray_to_top_in_square_cone():
-    lat = face_lattice(SQUARE)
-    ray_id = lat.faces_of_dim(1)[0]
-    interval = quotient_interval(lat, ray_id, lat.top_id)
-    assert interval.length == 2
-    middles = [e for e in interval.elements if interval.rank(e) == 1]
-    assert len(middles) == 2
-
-
-def test_quotient_interval_degenerate_and_errors():
-    lat = face_lattice(SQUARE)
-    ray_id = lat.faces_of_dim(1)[0]
-    single = quotient_interval(lat, ray_id, ray_id)
-    assert single.elements == [ray_id]
-    other_ray = lat.faces_of_dim(1)[1]
-    with pytest.raises(NotComparable):
-        quotient_interval(lat, ray_id, other_ray)

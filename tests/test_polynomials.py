@@ -102,6 +102,11 @@ def test_zero_purging():
     assert p.is_zero
     assert p == 0
     assert not list(p.items())
+    assert L.one() != B.one()
+    assert B.one() == 1
+    assert 1 - L.term(1) == L({0: 1, 1: -1})
+    assert hash(L({0: 1, 1: 2})) == hash(L.one() + L.term(1, 2))
+    assert hash(B({(1, -1): 2})) == hash(B.monomial(1, -1) * 2)
 
 
 def test_integrality_flag():
@@ -120,6 +125,9 @@ def test_text_rendering():
     assert bipoly_from_triples([(0, -3, 1), (-2, -1, 1)]).to_text() == "K^-1*L^-1 + L^-3"
     assert B.monomial(-3, 2).to_text() == "K^(-3/2)*L^2"
     assert B.one().to_text() == "1"
+    assert B.monomial(2, 0).to_text() == "K"
+    assert B({(-2, 0): -1, (0, 1): 2}).to_text() == "-K^-1 + 2*L"
+    assert B.monomial(-2, 0, Fraction(3, 2)).to_text() == "3/2*K^-1"
 
 
 def test_json_rendering():

@@ -64,6 +64,15 @@ def test_multiplicity_square_cone():
     assert d.get(0, lat.zero_id) == 1
 
 
+def test_multiplicity_table_rejects_cone_over_smaller_face():
+    lat = face_lattice(SQUARE)
+    sub = barycentric_subdivision(lat)
+    two_cone = min((c for c in sub.cones if len(c) == 2), key=sorted)
+    sub.pushforward[two_cone] = lat.faces_of_dim(1)[0]
+    with pytest.raises(InvariantViolation):
+        multiplicity_table(sub)
+
+
 def test_chain_count_examples():
     lat = face_lattice(SQUARE)
     for fid in lat.faces_of_dim(1):
