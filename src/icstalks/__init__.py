@@ -32,6 +32,7 @@ from .shelling import (
 )
 from .differentials import (
     build_degree_complex,
+    check_second_degree,
     cohomology_dims,
     omega_closed_form,
     omega_from_fiber_poincare,
@@ -68,6 +69,7 @@ __all__ = [
     "build_degree_complex",
     "cohomology_dims",
     "omega_oracle",
+    "check_second_degree",
     "omega_closed_form",
     "omega_from_fiber_poincare",
     "fiber_poincare",

@@ -19,6 +19,7 @@ from .corpus import CORPUS, ConeSpec, corpus_by_name, load_cone_spec
 from .decomposition import fiber_poincare, solve_decomposition
 from .derham import check_main_identity, chi_y_specialize, derham_table
 from .differentials import (
+    check_second_degree,
     omega_closed_form,
     omega_from_fiber_poincare,
     omega_oracle,
@@ -131,7 +132,9 @@ def cmd_omega(args) -> int:
     for tau in taus:
         row: dict = {"tau": tau}
         if mode in ("oracle", "both"):
-            om = omega_oracle(sub, tau, verify_second_degree=args.check)
+            om = omega_oracle(sub, tau)
+            if args.check:
+                check_second_degree(sub, tau, om)
             row["oracle"] = om.to_json_obj()
             row["text"] = om.to_text()
         if mode in ("closed-form", "both"):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import (
@@ -21,7 +20,7 @@ from .errors import (
     NotFullDimensional,
     NotStronglyConvex,
 )
-from .linalg import integer_rank, nullspace
+from .linalg import clear_row_denominators, integer_rank, nullspace
 
 Vector = tuple[int, ...]
 
@@ -53,11 +52,7 @@ def primitive(v) -> Vector:
 
 def primitive_from_rational(v) -> Vector:
     """Primitive integer vector on the ray spanned by a rational vector."""
-    lcm = 1
-    for x in v:
-        d = Fraction(x).denominator
-        lcm = lcm * d // gcd(lcm, d)
-    return primitive(tuple(int(Fraction(x) * lcm) for x in v))
+    return primitive(clear_row_denominators(v))
 
 
 def rank_of(vectors) -> int:

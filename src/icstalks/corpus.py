@@ -104,23 +104,24 @@ def corpus_by_name(name: str) -> ConeSpec:
     raise KeyError(f"no corpus cone named {name!r}")
 
 
+def _json_int(x) -> int:
+    # bool is an int in Python, but not a JSON integer
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"expected a JSON integer, got {x!r}")
+    return x
+
+
 def load_cone_spec(obj: dict) -> ConeSpec:
-    """Parse the CLI input format {"name", "rank", "rays"}."""
+    """Parse the CLI input format {"name", "rank", "rays"}; numbers must be JSON integers."""
     if not isinstance(obj, dict):
         raise ValueError("cone spec must be a JSON object")
     try:
-        rank = int(obj["rank"])
-        rays = tuple(tuple(int(x) for x in r) for r in obj["rays"])
-    except (KeyError, TypeError, ValueError) as exc:
+        rank = _json_int(obj["rank"])
+        rays = tuple(tuple(map(_json_int, r)) for r in obj["rays"])
+        expected = tuple(map(_json_int, obj.get("expected_face_counts", ())))
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed cone spec: {exc}") from exc
-    name = str(obj.get("name", "cone"))
     if any(len(r) != rank for r in rays):
         raise ValueError("every ray must have exactly `rank` entries")
-    expected = obj.get("expected_face_counts", ())
-    try:
-        expected = tuple(int(x) for x in expected)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed expected_face_counts: {exc}") from exc
-    return ConeSpec(
-        name=name, rank=rank, rays=rays, expected_face_counts=expected
-    )
+    name = str(obj.get("name", "cone"))
+    return ConeSpec(name=name, rank=rank, rays=rays, expected_face_counts=expected)

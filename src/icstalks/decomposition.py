@@ -75,8 +75,8 @@ def split_palindromic_negative(
             pal_terms[-e] = p.coefficient(e)
     palindromic = LaurentPolynomial(pal_terms)
     negative = p - palindromic
-    assert palindromic.is_palindromic()
-    assert all(e < 0 for e in negative.support())
+    if not palindromic.is_palindromic() or any(e >= 0 for e in negative.support()):
+        raise InvariantViolation(None, "palindromic split", f"cannot split {p.to_text()}")
     return negative, palindromic
 
 

@@ -13,7 +13,8 @@ primitive generator of rho.  The differential into the term that adds a ray
 rho splits off the e-factor of omega = alpha + beta ^ e (for any e with
 <e, rho> = 1) and maps omega to beta; this canonical projection is
 independent of the choice of e, and consecutive differentials anticommute
-with no extra sign, which the builder asserts rather than trusts.
+with no extra sign, which the builder checks rather than trusts: a nonzero
+composite raises ``CrossCheckMismatch``.
 
 Cohomology dimensions are exact: dim ker - dim im via fraction-free integer
 rank computation.  Summing them over all form degrees p at a fixed u gives
@@ -29,11 +30,12 @@ and the fiber-cohomology form is L^-n (1+K^-1 L)^(n-d_tau) F_tau(L K^-1/2).
 from __future__ import annotations
 
 import itertools
+from math import comb
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import DegreeVector, dot, pick_degree, second_degree, validate_degree
-from .errors import CrossCheckMismatch, DegreeMismatch
+from .errors import CrossCheckMismatch, DegreeMismatch, InvariantViolation
 from .linalg import (
     coordinates_in_basis,
     determinant,
@@ -66,53 +68,34 @@ class ChainComplexQ:
     def __post_init__(self):
         for i in range(len(self.mats) - 1):
             if self.dims[i] and self.dims[i + 1] and self.dims[i + 2]:
-                assert is_zero_matrix(mat_mul(self.mats[i], self.mats[i + 1])), (
-                    "consecutive differentials do not compose to zero"
-                )
+                if not is_zero_matrix(mat_mul(self.mats[i], self.mats[i + 1])):
+                    raise CrossCheckMismatch(
+                        f"differentials {i} and {i + 1} do not compose to zero"
+                    )
 
 
 def cohomology_dims(complex: ChainComplexQ) -> list[int]:
     """Exact cohomology dimensions h^i = dim ker d_i - dim im d_{i-1}."""
-    ranks = []
+    dims = complex.dims
+    # ranks[i] is the rank of d_{i-1}, with zero maps at both ends
+    ranks = [0]
     for i, m in enumerate(complex.mats):
-        if complex.dims[i] == 0 or complex.dims[i + 1] == 0:
-            ranks.append(0)
-        else:
-            ranks.append(integer_rank(m))
-    out = []
-    for i, d in enumerate(complex.dims):
-        r_out = ranks[i] if i < len(ranks) else 0
-        r_in = ranks[i - 1] if i > 0 else 0
-        h = d - r_out - r_in
-        assert h >= 0
-        out.append(h)
-    assert sum((-1) ** i * h for i, h in enumerate(out)) == sum(
-        (-1) ** i * d for i, d in enumerate(complex.dims)
-    )
+        ranks.append(integer_rank(m) if dims[i] and dims[i + 1] else 0)
+    ranks.append(0)
+    out = [d - ranks[i] - ranks[i + 1] for i, d in enumerate(dims)]
+    if min(out) < 0:
+        raise InvariantViolation(None, "cohomology", f"ranks {ranks} exceed {dims}")
+    if sum((-1) ** i * (d - h) for i, (d, h) in enumerate(zip(dims, out))):
+        raise InvariantViolation(None, "cohomology", "Euler characteristic changed")
     return out
 
 
-class _TermData:
-    """Cached wedge-basis data for the summand of one subdivision cone."""
-
-    def __init__(self, sub: SubdivisionMap, cone: ConeSet):
-        n = sub.lattice.rank
-        rays = [list(sub.rays[i]) for i in sorted(cone)]
-        self.cone = cone
-        self.basis, self.coord_cols = nullspace(rays, n)
-
-    def wedge_labels(self, k: int) -> list[tuple[int, ...]]:
-        return list(itertools.combinations(range(len(self.basis)), k))
-
-
-def _term_data(sub: SubdivisionMap, cone: ConeSet) -> _TermData:
-    cache = getattr(sub, "_ishida_terms", None)
-    if cache is None:
-        cache = {}
-        sub._ishida_terms = cache
-    if cone not in cache:
-        cache[cone] = _TermData(sub, cone)
-    return cache[cone]
+def _perp_basis(sub: SubdivisionMap, cone: ConeSet):
+    """Echelon-normalized basis of nu_perp for the cone nu, with its coordinate columns."""
+    memo = sub.ishida_memo
+    if cone not in memo:
+        memo[cone] = nullspace([list(sub.rays[i]) for i in sorted(cone)], sub.lattice.rank)
+    return memo[cone]
 
 
 def _wedge_coordinates(vectors, dim: int, size: int) -> dict[tuple[int, ...], Fraction]:
@@ -133,36 +116,32 @@ def _wedge_coordinates(vectors, dim: int, size: int) -> dict[tuple[int, ...], Fr
 
 def _block(sub: SubdivisionMap, mu: ConeSet, nu: ConeSet, p: int):
     """Matrix of the differential component V_mu^p -> V_nu^p (row convention)."""
-    cache = getattr(sub, "_ishida_blocks", None)
-    if cache is None:
-        cache = {}
-        sub._ishida_blocks = cache
+    memo = sub.ishida_memo
     key = (mu, nu, p)
-    if key in cache:
-        return cache[key]
+    if key in memo:
+        return memo[key]
 
     (rho,) = nu - mu
     v = sub.rays[rho]
-    src = _term_data(sub, mu)
-    dst = _term_data(sub, nu)
+    src_basis, _ = _perp_basis(sub, mu)
+    dst_basis, dst_cols = _perp_basis(sub, nu)
     k = p - len(mu)
-    src_labels = src.wedge_labels(k)
-    dst_labels = dst.wedge_labels(k - 1)
+    dim_dst_space = len(dst_basis)
+    dst_labels = itertools.combinations(range(dim_dst_space), k - 1)
     dst_index = {lab: i for i, lab in enumerate(dst_labels)}
 
-    pairing = [dot(b, v) for b in src.basis]
+    pairing = [dot(b, v) for b in src_basis]
     e_idx = next(i for i, t in enumerate(pairing) if t != 0)
-    e = [x / pairing[e_idx] for x in src.basis[e_idx]]
+    e = [x / pairing[e_idx] for x in src_basis[e_idx]]
     n = sub.lattice.rank
     beta_coords = []
-    for b, t in zip(src.basis, pairing):
+    for b, t in zip(src_basis, pairing):
         bv = [Fraction(b[j]) - t * e[j] for j in range(n)]
-        beta_coords.append(coordinates_in_basis(bv, dst.basis, dst.coord_cols))
+        beta_coords.append(coordinates_in_basis(bv, dst_basis, dst_cols))
 
     rows = []
-    dim_dst_space = len(dst.basis)
-    for label in src_labels:
-        row = [Fraction(0)] * len(dst_labels)
+    for label in itertools.combinations(range(len(src_basis)), k):
+        row = [Fraction(0)] * len(dst_index)
         for j, s_j in enumerate(label):
             t = pairing[s_j]
             if t == 0:
@@ -172,7 +151,7 @@ def _block(sub: SubdivisionMap, mu: ConeSet, nu: ConeSet, p: int):
             for cols, minor in _wedge_coordinates(rest, dim_dst_space, k - 1).items():
                 row[dst_index[cols]] += sign * t * minor
         rows.append(row)
-    cache[key] = rows
+    memo[key] = rows
     return rows
 
 
@@ -211,7 +190,7 @@ def build_degree_complex(
         total = 0
         for cone in survivors[l]:
             off[cone] = total
-            total += len(_term_data(sub, cone).wedge_labels(p - l))
+            total += comb(len(_perp_basis(sub, cone)[0]), p - l)
         dims.append(total)
         offsets.append(off)
 
@@ -233,28 +212,33 @@ def build_degree_complex(
     return ChainComplexQ(dims=dims, mats=mats)
 
 
-def omega_oracle(
-    sub: SubdivisionMap, tau: int, verify_second_degree: bool = False
-) -> BiLaurentPolynomial:
+def omega_oracle(sub: SubdivisionMap, tau: int) -> BiLaurentPolynomial:
     """Generating function of the degree-u cohomology over all form degrees.
 
-    The coefficient of K^{-p} L^{i-n+p} is h^i of the p-form complex in a
-    validated degree u interior to the dual face of tau.  Optionally the whole
-    computation is repeated at a second valid degree (when the face admits
-    one) and the results are required to agree.
+    The coefficient of K^{-p} L^{i-n+p} is h^i of the p-form complex in the
+    validated degree u = ``pick_degree(sub.lattice, tau)``, interior to the
+    dual face of tau.
+    """
+    return _omega_at_degree(sub, pick_degree(sub.lattice, tau))
+
+
+def check_second_degree(sub: SubdivisionMap, tau: int, omega: BiLaurentPolynomial) -> None:
+    """Recompute ``omega_oracle(sub, tau)`` at a second valid degree, if any.
+
+    Only the second degree is computed; ``omega`` is the first-degree result.
+    Disagreement raises ``CrossCheckMismatch``.  Sigma itself has only the
+    degree 0, so there is nothing to compare.
     """
     deg = pick_degree(sub.lattice, tau)
-    result = _omega_at_degree(sub, deg)
-    if verify_second_degree:
-        other = second_degree(sub.lattice, deg)
-        if other is not None:
-            again = _omega_at_degree(sub, other)
-            if again != result:
-                raise CrossCheckMismatch(
-                    f"degree {deg.u} and {other.u} disagree on face {tau}: "
-                    f"{result.to_text()} vs {again.to_text()}"
-                )
-    return result
+    other = second_degree(sub.lattice, deg)
+    if other is None:
+        return
+    again = _omega_at_degree(sub, other)
+    if again != omega:
+        raise CrossCheckMismatch(
+            f"degree {deg.u} and {other.u} disagree on face {tau}: "
+            f"{omega.to_text()} vs {again.to_text()}"
+        )
 
 
 def _omega_at_degree(sub: SubdivisionMap, deg: DegreeVector) -> BiLaurentPolynomial:

@@ -61,9 +61,9 @@ class NegativeCoefficient(ToricError):
 
 
 class InvariantViolation(ToricError):
-    """A solved decomposition violates one of its structural invariants."""
+    """A computed object violates a structural invariant at ``face`` (None: no face)."""
 
-    def __init__(self, face: int, prop: str, message: str = ""):
+    def __init__(self, face: int | None, prop: str, message: str = ""):
         self.face = face
         self.prop = prop
         super().__init__(message or f"face {face}: {prop}")

@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import InvariantViolation
+
 Row = list[Fraction]
 Matrix = list[Row]
 
@@ -59,7 +61,8 @@ def integer_rank(rows) -> int:
             for j in range(col + 1, n_cols):
                 num = row_i[j] * pivot - factor * row_r[j]
                 q = num // prev
-                assert q * prev == num
+                if q * prev != num:
+                    raise InvariantViolation(None, "exact division", "inexact Bareiss quotient")
                 row_i[j] = q
             row_i[col] = 0
         prev = pivot

@@ -56,6 +56,9 @@ class SubdivisionMap:
     maximal: list[ConeSet]
     pushforward: dict[ConeSet, int] = field(default_factory=dict)
     kind: str = ""
+    # the Ishida wedge bases and differential blocks of this fan, memoized
+    # by ``differentials`` alone; not part of the fan's value
+    ishida_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.pushforward:
@@ -124,21 +127,18 @@ def multiplicity_table(sub: SubdivisionMap) -> MultiplicityTable:
         counts[(l, tau)] = counts.get((l, tau), 0) + 1
     lattice = sub.lattice
     table = MultiplicityTable(counts, lattice)
-    for (l, tau), c in counts.items():
+    for l, tau in counts:
         if l > lattice.dim(tau):
             raise InvariantViolation(
                 tau, "multiplicity", f"a {l}-cone lies over the {lattice.dim(tau)}-face {tau}"
             )
-        if l == 0 and (tau != lattice.zero_id or c != 1):
-            raise InvariantViolation(
-                tau, "multiplicity", "the zero cone must be the one 0-cone, over the zero face"
-            )
-    if table.total() != len(sub.cones):
-        raise InvariantViolation(
-            lattice.top_id,
-            "multiplicity",
-            f"the table counts {table.total()} cones, the fan has {len(sub.cones)}",
-        )
+    # the fiber over every face is connected: F_tau(0) = 1; at the zero face
+    # this says the zero cone is the one cone over it
+    for f in lattice.faces:
+        euler = sum((-1) ** l * table.get(l, f.id) for l in range(f.dim + 1))
+        if euler != (-1) ** f.dim:
+            message = f"alternating cone count {euler} over the {f.dim}-face {f.id}"
+            raise InvariantViolation(f.id, "multiplicity", message)
     return table
 
 
@@ -270,18 +270,18 @@ def validate_subdivision(sub: SubdivisionMap, samples: int = 0) -> None:
     """
     lattice = sub.lattice
     n = lattice.rank
-    assert sub.is_simplicial()
-    for c in sub.maximal:
-        assert len(c) == n
+    top = lattice.top_id
+    if not sub.is_simplicial() or any(len(c) != n for c in sub.maximal):
+        raise InvariantViolation(top, "simplicial", "cones must be simplicial, maximal ones n-dim")
     if not sub.maximal:
-        raise InvariantViolation(lattice.top_id, "covering", "the fan has no maximal cone")
+        raise InvariantViolation(top, "covering", "the fan has no maximal cone")
     ridge_count: dict[ConeSet, int] = {}
     for c in sub.maximal:
         for i in c:
             ridge_count[c - {i}] = ridge_count.get(c - {i}, 0) + 1
     for ridge, count in ridge_count.items():
         tau = sub.pushforward[ridge]
-        expected = 2 if tau == lattice.top_id else 1
+        expected = 2 if tau == top else 1
         if count != expected:
             raise InvariantViolation(
                 tau,
@@ -290,17 +290,21 @@ def validate_subdivision(sub: SubdivisionMap, samples: int = 0) -> None:
                 f"cones, expected {expected}",
             )
     for idx, vec, fid in sub.added_rays():
-        assert lattice.face_of_point(vec) == fid
+        if lattice.face_of_point(vec) != fid:
+            raise InvariantViolation(fid, "ray tag", f"ray {idx} is not interior to its face")
     for cone, tau in sub.pushforward.items():
-        face = lattice.faces[tau]
-        for i in cone:
-            for s in face.normals:
-                assert dot(lattice.dual_generators[s], sub.rays[i]) == 0
+        normals = [lattice.dual_generators[s] for s in lattice.faces[tau].normals]
+        if any(dot(u, sub.rays[i]) for u in normals for i in cone):
+            raise InvariantViolation(tau, "pushforward", f"cone {sorted(cone)} leaves its face")
     # pairwise disjoint interiors, probed at relative interior points
     points = {
         c: vector_sum([sub.rays[i] for i in c], n) for c in sub.maximal
     }
     for c in sub.maximal:
         for d in sub.maximal:
-            if c != d and len(c) == n:
-                assert not in_simplicial_cone(sub, d, points[c])
+            if c != d and in_simplicial_cone(sub, d, points[c]):
+                raise InvariantViolation(
+                    top,
+                    "disjoint interiors",
+                    f"maximal cones {sorted(c)} and {sorted(d)} overlap",
+                )

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .cones import FaceLattice, pick_degree
+from .cones import FaceLattice
 from .corpus import CORPUS, ConeSpec
 from .decomposition import (
     DecompositionResult,
@@ -33,8 +34,7 @@ from .derham import (
     stalk_chi_y,
 )
 from .differentials import (
-    build_degree_complex,
-    cohomology_dims,
+    check_second_degree,
     omega_closed_form,
     omega_from_fiber_poincare,
     omega_oracle,
@@ -105,61 +105,44 @@ class ConeContext:
 
     def __init__(self, spec: ConeSpec):
         self.spec = spec
-        self._cache: dict[str, object] = {}
 
-    def _get(self, key: str, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def lattice(self) -> FaceLattice:
-        return self._get("lattice", self.spec.lattice)
+        return self.spec.lattice()
 
-    @property
+    @cached_property
     def barycentric(self) -> SubdivisionMap:
-        return self._get("barycentric", lambda: barycentric_subdivision(self.lattice))
+        return barycentric_subdivision(self.lattice)
 
-    @property
+    @cached_property
     def interior(self) -> SubdivisionMap:
-        return self._get("interior", lambda: interior_ray_subdivision(self.lattice))
+        return interior_ray_subdivision(self.lattice)
 
-    @property
+    @cached_property
     def d_barycentric(self) -> MultiplicityTable:
-        return self._get("d_barycentric", lambda: multiplicity_table(self.barycentric))
+        return multiplicity_table(self.barycentric)
 
-    @property
+    @cached_property
     def d_interior(self) -> MultiplicityTable:
-        return self._get("d_interior", lambda: multiplicity_table(self.interior))
+        return multiplicity_table(self.interior)
 
-    @property
+    @cached_property
     def dec_barycentric(self) -> DecompositionResult:
-        return self._get(
-            "dec_barycentric", lambda: solve_decomposition(self.lattice, self.d_barycentric)
-        )
+        return solve_decomposition(self.lattice, self.d_barycentric)
 
-    @property
+    @cached_property
     def dec_interior(self) -> DecompositionResult:
-        return self._get(
-            "dec_interior", lambda: solve_decomposition(self.lattice, self.d_interior)
-        )
+        return solve_decomposition(self.lattice, self.d_interior)
 
+    @cached_property
     def omega_oracle_map(self) -> dict[int, BiLaurentPolynomial]:
-        return self._get(
-            "omega_oracle",
-            lambda: {
-                f.id: omega_oracle(self.barycentric, f.id) for f in self.lattice.faces
-            },
-        )
+        return {f.id: omega_oracle(self.barycentric, f.id) for f in self.lattice.faces}
 
+    @cached_property
     def omega_closed_map(self) -> dict[int, BiLaurentPolynomial]:
-        return self._get(
-            "omega_closed",
-            lambda: {
-                f.id: omega_closed_form(self.d_barycentric, f.id)
-                for f in self.lattice.faces
-            },
-        )
+        return {
+            f.id: omega_closed_form(self.d_barycentric, f.id) for f in self.lattice.faces
+        }
 
 
 def _run(report: Report, name: str, spec_name: str, fn) -> None:
@@ -246,18 +229,21 @@ def check_shelling(ctx: ConeContext) -> str:
 
 
 def check_degree_zero_exactness(ctx: ConeContext) -> str:
+    # in degree 0 the p-form complex (p >= 1) has cohomology only at position
+    # p; h^i sits at K^-p L^(i - n + p) in Omega_sigma
     lat = ctx.lattice
-    deg = pick_degree(lat, lat.top_id)
-    for p in range(1, lat.rank + 1):
-        h = cohomology_dims(build_degree_complex(ctx.barycentric, p, deg))
-        assert all(x == 0 for i, x in enumerate(h) if i != p), (p, h)
+    omega = ctx.omega_oracle_map[lat.top_id]
+    for (k_twice, l), h in omega.items():
+        p = -k_twice // 2
+        i = l + lat.rank - p
+        assert p == 0 or i == p, f"h^{i} = {h} for p = {p}"
     return f"p = 1..{lat.rank}"
 
 
 def check_omega_threeway(ctx: ConeContext) -> str:
     lat = ctx.lattice
-    oracle = ctx.omega_oracle_map()
-    closed = ctx.omega_closed_map()
+    oracle = ctx.omega_oracle_map
+    closed = ctx.omega_closed_map
     dec = ctx.dec_barycentric
     for f in lat.faces:
         fiber_form = omega_from_fiber_poincare(dec.F[f.id], lat.rank, f.dim)
@@ -267,13 +253,10 @@ def check_omega_threeway(ctx: ConeContext) -> str:
 
 
 def check_omega_degree_independence(ctx: ConeContext) -> str:
-    oracle = ctx.omega_oracle_map()
-    recomputed = 0
+    oracle = ctx.omega_oracle_map
     for f in ctx.lattice.faces:
-        again = omega_oracle(ctx.barycentric, f.id, verify_second_degree=True)
-        assert again == oracle[f.id]
-        recomputed += 1
-    return f"{recomputed} faces at two degrees"
+        check_second_degree(ctx.barycentric, f.id, oracle[f.id])
+    return f"{len(oracle)} faces at two degrees"
 
 
 def check_decomposition_invariants(ctx: ConeContext) -> str:
@@ -314,8 +297,8 @@ def check_center_multiplicity_independence(ctx: ConeContext) -> str:
 
 def check_main_closure(ctx: ConeContext) -> str:
     dec = ctx.dec_barycentric
-    oracle = ctx.omega_oracle_map()
-    closed = ctx.omega_closed_map()
+    oracle = ctx.omega_oracle_map
+    closed = ctx.omega_closed_map
     for f in ctx.lattice.faces:
         check_main_identity(dec, oracle[f.id], f.id)
         check_main_identity(dec, closed[f.id], f.id)

@@ -1,11 +1,9 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-import icstalks
 from icstalks.cli import main
 
 SQUARE_SPEC = {
@@ -160,6 +158,24 @@ def test_malformed_input_exit_2(capsys, tmp_path):
     assert json.loads(out)["error"]["type"] == "MalformedInput"
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"rank": 3, "rays": [[1, 0, 1], [0, 1, 1], [0.5, 0, 1]]},
+        {"rank": 3, "rays": [[True, 0, 1], [0, 1, 1], [0, 0, 1]]},
+        {"rank": "3", "rays": [[1, 0, 1], [0, 1, 1], [0, 0, 1]]},
+        {"rank": 3, "rays": [[1, 0, 1], [0, 1, 1], [0, 0, 1]], "expected_face_counts": [1.0]},
+    ],
+    ids=["float-entry", "bool-entry", "string-rank", "float-face-count"],
+)
+def test_non_integer_input_exit_2(capsys, tmp_path, spec):
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(capsys, "faces", "--cone", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "MalformedInput"
+
+
 def test_non_pointed_cone_exit_1(capsys, tmp_path):
     spec = {"name": "line", "rank": 2, "rays": [[1, 0], [-1, 0], [0, 1]]}
     path = tmp_path / "line.json"
@@ -193,16 +209,12 @@ def test_deterministic_output(capsys, square_file):
     assert first == second
 
 
-def test_module_entry_point(square_file):
-    # the child process imports the same package as the tests, also when
-    # pytest's ``pythonpath`` setting put it on sys.path instead of PYTHONPATH
-    src = os.path.dirname(os.path.dirname(icstalks.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+def test_module_entry_point(square_file, child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "icstalks", "faces", "--cone", square_file],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env,
     )
     assert proc.returncode == 0
     assert "10 faces" in proc.stdout

@@ -1,18 +1,21 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from icstalks.cones import DegreeVector, face_lattice, pick_degree
+from icstalks.cones import DegreeVector, face_lattice, pick_degree, second_degree
 from icstalks.differentials import (
     ChainComplexQ,
     build_degree_complex,
+    check_second_degree,
     cohomology_dims,
     omega_closed_form,
     omega_from_fiber_poincare,
     omega_oracle,
 )
 from icstalks.decomposition import fiber_poincare
-from icstalks.errors import DegreeMismatch
+from icstalks.errors import CrossCheckMismatch, DegreeMismatch
 from icstalks.polynomials import BiLaurentPolynomial, bipoly_from_triples, poly_from_pairs
 from icstalks.subdivision import barycentric_subdivision, multiplicity_table
 
@@ -99,11 +102,38 @@ def test_three_way_agreement_all_faces():
     lat, sub = square_setup()
     d = multiplicity_table(sub)
     for f in lat.faces:
-        oracle = omega_oracle(sub, f.id, verify_second_degree=True)
+        oracle = omega_oracle(sub, f.id)
+        check_second_degree(sub, f.id, oracle)
         closed = omega_closed_form(d, f.id)
         fiber = omega_from_fiber_poincare(fiber_poincare(d, f.id), lat.rank, f.dim)
         assert oracle == closed == fiber
         assert oracle.is_integer() and oracle.is_nonnegative()
+
+
+def test_second_degree_check_rejects_wrong_omega():
+    lat, sub = square_setup()
+    tau = next(
+        f.id for f in lat.faces if second_degree(lat, pick_degree(lat, f.id)) is not None
+    )
+    with pytest.raises(CrossCheckMismatch):
+        check_second_degree(sub, tau, omega_oracle(sub, tau) + 1)
+
+
+def test_nonzero_composite_raises_under_optimize(child_env):
+    # the check is a raise, not an assert, so ``python -O`` keeps it
+    code = (
+        "from icstalks.differentials import ChainComplexQ\n"
+        "from icstalks.errors import CrossCheckMismatch\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    ChainComplexQ(dims=[1, 1, 1], mats=[[[1]], [[1]]])\n"
+        "except CrossCheckMismatch:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=child_env
+    )
+    assert proc.stdout.split() == ["False", "raised"], proc.stderr
 
 
 def test_closed_form_tau_zero():

@@ -73,6 +73,15 @@ def test_multiplicity_table_rejects_cone_over_smaller_face():
         multiplicity_table(sub)
 
 
+def test_multiplicity_table_rejects_fan_missing_a_maximal_cone():
+    lat = face_lattice(CUBE)
+    sub = barycentric_subdivision(lat)
+    sub.cones.discard(sub.maximal[0])
+    with pytest.raises(InvariantViolation) as info:
+        multiplicity_table(sub)
+    assert info.value.face == lat.top_id
+
+
 def test_chain_count_examples():
     lat = face_lattice(SQUARE)
     for fid in lat.faces_of_dim(1):

@@ -1,0 +1,38 @@
+import pytest
+
+import icstalks.differentials
+from icstalks.cones import pick_degree, second_degree
+from icstalks.corpus import corpus_by_name
+from icstalks.polynomials import BiLaurentPolynomial
+from icstalks.verify import ConeContext, check_degree_zero_exactness, run_cone
+
+
+def test_degree_zero_exactness_reads_the_oracle_map():
+    ctx = ConeContext(corpus_by_name("polygon-4"))
+    top = ctx.lattice.top_id
+    assert check_degree_zero_exactness(ctx) == "p = 1..3"
+    # h^2 of the 1-form complex: K^-1 L^(2 - 3 + 1), off position p = 1
+    ctx.omega_oracle_map[top] += BiLaurentPolynomial.monomial(-2, 0)
+    with pytest.raises(AssertionError):
+        check_degree_zero_exactness(ctx)
+
+
+def test_run_cone_builds_each_ishida_complex_once(monkeypatch):
+    spec = corpus_by_name("polygon-4")
+    calls = []
+    build = icstalks.differentials.build_degree_complex
+
+    def counting(sub, p, degree):
+        calls.append((p, degree))
+        return build(sub, p, degree)
+
+    monkeypatch.setattr(icstalks.differentials, "build_degree_complex", counting)
+    report = run_cone(spec)
+    assert report.passed
+    lat = spec.lattice()
+    degrees = sum(
+        1 + (second_degree(lat, pick_degree(lat, f.id)) is not None) for f in lat.faces
+    )
+    # (n + 1) form degrees at each (face, degree): 4 * (10 faces + 9 second degrees)
+    assert degrees == 19
+    assert len(calls) == len(set(calls)) == (lat.rank + 1) * degrees
