@@ -16,6 +16,7 @@ from math import gcd
 
 from .errors import (
     DegenerateSelection,
+    InvariantViolation,
     NotComparable,
     NotFullDimensional,
     NotStronglyConvex,
@@ -134,6 +135,9 @@ class FaceLattice:
         self._by_rayset: dict[frozenset[int], int] = {}
         self._by_normalset: dict[frozenset[int], int] = {}
         self._enumerate_faces()
+        for i, r in enumerate(self.rays):
+            if frozenset((i,)) not in self._by_rayset:
+                raise ValueError(f"ray {i} = {list(r)} is not an extreme ray of the cone")
         self.covers = self._covering_pairs()
         self._validate()
         self._chain_counts: dict[tuple[int, int, int], int] = {}
@@ -181,15 +185,16 @@ class FaceLattice:
         # closed under intersection, graded covers, two rays per 2-face
         for a in self.faces:
             for b in self.faces:
-                meet = a.rays & b.rays
-                assert meet in self._by_rayset, "face set not intersection-closed"
+                if a.rays & b.rays not in self._by_rayset:
+                    raise InvariantViolation(a.id, "lattice", "face set not intersection-closed")
         for lo, hi in self.covers:
-            assert self.faces[hi].dim == self.faces[lo].dim + 1
+            if self.faces[hi].dim != self.faces[lo].dim + 1:
+                raise InvariantViolation(hi, "lattice", f"cover {lo} < {hi} is not graded")
         for f in self.faces:
-            if f.dim == 2:
-                assert len(f.rays) == 2, "a 2-dimensional face must have 2 rays"
-        assert self.faces[0].rays == frozenset()
-        assert self.faces[-1].dim == self.rank
+            if f.dim == 2 and len(f.rays) != 2:
+                raise InvariantViolation(f.id, "lattice", "a 2-dimensional face must have 2 rays")
+        if self.faces[0].rays or self.faces[-1].dim != self.rank:
+            raise InvariantViolation(None, "lattice", "faces must run from zero to sigma")
 
     # -- queries ---------------------------------------------------------
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .cones import FaceLattice, Vector, face_lattice
 
@@ -29,17 +30,8 @@ def orthant(n: int) -> ConeSpec:
         name=f"orthant-{n}",
         rank=n,
         rays=rays,
-        expected_face_counts=tuple(
-            _binomial(n, k) for k in range(n + 1)
-        ),
+        expected_face_counts=tuple(comb(n, k) for k in range(n + 1)),
     )
-
-
-def _binomial(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def polygon_cone(m: int) -> ConeSpec:

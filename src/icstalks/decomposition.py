@@ -74,10 +74,7 @@ def split_palindromic_negative(
             pal_terms[e] = p.coefficient(e)
             pal_terms[-e] = p.coefficient(e)
     palindromic = LaurentPolynomial(pal_terms)
-    negative = p - palindromic
-    if not palindromic.is_palindromic() or any(e >= 0 for e in negative.support()):
-        raise InvariantViolation(None, "palindromic split", f"cannot split {p.to_text()}")
-    return negative, palindromic
+    return p - palindromic, palindromic
 
 
 @dataclass

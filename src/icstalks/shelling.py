@@ -26,7 +26,9 @@ import itertools
 from dataclasses import dataclass
 
 from .cones import FaceLattice
-from .errors import NoShellingFound, NotAShelling, NotPure, ShellingSearchFailed
+from .errors import (
+    InvariantViolation, NoShellingFound, NotAShelling, NotPure, ShellingSearchFailed
+)
 from .subdivision import SubdivisionMap, barycentric_subdivision
 
 
@@ -322,7 +324,8 @@ def lexicographic_shelling(
                 for m in lattice.strictly_between(lo, hi)
                 if lattice.dim(m) == lattice.dim(chain[j])
             ]
-            assert len(middles) == 2, "face-lattice intervals of length 2 are diamonds"
+            if len(middles) != 2:
+                raise InvariantViolation(hi, "diamond", "intervals of length 2 are diamonds")
             other = middles[0] if middles[1] == chain[j] else middles[1]
             swapped = chain[:j] + (other,) + chain[j + 1 :]
             if keys[swapped] < keys[chain]:

@@ -25,16 +25,19 @@ The multiplicity table d_l(tau) counts l-dimensional cones of the subdivision
 whose minimal containing face of sigma is tau.  The minimal containing face is
 located exactly: the sum of a cone's primitive ray generators lies in the
 relative interior of precisely that face.
+
+``validate_subdivision`` proves that a fan subdivides sigma: its maximal
+cones meet in pairs across every interior ridge, from opposite sides, and one
+point lies in exactly one of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .cones import FaceLattice, Vector, dot, primitive, rank_of, vector_sum
 from .errors import CrossCheckMismatch, InvariantViolation, NotSimplicialResult
-from .linalg import rref
+from .linalg import determinant
 
 ConeSet = frozenset[int]
 
@@ -107,9 +110,6 @@ class MultiplicityTable:
 
     def get(self, l: int, tau: int) -> int:
         return self.counts.get((l, tau), 0)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
     def to_json_obj(self) -> dict:
         rows = [
@@ -238,35 +238,22 @@ def chain_count_oracle(lattice: FaceLattice, tau: int, length: int) -> int:
     return lattice.chain_count(lattice.zero_id, tau, length)
 
 
-def in_simplicial_cone(sub: SubdivisionMap, cone: ConeSet, point) -> bool:
-    """Exact membership of a rational point in a simplicial cone of the fan."""
-    idx = sorted(cone)
-    if not idx:
-        return not any(point)
-    rows = [[Fraction(sub.rays[i][j]) for i in idx] for j in range(sub.lattice.rank)]
-    aug = [row + [Fraction(point[j])] for j, row in enumerate(rows)]
-    reduced, pivots = rref(aug)
-    width = len(idx)
-    if width in pivots:
-        return False  # inconsistent system: point outside the span
-    coeffs = [Fraction(0)] * width
-    for r, p in zip(reduced, pivots):
-        coeffs[p] = r[width]
-    recon = [
-        sum((coeffs[k] * sub.rays[idx[k]][j] for k in range(width)), Fraction(0))
-        for j in range(sub.lattice.rank)
-    ]
-    if any(recon[j] != Fraction(point[j]) for j in range(sub.lattice.rank)):
-        return False
-    return all(c >= 0 for c in coeffs)
+def _sign(rows) -> int:
+    det = determinant(rows)
+    return (det > 0) - (det < 0)
 
 
-def validate_subdivision(sub: SubdivisionMap, samples: int = 0) -> None:
-    """Desk-scale fan validity checks: simpliciality, tags, covering, disjoint interiors.
+def validate_subdivision(sub: SubdivisionMap) -> None:
+    """Check that the fan subdivides sigma: one pass over the ridges, one point.
 
-    Covering: a ridge (a maximal cone minus one ray) lies in one maximal cone
-    when it lies on the boundary of sigma and in two otherwise.  With the
-    disjoint-interior probe this shows that the maximal cones cover sigma.
+    Every cone must be simplicial and lie in its tagged face, every maximal
+    cone n-dimensional.  A ridge (a maximal cone minus one ray) must lie in
+    one maximal cone over the boundary of sigma and in two otherwise, those
+    two on opposite sides of it.  This suffices (De Loera, Rambau and Santos,
+    *Triangulations*, ch. 4): such a pseudomanifold covers sigma with constant
+    degree, since a generic point crossing an interior ridge leaves one cone
+    as it enters the other, and a point inside one cone and in no other fixes
+    that degree at 1.
     """
     lattice = sub.lattice
     n = lattice.rank
@@ -275,20 +262,22 @@ def validate_subdivision(sub: SubdivisionMap, samples: int = 0) -> None:
         raise InvariantViolation(top, "simplicial", "cones must be simplicial, maximal ones n-dim")
     if not sub.maximal:
         raise InvariantViolation(top, "covering", "the fan has no maximal cone")
-    ridge_count: dict[ConeSet, int] = {}
+    # the side of each ridge its maximal cones lie on: the sign of
+    # det(ridge rays in index order, apex ray)
+    ridge_sides: dict[ConeSet, list[int]] = {}
     for c in sub.maximal:
         for i in c:
-            ridge_count[c - {i}] = ridge_count.get(c - {i}, 0) + 1
-    for ridge, count in ridge_count.items():
+            rows = [sub.rays[j] for j in sorted(c - {i})] + [sub.rays[i]]
+            ridge_sides.setdefault(c - {i}, []).append(_sign(rows))
+    for ridge, sides in ridge_sides.items():
         tau = sub.pushforward[ridge]
         expected = 2 if tau == top else 1
-        if count != expected:
-            raise InvariantViolation(
-                tau,
-                "covering",
-                f"ridge {sorted(ridge)} over face {tau} lies in {count} maximal "
-                f"cones, expected {expected}",
-            )
+        if len(sides) != expected:
+            message = f"ridge {sorted(ridge)} over face {tau} lies in {len(sides)} maximal cones"
+            raise InvariantViolation(tau, "covering", f"{message}, expected {expected}")
+        if expected == 2 and sides[0] == sides[1]:
+            message = f"both maximal cones at ridge {sorted(ridge)} lie on one side of it"
+            raise InvariantViolation(top, "orientation", message)
     for idx, vec, fid in sub.added_rays():
         if lattice.face_of_point(vec) != fid:
             raise InvariantViolation(fid, "ray tag", f"ray {idx} is not interior to its face")
@@ -296,15 +285,13 @@ def validate_subdivision(sub: SubdivisionMap, samples: int = 0) -> None:
         normals = [lattice.dual_generators[s] for s in lattice.faces[tau].normals]
         if any(dot(u, sub.rays[i]) for u in normals for i in cone):
             raise InvariantViolation(tau, "pushforward", f"cone {sorted(cone)} leaves its face")
-    # pairwise disjoint interiors, probed at relative interior points
-    points = {
-        c: vector_sum([sub.rays[i] for i in c], n) for c in sub.maximal
-    }
-    for c in sub.maximal:
-        for d in sub.maximal:
-            if c != d and in_simplicial_cone(sub, d, points[c]):
-                raise InvariantViolation(
-                    top,
-                    "disjoint interiors",
-                    f"maximal cones {sorted(c)} and {sorted(d)} overlap",
-                )
+    # Cramer's rule: a point lies in a simplicial cone when putting it in
+    # place of any one generator never flips the sign of the determinant
+    first = sub.maximal[0]
+    point = vector_sum([sub.rays[i] for i in first], n)
+    for c in sub.maximal[1:]:
+        rows = [sub.rays[i] for i in c]
+        sign = _sign(rows)
+        if all(_sign(rows[:k] + [point] + rows[k + 1 :]) in (0, sign) for k in range(n)):
+            message = f"maximal cones {sorted(first)} and {sorted(c)} overlap"
+            raise InvariantViolation(top, "degree", message)

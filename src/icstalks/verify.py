@@ -39,6 +39,7 @@ from .differentials import (
     omega_from_fiber_poincare,
     omega_oracle,
 )
+from .errors import CrossCheckMismatch
 from .golden import golden_derham, golden_multiplicities, golden_stalks
 from .polynomials import BiLaurentPolynomial, LaurentPolynomial
 from .shelling import lexicographic_shelling
@@ -170,18 +171,24 @@ def _run(report: Report, name: str, spec_name: str, fn) -> None:
         )
 
 
+def _require(ok: bool, message: str) -> None:
+    """The checks' assertion, kept under ``python -O``."""
+    if not ok:
+        raise CrossCheckMismatch(message)
+
+
 def check_face_lattice(ctx: ConeContext) -> str:
     lat = ctx.lattice
     if ctx.spec.expected_face_counts:
         counts = tuple(len(lat.faces_of_dim(d)) for d in range(lat.rank + 1))
-        assert counts == ctx.spec.expected_face_counts, counts
+        _require(counts == ctx.spec.expected_face_counts, f"face counts {counts}")
     if lat.rank == 4:
         v = len(lat.faces_of_dim(1))
         e = len(lat.faces_of_dim(2))
         f = len(lat.faces_of_dim(3))
-        assert v - e + f == 2, "Euler identity fails"
+        _require(v - e + f == 2, "Euler identity fails")
         nk_sum = sum(len(lat.faces[fid].rays) for fid in lat.faces_of_dim(3))
-        assert nk_sum == 2 * e
+        _require(nk_sum == 2 * e, f"facet rays sum to {nk_sum}, not twice the {e} edges")
     return f"{len(lat.faces)} faces"
 
 
@@ -200,7 +207,7 @@ def check_dcount_chaincount(ctx: ConeContext) -> str:
     pairs = 0
     for f in lat.faces:
         for l in range(lat.rank + 1):
-            assert d.get(l, f.id) == chain_count_oracle(lat, f.id, l), (f.id, l)
+            _require(d.get(l, f.id) == chain_count_oracle(lat, f.id, l), f"face {f.id}, l = {l}")
             pairs += 1
     return f"{pairs} counts agree"
 
@@ -215,7 +222,7 @@ def check_fiber_duality(ctx: ConeContext) -> str:
         if f.dim == 0:
             continue
         fib = dec.F[f.id]
-        assert fib == fib.mirror().shift(2 * (f.dim - 1)), f.id
+        _require(fib == fib.mirror().shift(2 * (f.dim - 1)), f"face {f.id}")
         faces += 1
     return f"{faces} faces, barycentric pipeline"
 
@@ -224,7 +231,7 @@ def check_shelling(ctx: ConeContext) -> str:
     order = lexicographic_shelling(ctx.lattice, ctx.barycentric)
     hist = order.type_histogram()
     if len(order.order) > 1:
-        assert hist.get(0) == 1, "exactly one leading facet of type 0"
+        _require(hist.get(0) == 1, "exactly one leading facet of type 0")
     return f"{len(order.order)} facets, histogram {hist}"
 
 
@@ -236,7 +243,7 @@ def check_degree_zero_exactness(ctx: ConeContext) -> str:
     for (k_twice, l), h in omega.items():
         p = -k_twice // 2
         i = l + lat.rank - p
-        assert p == 0 or i == p, f"h^{i} = {h} for p = {p}"
+        _require(p == 0 or i == p, f"h^{i} = {h} for p = {p}")
     return f"p = 1..{lat.rank}"
 
 
@@ -247,8 +254,11 @@ def check_omega_threeway(ctx: ConeContext) -> str:
     dec = ctx.dec_barycentric
     for f in lat.faces:
         fiber_form = omega_from_fiber_poincare(dec.F[f.id], lat.rank, f.dim)
-        assert oracle[f.id] == closed[f.id] == fiber_form, f.id
-        assert oracle[f.id].is_integer() and oracle[f.id].is_nonnegative()
+        _require(oracle[f.id] == closed[f.id] == fiber_form, f"face {f.id}")
+        _require(
+            oracle[f.id].is_integer() and oracle[f.id].is_nonnegative(),
+            f"face {f.id}: Omega is not a nonnegative integer series",
+        )
     return f"{len(lat.faces)} faces"
 
 
@@ -264,21 +274,22 @@ def check_decomposition_invariants(ctx: ConeContext) -> str:
     dec_b = ctx.dec_barycentric
     dec_i = ctx.dec_interior
     bad = lowest_degree_normalized(dec_b) + lowest_degree_normalized(dec_i)
-    assert not bad, f"stalk polynomials without unit lowest coefficient: {bad}"
+    _require(not bad, f"stalk polynomials without unit lowest coefficient: {bad}")
     for f in ctx.lattice.faces:
         if f.dim and len(f.rays) == f.dim:
-            assert dec_b.htilde(ctx.lattice.zero_id, f.id) == LaurentPolynomial.term(
-                -f.dim
-            ), f"simplicial face {f.id}"
+            _require(
+                dec_b.htilde(ctx.lattice.zero_id, f.id) == LaurentPolynomial.term(-f.dim),
+                f"simplicial face {f.id}",
+            )
     return "palindromic, negative, parity, nonnegative, unit lowest term"
 
 
 def check_stalk_subdivision_independence(ctx: ConeContext) -> str:
     dec_b = ctx.dec_barycentric
     dec_i = ctx.dec_interior
-    assert set(dec_b.Htilde) == set(dec_i.Htilde)
+    _require(set(dec_b.Htilde) == set(dec_i.Htilde), "the pipelines solve different pairs")
     for key in dec_b.Htilde:
-        assert dec_b.Htilde[key] == dec_i.Htilde[key], key
+        _require(dec_b.Htilde[key] == dec_i.Htilde[key], f"(mu, tau) = {key}")
     return f"{len(dec_b.Htilde)} stalk polynomials identical"
 
 
@@ -286,12 +297,13 @@ def check_center_multiplicity_independence(ctx: ConeContext) -> str:
     top = ctx.lattice.top_id
     a = ctx.dec_barycentric.D[top]
     b = ctx.dec_interior.D[top]
-    assert a == b, (
-        f"D_sigma differs between pipelines: barycentric {a.to_text()}, "
-        f"interior-ray {b.to_text()} (the multiplicity over the fixed point "
-        "depends on the subdivision whenever the two pipelines differ there, "
-        "which happens in dimensions 2 and 4)"
-    )
+    if a != b:
+        raise CrossCheckMismatch(
+            f"D_sigma differs between pipelines: barycentric {a.to_text()}, "
+            f"interior-ray {b.to_text()} (the multiplicity over the fixed point "
+            "depends on the subdivision whenever the two pipelines differ there, "
+            "which happens in dimensions 2 and 4)"
+        )
     return a.to_text()
 
 
@@ -312,7 +324,7 @@ def check_chi_y(ctx: ConeContext) -> str:
         dr = derham_from_stalks(dec, lat.zero_id, f.id)
         lhs = chi_y_specialize(dr)
         rhs = stalk_chi_y(dec.htilde(lat.zero_id, f.id), f.dim, lat.rank)
-        assert lhs == rhs, f.id
+        _require(lhs == rhs, f"face {f.id}")
     return f"{len(lat.faces)} faces"
 
 
@@ -322,9 +334,10 @@ def check_golden_stalks(ctx: ConeContext) -> str:
     expected_d = golden_multiplicities(lat)
     for dec in (ctx.dec_barycentric, ctx.dec_interior):
         for fid, poly in expected_h.items():
-            assert dec.htilde(lat.zero_id, fid) == poly, ("H", fid)
+            _require(dec.htilde(lat.zero_id, fid) == poly, f"H at face {fid}")
     for fid, poly in expected_d.items():
-        assert ctx.dec_interior.D[fid] == poly, ("D", fid, poly.to_text())
+        if ctx.dec_interior.D[fid] != poly:
+            raise CrossCheckMismatch(f"D at face {fid}, expected {poly.to_text()}")
     return f"{len(expected_h)} stalk + {len(expected_d)} multiplicity values"
 
 
@@ -334,8 +347,12 @@ def check_golden_derham(ctx: ConeContext) -> str:
     dec = ctx.dec_barycentric
     for fid, poly in expected.items():
         got = derham_from_stalks(dec, lat.zero_id, fid)
-        assert got == poly, (fid, got.to_text(), poly.to_text())
-        assert got.is_integer() and got.is_nonnegative() and got.is_integral
+        if got != poly:
+            raise CrossCheckMismatch(f"face {fid}: {got.to_text()}, expected {poly.to_text()}")
+        _require(
+            got.is_integer() and got.is_nonnegative() and got.is_integral,
+            f"face {fid}: dR is not a nonnegative integral series",
+        )
     return f"{len(expected)} values"
 
 

@@ -176,6 +176,23 @@ def test_non_integer_input_exit_2(capsys, tmp_path, spec):
     assert json.loads(out)["error"]["type"] == "MalformedInput"
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [[1, 0, 2], [1, 1, 2]],
+    ids=["on-an-edge", "in-the-interior"],
+)
+def test_non_extreme_generator_exit_2(capsys, tmp_path, extra):
+    # a generator inside the square cone is not a ray of it
+    spec = {"rank": 3, "rays": SQUARE_SPEC["rays"] + [extra]}
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(capsys, "faces", "--cone", str(path))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "MalformedInput"
+    assert "ray 4" in error["message"]
+
+
 def test_non_pointed_cone_exit_1(capsys, tmp_path):
     spec = {"name": "line", "rank": 2, "rays": [[1, 0], [-1, 0], [0, 1]]}
     path = tmp_path / "line.json"
@@ -218,3 +235,17 @@ def test_module_entry_point(square_file, child_env):
     )
     assert proc.returncode == 0
     assert "10 faces" in proc.stdout
+
+
+def test_verify_reports_red_check_under_optimize(child_env):
+    # the checks raise typed errors, so `python -O` cannot strip them
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "icstalks", "verify", "--name", "orthant-2"],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert proc.returncode == 1
+    failed = [line for line in proc.stdout.splitlines() if line.startswith("[FAIL]")]
+    assert len(failed) == 1
+    assert "center-multiplicity-independence (CrossCheckMismatch:" in failed[0]

@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import pytest
 
 from icstalks.cones import dot, face_lattice
 from icstalks.decomposition import solve_decomposition
 from icstalks.errors import InvariantViolation
 from icstalks.subdivision import (
+    SubdivisionMap,
     barycentric_subdivision,
     chain_count_oracle,
     interior_ray_subdivision,
@@ -155,17 +158,52 @@ def test_validate_rejects_uncovered_fan():
         validate_subdivision(sub)
 
 
+def _fan(lattice, added_rays, maximal):
+    """A fan over ``lattice`` from extra (ray, face id) pairs and maximal cones."""
+    rays = list(lattice.rays) + [r for r, _ in added_rays]
+    ray_face = [lattice.id_of_rayset(frozenset((i,))) for i in range(len(lattice.rays))]
+    maximal = [frozenset(c) for c in maximal]
+    cones = {frozenset(f) for c in maximal for k in range(len(c) + 1) for f in combinations(c, k)}
+    return SubdivisionMap(
+        lattice=lattice,
+        rays=rays,
+        ray_face=ray_face + [f for _, f in added_rays],
+        cones=cones,
+        maximal=maximal,
+    )
+
+
+def test_validate_rejects_fold():
+    # (1,1) and (3,1) subdivide the quadrant, but the cones {e1,(1,1)} and
+    # {(1,1),(3,1)} lie on the same side of their common ray
+    lat = face_lattice([(1, 0), (0, 1)])
+    fan = _fan(lat, [((1, 1), lat.top_id), ((3, 1), lat.top_id)], [{0, 2}, {2, 3}, {3, 1}])
+    with pytest.raises(InvariantViolation) as info:
+        validate_subdivision(fan)
+    assert info.value.prop == "orientation"
+
+
+def test_validate_rejects_double_cover():
+    # the star of the centre (1,1,1) of the triangle cone, winding around it
+    # twice: the corner rays come back under the new indices 4, 5, 6
+    lat = face_lattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    corner = [lat.id_of_rayset(frozenset((i,))) for i in range(3)]
+    added = [((1, 1, 1), lat.top_id)] + [(lat.rays[i], corner[i]) for i in range(3)]
+    ring = [0, 1, 2, 4, 5, 6]
+    maximal = [{ring[k], ring[(k + 1) % 6], 3} for k in range(6)]
+    fan = _fan(lat, added, maximal)
+    with pytest.raises(InvariantViolation) as info:
+        validate_subdivision(fan)
+    assert info.value.prop == "degree"
+
+
 def test_interior_ray_rank5_cube_matches_barycentric_stalks():
     lat = face_lattice(CUBE5)
+    barycentric = barycentric_subdivision(lat)
     interior = interior_ray_subdivision(lat)
     assert len(interior.maximal) == 192
-    a = solve_decomposition(lat, multiplicity_table(barycentric_subdivision(lat)))
+    validate_subdivision(barycentric)
+    validate_subdivision(interior)
+    a = solve_decomposition(lat, multiplicity_table(barycentric))
     b = solve_decomposition(lat, multiplicity_table(interior))
     assert a.Htilde == b.Htilde
-
-
-def test_total_cone_count_equals_table_total():
-    lat = face_lattice(SQUARE)
-    sub = barycentric_subdivision(lat)
-    d = multiplicity_table(sub)
-    assert d.total() == len(sub.cones)

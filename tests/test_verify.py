@@ -3,6 +3,7 @@ import pytest
 import icstalks.differentials
 from icstalks.cones import pick_degree, second_degree
 from icstalks.corpus import corpus_by_name
+from icstalks.errors import CrossCheckMismatch
 from icstalks.polynomials import BiLaurentPolynomial
 from icstalks.verify import ConeContext, check_degree_zero_exactness, run_cone
 
@@ -13,7 +14,7 @@ def test_degree_zero_exactness_reads_the_oracle_map():
     assert check_degree_zero_exactness(ctx) == "p = 1..3"
     # h^2 of the 1-form complex: K^-1 L^(2 - 3 + 1), off position p = 1
     ctx.omega_oracle_map[top] += BiLaurentPolynomial.monomial(-2, 0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(CrossCheckMismatch):
         check_degree_zero_exactness(ctx)
 
 
