@@ -45,7 +45,6 @@ from .decomposition import (
     split_palindromic_negative,
 )
 from .derham import (
-    chi_y_specialize,
     derham_by_elimination,
     derham_from_stalks,
     derham_table,
@@ -79,7 +78,6 @@ __all__ = [
     "derham_from_stalks",
     "derham_by_elimination",
     "derham_table",
-    "chi_y_specialize",
 ]
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import sys
 
 from .corpus import CORPUS, ConeSpec, corpus_by_name, load_cone_spec
 from .decomposition import fiber_poincare, solve_decomposition
-from .derham import check_main_identity, chi_y_specialize, derham_table
+from .derham import check_main_identity, derham_table
 from .differentials import (
     check_second_degree,
     omega_closed_form,
@@ -187,8 +187,9 @@ def cmd_icdr(args) -> int:
             "text": poly.to_text(),
         }
         if args.chi_y:
-            row["chi_y"] = chi_y_specialize(poly).to_json_obj()
-            row["chi_y_text"] = chi_y_specialize(poly).to_text("y")
+            chi_y = poly.chi_y()
+            row["chi_y"] = chi_y.to_json_obj()
+            row["chi_y_text"] = chi_y.to_text("y")
         rows.append(row)
     payload = {"dr": rows, "verified": bool(args.verify)}
     lines = [f"graded de Rham generating functions for {spec.name}:"]

@@ -21,7 +21,7 @@ from .errors import (
     NotFullDimensional,
     NotStronglyConvex,
 )
-from .linalg import clear_row_denominators, integer_rank, nullspace
+from .linalg import clear_row_denominators, integer_rank, nullspace, sparse_row
 
 Vector = tuple[int, ...]
 
@@ -57,7 +57,7 @@ def primitive_from_rational(v) -> Vector:
 
 
 def rank_of(vectors) -> int:
-    return integer_rank([list(v) for v in vectors])
+    return integer_rank([sparse_row(v) for v in vectors])
 
 
 def dual_cone(rays: list[Vector], rank: int) -> list[Vector]:
@@ -76,7 +76,7 @@ def dual_cone(rays: list[Vector], rank: int) -> list[Vector]:
         return []
     normals: set[Vector] = set()
     for subset in itertools.combinations(range(len(rays)), rank - 1):
-        basis, _cols = nullspace([list(rays[i]) for i in subset], rank)
+        basis, _cols = nullspace([sparse_row(rays[i]) for i in subset], rank)
         if len(basis) != 1:
             continue
         u = primitive_from_rational(basis[0])
@@ -182,14 +182,23 @@ class FaceLattice:
         return pairs
 
     def _validate(self):
-        # closed under intersection, graded covers, two rays per 2-face
+        # closed under intersection, diamonds, two rays per 2-face
         for a in self.faces:
             for b in self.faces:
                 if a.rays & b.rays not in self._by_rayset:
                     raise InvariantViolation(a.id, "lattice", "face set not intersection-closed")
+        # every interval of length 2 has exactly two middle faces
+        above: dict[int, list[int]] = {f.id: [] for f in self.faces}
         for lo, hi in self.covers:
-            if self.faces[hi].dim != self.faces[lo].dim + 1:
-                raise InvariantViolation(hi, "lattice", f"cover {lo} < {hi} is not graded")
+            above[lo].append(hi)
+        middles: dict[tuple[int, int], int] = {}
+        for lo, mid in self.covers:
+            for hi in above[mid]:
+                middles[lo, hi] = middles.get((lo, hi), 0) + 1
+        for (lo, hi), count in middles.items():
+            if count != 2:
+                message = f"interval [{lo}, {hi}] has {count} middle faces, not 2"
+                raise InvariantViolation(hi, "lattice", message)
         for f in self.faces:
             if f.dim == 2 and len(f.rays) != 2:
                 raise InvariantViolation(f.id, "lattice", "a 2-dimensional face must have 2 rays")

@@ -106,11 +106,6 @@ def check_main_identity(
     return direct
 
 
-def chi_y_specialize(dr: BiLaurentPolynomial) -> LaurentPolynomial:
-    """Evaluate at K = (-y)^{-1}, L = -1, as a Laurent polynomial in y."""
-    return dr.chi_y()
-
-
 def stalk_chi_y(
     htilde: LaurentPolynomial, d_tau: int, n: int
 ) -> LaurentPolynomial:

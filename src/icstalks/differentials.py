@@ -16,10 +16,12 @@ independent of the choice of e, and consecutive differentials anticommute
 with no extra sign, which the builder checks rather than trusts: a nonzero
 composite raises ``CrossCheckMismatch``.
 
-Cohomology dimensions are exact: dim ker - dim im via fraction-free integer
-rank computation.  Summing them over all form degrees p at a fixed u gives
-the generating function of higher-direct-image dimensions of reflexive
-differentials; the closed form in terms of the multiplicity table is
+Every differential is a list of sparse rows, placed block by block at the
+blocks' offsets.  Cohomology dimensions are exact: dim ker - dim im, with
+ranks from the one sparse elimination of ``linalg``.  Summing them over all
+form degrees p at a fixed u gives the generating function of
+higher-direct-image dimensions of reflexive differentials; the closed form in
+terms of the multiplicity table is
 
     L^-n (1 + K^-1 L)^(n - d_tau) *
         sum_{mu <= tau} sum_j d_j(mu) (1 - K^-1 L^2)^(d_tau - j) (K^-1 L^2)^j
@@ -37,12 +39,12 @@ from fractions import Fraction
 from .cones import DegreeVector, dot, pick_degree, second_degree, validate_degree
 from .errors import CrossCheckMismatch, DegreeMismatch, InvariantViolation
 from .linalg import (
+    SparseRow,
     coordinates_in_basis,
     determinant,
     integer_rank,
-    is_zero_matrix,
-    mat_mul,
     nullspace,
+    sparse_row,
 )
 from .polynomials import (
     BiLaurentPolynomial,
@@ -59,16 +61,22 @@ class ChainComplexQ:
     """A finite complex of exact rational matrices in positions 0..len(dims)-1.
 
     ``mats[i]`` is the differential from position i to i+1 in row convention:
-    one row per source basis element.  Consecutive products are zero.
+    one sparse row per source basis element, ``dims[i]`` rows in all.
+    Consecutive products are zero; a nonzero one raises ``CrossCheckMismatch``.
     """
 
     dims: list[int]
-    mats: list[list[list[Fraction]]]
+    mats: list[list[SparseRow]]
 
     def __post_init__(self):
         for i in range(len(self.mats) - 1):
-            if self.dims[i] and self.dims[i + 1] and self.dims[i + 2]:
-                if not is_zero_matrix(mat_mul(self.mats[i], self.mats[i + 1])):
+            following = self.mats[i + 1]
+            for row in self.mats[i]:
+                composite: SparseRow = {}
+                for k, x in row.items():
+                    for j, y in following[k].items():
+                        composite[j] = composite.get(j, 0) + x * y
+                if any(composite.values()):
                     raise CrossCheckMismatch(
                         f"differentials {i} and {i + 1} do not compose to zero"
                     )
@@ -88,11 +96,29 @@ def cohomology_dims(complex: ChainComplexQ) -> list[int]:
     return out
 
 
+def _dual_cohomology_dims(complex: ChainComplexQ) -> list[int]:
+    """The same dimensions read off the dual complex: h^i(C) = h^(N-i)(C*).
+
+    C* has the transposed differentials in reverse order, so its ranks come
+    from an elimination of different rows than ``cohomology_dims`` runs.
+    """
+    transposed = []
+    for i, m in enumerate(complex.mats):
+        columns: list[SparseRow] = [{} for _ in range(complex.dims[i + 1])]
+        for r, row in enumerate(m):
+            for j, x in row.items():
+                columns[j][r] = x
+        transposed.append(columns)
+    dual = ChainComplexQ(dims=complex.dims[::-1], mats=transposed[::-1])
+    return cohomology_dims(dual)[::-1]
+
+
 def _perp_basis(sub: SubdivisionMap, cone: ConeSet):
     """Echelon-normalized basis of nu_perp for the cone nu, with its coordinate columns."""
     memo = sub.ishida_memo
     if cone not in memo:
-        memo[cone] = nullspace([list(sub.rays[i]) for i in sorted(cone)], sub.lattice.rank)
+        rows = [sparse_row(sub.rays[i]) for i in sorted(cone)]
+        memo[cone] = nullspace(rows, sub.lattice.rank)
     return memo[cone]
 
 
@@ -106,14 +132,14 @@ def _wedge_coordinates(vectors, dim: int, size: int) -> dict[tuple[int, ...], Fr
         return {(): Fraction(1)}
     out: dict[tuple[int, ...], Fraction] = {}
     for cols in itertools.combinations(range(dim), size):
-        minor = determinant([[v[c] for c in cols] for v in vectors])
+        minor = determinant([sparse_row([v[c] for c in cols]) for v in vectors])
         if minor:
             out[cols] = minor
     return out
 
 
 def _block(sub: SubdivisionMap, mu: ConeSet, nu: ConeSet, p: int):
-    """Matrix of the differential component V_mu^p -> V_nu^p (row convention)."""
+    """Sparse rows of the differential component V_mu^p -> V_nu^p (row convention)."""
     memo = sub.ishida_memo
     key = (mu, nu, p)
     if key in memo:
@@ -139,7 +165,7 @@ def _block(sub: SubdivisionMap, mu: ConeSet, nu: ConeSet, p: int):
 
     rows = []
     for label in itertools.combinations(range(len(src_basis)), k):
-        row = [Fraction(0)] * len(dst_index)
+        row: SparseRow = {}
         for j, s_j in enumerate(label):
             t = pairing[s_j]
             if t == 0:
@@ -147,8 +173,9 @@ def _block(sub: SubdivisionMap, mu: ConeSet, nu: ConeSet, p: int):
             rest = [beta_coords[s] for s in label if s != s_j]
             sign = (-1) ** (k - 1 - j)
             for cols, minor in _wedge_coordinates(rest, dim_dst_space, k - 1).items():
-                row[dst_index[cols]] += sign * t * minor
-        rows.append(row)
+                col = dst_index[cols]
+                row[col] = row.get(col, 0) + sign * t * minor
+        rows.append({j: x for j, x in row.items() if x})
     memo[key] = rows
     return rows
 
@@ -194,18 +221,16 @@ def build_degree_complex(
 
     mats = []
     for l in range(p):
-        rows = [[Fraction(0)] * dims[l + 1] for _ in range(dims[l])]
+        rows: list[SparseRow] = [{} for _ in range(dims[l])]
         for mu in survivors[l]:
+            r0 = offsets[l][mu]
             for nu in survivors[l + 1]:
                 if mu < nu:
-                    block = _block(sub, mu, nu, p)
-                    r0 = offsets[l][mu]
                     c0 = offsets[l + 1][nu]
-                    for i, brow in enumerate(block):
+                    for i, block_row in enumerate(_block(sub, mu, nu, p)):
                         target = rows[r0 + i]
-                        for j, val in enumerate(brow):
-                            if val:
-                                target[c0 + j] += val
+                        for j, val in block_row.items():
+                            target[c0 + j] = val
         mats.append(rows)
     return ChainComplexQ(dims=dims, mats=mats)
 
@@ -223,15 +248,16 @@ def omega_oracle(sub: SubdivisionMap, tau: int) -> BiLaurentPolynomial:
 def check_second_degree(sub: SubdivisionMap, tau: int, omega: BiLaurentPolynomial) -> None:
     """Recompute ``omega_oracle(sub, tau)`` at a second valid degree, if any.
 
-    Only the second degree is computed; ``omega`` is the first-degree result.
-    Disagreement raises ``CrossCheckMismatch``.  Sigma itself has only the
-    degree 0, so there is nothing to compare.
+    Only the second degree is computed, and its cohomology is read off the
+    dual complexes; ``omega`` is the first-degree result.  Disagreement raises
+    ``CrossCheckMismatch``.  Sigma itself has only the degree 0, so there is
+    nothing to compare.
     """
     deg = pick_degree(sub.lattice, tau)
     other = second_degree(sub.lattice, deg)
     if other is None:
         return
-    again = _omega_at_degree(sub, other)
+    again = _omega_at_degree(sub, other, _dual_cohomology_dims)
     if again != omega:
         raise CrossCheckMismatch(
             f"degree {deg.u} and {other.u} disagree on face {tau}: "
@@ -239,12 +265,14 @@ def check_second_degree(sub: SubdivisionMap, tau: int, omega: BiLaurentPolynomia
         )
 
 
-def _omega_at_degree(sub: SubdivisionMap, deg: DegreeVector) -> BiLaurentPolynomial:
+def _omega_at_degree(
+    sub: SubdivisionMap, deg: DegreeVector, cohomology=cohomology_dims
+) -> BiLaurentPolynomial:
     n = sub.lattice.rank
     terms = {}
     for p in range(n + 1):
         complex = build_degree_complex(sub, p, deg)
-        for i, h in enumerate(cohomology_dims(complex)):
+        for i, h in enumerate(cohomology(complex)):
             if h:
                 terms[(-2 * p, i - n + p)] = h
     return BiLaurentPolynomial(terms)

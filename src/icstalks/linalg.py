@@ -1,9 +1,10 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals on sparse rows.
 
-Ranks are computed by fraction-free (Bareiss-style) elimination over
-arbitrary-precision integers after clearing denominators row by row; reduced
-echelon forms and nullspaces use plain Fraction arithmetic (they only run on
-small matrices: rows are ray vectors, columns ambient coordinates).
+A row is a dict from column index to its nonzero entry, a ``Fraction`` or an
+``int``; a matrix is a list of rows.  The Ishida differentials are more than
+98% zeros, so only the nonzero entries are stored and touched.  One exact
+elimination, ``_eliminate``, gives every rank, determinant and nullspace;
+there is no modular or floating-point shortcut.
 """
 
 from __future__ import annotations
@@ -11,10 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import InvariantViolation
+SparseRow = dict[int, Fraction]
 
-Row = list[Fraction]
-Matrix = list[Row]
+
+def sparse_row(vector) -> SparseRow:
+    """The sparse row of a dense vector."""
+    return {j: x for j, x in enumerate(vector) if x}
 
 
 def clear_row_denominators(row) -> list[int]:
@@ -26,102 +29,98 @@ def clear_row_denominators(row) -> list[int]:
     return [int(Fraction(x) * lcm) for x in row]
 
 
+def _eliminate(rows) -> tuple[list[tuple[int, SparseRow]], int]:
+    """Row-reduce sparse rows exactly; return the pivots and a permutation sign.
+
+    Columns are taken left to right.  In each column the pivot is the shortest
+    remaining row with a nonzero entry there, and a multiple of it is
+    subtracted from every other remaining row with a nonzero entry there.
+    The pivot ``(column, row)`` pairs come back in column order, so the pivot
+    rows are an echelon form of the input; the sign is that of a row
+    permutation putting the pivot rows first, in that order.
+    """
+    rows = [dict(r) for r in rows]
+    # column -> indices of the remaining rows with a nonzero entry there
+    where: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            where.setdefault(j, set()).add(i)
+    position = list(range(len(rows)))  # position[i]: where row i sits
+    at = list(range(len(rows)))  # at[k]: the row sitting at position k
+    pivots: list[tuple[int, SparseRow]] = []
+    sign = 1
+    for c in sorted(where):
+        holders = where[c]
+        if not holders:
+            continue
+        p = min(holders, key=lambda i: len(rows[i]))
+        k, q = len(pivots), position[p]
+        if q != k:
+            other = at[k]
+            at[k], at[q], position[p], position[other] = p, other, k, q
+            sign = -sign
+        pivot_row = rows[p]
+        pivot = pivot_row[c]
+        inverse = pivot if pivot in (1, -1) else 1 / Fraction(pivot)
+        for j in pivot_row:
+            where[j].discard(p)
+        for i in list(holders):
+            row = rows[i]
+            factor = row[c] * inverse
+            for j, x in pivot_row.items():
+                y = row.get(j, 0) - factor * x
+                if y:
+                    if j not in row:
+                        where[j].add(i)
+                    row[j] = y
+                elif j in row:
+                    del row[j]
+                    where[j].discard(i)
+        pivots.append((c, pivot_row))
+    return pivots, sign
+
+
 def integer_rank(rows) -> int:
-    """Rank of a matrix with rational entries, via Bareiss elimination.
+    """Rank of a matrix given by sparse rows."""
+    return len(_eliminate(rows)[0])
 
-    Rows are scaled to integers first (rank is invariant under row scaling),
-    then eliminated fraction-free: every intermediate entry is a minor of the
-    scaled matrix, so the divisions below are exact.
+
+def determinant(rows) -> Fraction:
+    """Determinant of a square matrix given by sparse rows."""
+    pivots, sign = _eliminate(rows)
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    det = Fraction(sign)
+    for c, row in pivots:
+        det *= row[c]
+    return det
+
+
+def nullspace(rows, n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Basis of {x : A x = 0} for A given by sparse ``rows`` with ``n_cols`` columns.
+
+    Returns (basis, coordinate_columns), the basis as dense vectors.  The
+    coordinate columns are the non-pivot columns, and the basis is
+    echelon-normalized: the i-th basis vector has entry 1 at
+    coordinate_columns[i] and entry 0 at the other coordinate columns, so the
+    coefficients of any nullspace vector v in this basis are simply v
+    restricted to coordinate_columns.
     """
-    m = [clear_row_denominators(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    col = 0
-    while rank < n_rows and col < n_cols:
-        pivot_row = None
-        for i in range(rank, n_rows):
-            if m[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            col += 1
-            continue
-        if pivot_row != rank:
-            m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        row_r = m[rank]
-        for i in range(rank + 1, n_rows):
-            row_i = m[i]
-            factor = row_i[col]
-            # the update must run even when factor == 0 so that entries stay
-            # minors of the original matrix and the division stays exact
-            for j in range(col + 1, n_cols):
-                num = row_i[j] * pivot - factor * row_r[j]
-                q = num // prev
-                if q * prev != num:
-                    raise InvariantViolation(None, "exact division", "inexact Bareiss quotient")
-                row_i[j] = q
-            row_i[col] = 0
-        prev = pivot
-        rank += 1
-        col += 1
-    return rank
-
-
-def rref(rows) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form over Fraction; returns (rref, pivot columns)."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return [], []
-    n_rows, n_cols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return m[:r], pivots
-
-
-def nullspace(rows, n_cols: int) -> tuple[Matrix, list[int]]:
-    """Basis of {x : A x = 0} for A given by ``rows`` of length ``n_cols``.
-
-    Returns (basis, coordinate_columns).  The basis is echelon-normalized: the
-    i-th basis vector has entry 1 at coordinate_columns[i] and entry 0 at the
-    other coordinate columns, so the coefficients of any nullspace vector v in
-    this basis are simply v restricted to coordinate_columns.
-    """
-    reduced, pivots = rref(rows)
-    free_cols = [c for c in range(n_cols) if c not in pivots]
-    basis: Matrix = []
+    pivots, _ = _eliminate(rows)
+    pivot_cols = {c for c, _ in pivots}
+    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
+    basis = []
     for f in free_cols:
-        v = [Fraction(0)] * n_cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f]
-        basis.append(v)
+        v = {f: Fraction(1)}
+        for c, row in reversed(pivots):
+            s = sum(x * v[j] for j, x in row.items() if j in v)
+            if s:
+                v[c] = -s / row[c]
+        basis.append([v.get(j, Fraction(0)) for j in range(n_cols)])
     return basis, free_cols
 
 
-def coordinates_in_basis(vector, basis: Matrix, coord_cols: list[int]) -> Row:
+def coordinates_in_basis(vector, basis, coord_cols: list[int]) -> list[Fraction]:
     """Coordinates of ``vector`` in an echelon-normalized basis.
 
     The subspace membership is verified exactly; a vector outside the span of
@@ -136,54 +135,3 @@ def coordinates_in_basis(vector, basis: Matrix, coord_cols: list[int]) -> Row:
         if s != Fraction(vector[j]):
             raise ValueError("vector is not in the span of the basis")
     return coords
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Product of row-convention matrices (a maps into b's row space)."""
-    if not a or not b:
-        return []
-    n_mid = len(b)
-    n_out = len(b[0])
-    out = []
-    for row in a:
-        acc = [Fraction(0)] * n_out
-        for k in range(n_mid):
-            x = row[k]
-            if x:
-                bk = b[k]
-                for j in range(n_out):
-                    if bk[j]:
-                        acc[j] += x * bk[j]
-        out.append(acc)
-    return out
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(all(x == 0 for x in row) for row in a)
-
-
-def determinant(rows) -> Fraction:
-    """Determinant of a small square rational matrix (Fraction Gauss)."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    det = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det

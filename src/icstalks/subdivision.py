@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from .cones import FaceLattice, Vector, dot, primitive, rank_of, vector_sum
 from .errors import CrossCheckMismatch, InvariantViolation, NotSimplicialResult
-from .linalg import determinant
+from .linalg import determinant, sparse_row
 
 ConeSet = frozenset[int]
 
@@ -239,7 +239,7 @@ def chain_count_oracle(lattice: FaceLattice, tau: int, length: int) -> int:
 
 
 def _sign(rows) -> int:
-    det = determinant(rows)
+    det = determinant([sparse_row(r) for r in rows])
     return (det > 0) - (det < 0)
 
 

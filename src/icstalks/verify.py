@@ -28,7 +28,6 @@ from .decomposition import (
     solve_decomposition,
 )
 from .derham import (
-    chi_y_specialize,
     check_main_identity,
     derham_from_stalks,
     stalk_chi_y,
@@ -322,7 +321,7 @@ def check_chi_y(ctx: ConeContext) -> str:
     lat = ctx.lattice
     for f in lat.faces:
         dr = derham_from_stalks(dec, lat.zero_id, f.id)
-        lhs = chi_y_specialize(dr)
+        lhs = dr.chi_y()
         rhs = stalk_chi_y(dec.htilde(lat.zero_id, f.id), f.dim, lat.rank)
         _require(lhs == rhs, f"face {f.id}")
     return f"{len(lat.faces)} faces"

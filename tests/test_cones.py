@@ -9,7 +9,7 @@ from icstalks.cones import (
     second_degree,
     validate_degree,
 )
-from icstalks.errors import NotFullDimensional, NotStronglyConvex
+from icstalks.errors import InvariantViolation, NotFullDimensional, NotStronglyConvex
 
 ORTHANT3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
@@ -92,6 +92,15 @@ def test_octahedron_cone_face_counts():
     assert counts == [1, 6, 12, 8, 1]
     for fid in lat.faces_of_dim(3):
         assert len(lat.faces[fid].rays) == 3
+
+
+@pytest.mark.parametrize("dropped", [0, -1])
+def test_validate_rejects_a_missing_cover(dropped):
+    # without one cover, an interval of length 2 has a single middle face
+    lat = face_lattice(CUBE)
+    del lat.covers[dropped]
+    with pytest.raises(InvariantViolation, match="middle faces"):
+        lat._validate()
 
 
 def test_rank_zero_lattice():

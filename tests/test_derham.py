@@ -4,7 +4,6 @@ from icstalks.cones import face_lattice
 from icstalks.decomposition import solve_decomposition
 from icstalks.derham import (
     check_main_identity,
-    chi_y_specialize,
     derham_by_elimination,
     derham_from_stalks,
     derham_table,
@@ -117,7 +116,7 @@ def test_derham_table_covers_nested_pairs():
 def test_chi_y_simplicial_full_cone():
     lat, _, _, dec = solved([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     dr = derham_from_stalks(dec, 0, lat.top_id)  # L^{-3}
-    assert chi_y_specialize(dr) == LaurentPolynomial({0: -1})
+    assert dr.chi_y() == LaurentPolynomial({0: -1})
 
 
 def test_chi_y_square_cone():
@@ -125,15 +124,15 @@ def test_chi_y_square_cone():
     dr = derham_from_stalks(dec, 0, lat.top_id)
     # L^{-3} + K^{-1}L^{-1} evaluates to -1 + y at K = (-y)^{-1}, L = -1,
     # matching the stalk-side product (1 + q^2)|_{q^2=-y} * (-1)^3
-    assert chi_y_specialize(dr) == poly_from_pairs([(0, -1), (1, 1)])
-    assert chi_y_specialize(dr) == stalk_chi_y(dec.htilde(0, lat.top_id), 3, 3)
+    assert dr.chi_y() == poly_from_pairs([(0, -1), (1, 1)])
+    assert dr.chi_y() == stalk_chi_y(dec.htilde(0, lat.top_id), 3, 3)
 
 
 def test_chi_y_identity_all_faces_cube():
     lat, _, _, dec = solved(CUBE)
     for f in lat.faces:
         dr = derham_from_stalks(dec, 0, f.id)
-        assert chi_y_specialize(dr) == stalk_chi_y(dec.htilde(0, f.id), f.dim, 4)
+        assert dr.chi_y() == stalk_chi_y(dec.htilde(0, f.id), f.dim, 4)
 
 
 def test_interval_consistency_against_quotient_geometry():

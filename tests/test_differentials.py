@@ -1,9 +1,8 @@
 import subprocess
 import sys
-from fractions import Fraction
-
 import pytest
 
+from icstalks import differentials
 from icstalks.cones import DegreeVector, face_lattice, pick_degree, second_degree
 from icstalks.differentials import (
     ChainComplexQ,
@@ -54,7 +53,7 @@ def test_term_dims_p1_two_face_degree():
 
 
 def test_zero_differential_cohomology():
-    cx = ChainComplexQ(dims=[3, 9], mats=[[[Fraction(0)] * 9 for _ in range(3)]])
+    cx = ChainComplexQ(dims=[3, 9], mats=[[{} for _ in range(3)]])
     assert cohomology_dims(cx) == [3, 9]
 
 
@@ -119,6 +118,23 @@ def test_second_degree_check_rejects_wrong_omega():
         check_second_degree(sub, tau, omega_oracle(sub, tau) + 1)
 
 
+def test_second_degree_check_reads_the_dual_complex(monkeypatch):
+    # a rank that undercounts on matrices with more rows than columns in use
+    # gives a wrong Omega at both degrees; only the dual complex, whose
+    # matrices are the transposes, exposes it
+    real = differentials.integer_rank
+
+    def undercount(rows):
+        return real(rows) - (len(rows) > len(set().union(*rows)))
+
+    monkeypatch.setattr(differentials, "integer_rank", undercount)
+    lat, sub = square_setup()
+    two_face = lat.faces_of_dim(2)[0]
+    omega = omega_oracle(sub, two_face)
+    with pytest.raises(CrossCheckMismatch):
+        check_second_degree(sub, two_face, omega)
+
+
 def test_nonzero_composite_raises_under_optimize(child_env):
     # the check is a raise, not an assert, so ``python -O`` keeps it
     code = (
@@ -126,7 +142,7 @@ def test_nonzero_composite_raises_under_optimize(child_env):
         "from icstalks.errors import CrossCheckMismatch\n"
         "print(__debug__)\n"
         "try:\n"
-        "    ChainComplexQ(dims=[1, 1, 1], mats=[[[1]], [[1]]])\n"
+        "    ChainComplexQ(dims=[1, 1, 1], mats=[[{0: 1}], [{0: 1}]])\n"
         "except CrossCheckMismatch:\n"
         "    print('raised')\n"
     )

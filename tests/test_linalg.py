@@ -1,42 +1,123 @@
+import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
+from icstalks.differentials import ChainComplexQ
+from icstalks.errors import CrossCheckMismatch
 from icstalks.linalg import (
     coordinates_in_basis,
     determinant,
     integer_rank,
-    is_zero_matrix,
-    mat_mul,
     nullspace,
-    rref,
+    sparse_row,
 )
+
+# Independent references: rank, determinant and nullspace share one
+# elimination in the library, so they are checked against formulas that
+# share nothing with it.
+
+
+def leibniz_det(m):
+    """Sum over permutations of signed products of entries."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def minor_rank(m):
+    """Size of the largest square submatrix with a nonzero determinant."""
+    n_rows, n_cols = len(m), len(m[0]) if m else 0
+    for k in range(min(n_rows, n_cols), 0, -1):
+        for rows in itertools.combinations(range(n_rows), k):
+            for cols in itertools.combinations(range(n_cols), k):
+                if leibniz_det([[m[i][j] for j in cols] for i in rows]):
+                    return k
+    return 0
+
+
+def dense_gauss_rank(m):
+    """Textbook Gaussian elimination on dense Fraction rows."""
+    m = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            if m[i][c]:
+                f = m[i][c] / m[rank][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def sparse(m):
+    return [sparse_row(row) for row in m]
+
+
+def random_matrix(rng, n_rows, n_cols, low=-3, high=3):
+    return [[rng.randint(low, high) for _ in range(n_cols)] for _ in range(n_rows)]
 
 
 def test_rank_known():
     assert integer_rank([]) == 0
-    assert integer_rank([[0, 0], [0, 0]]) == 0
-    assert integer_rank([[1, 0], [0, 1]]) == 2
-    assert integer_rank([[1, 2], [2, 4]]) == 1
-    assert integer_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
-    assert integer_rank([[Fraction(1, 2), 1], [1, 2]]) == 1
+    assert integer_rank([{}, {}]) == 0
+    assert integer_rank(sparse([[1, 0], [0, 1]])) == 2
+    assert integer_rank(sparse([[1, 2], [2, 4]])) == 1
+    assert integer_rank(sparse([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 2
+    assert integer_rank(sparse([[Fraction(1, 2), 1], [1, 2]])) == 1
 
 
-def rank_by_rref(rows):
-    reduced, pivots = rref(rows)
-    return len(pivots)
+def test_rank_and_determinant_match_the_minor_formulas_randomized():
+    rng = random.Random(7)
+    for _ in range(150):
+        n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
+        # low ranks are common once a row is a combination of two others
+        m = random_matrix(rng, n_rows, n_cols, -2, 2)
+        if n_rows >= 3 and rng.random() < 0.5:
+            m[-1] = [a - 2 * b for a, b in zip(m[0], m[1])]
+        assert integer_rank(sparse(m)) == minor_rank(m), m
+        square = random_matrix(rng, n_rows, n_rows)
+        if rng.random() < 0.3:
+            square[0] = [Fraction(x, 3) for x in square[0]]
+        assert determinant(sparse(square)) == leibniz_det(square), square
 
 
 def test_rank_matches_fraction_gauss_randomized():
     rng = random.Random(5)
-    for _ in range(60):
-        rows = rng.randint(1, 6)
-        cols = rng.randint(1, 6)
-        m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-        assert integer_rank(m) == rank_by_rref(m)
+    for _ in range(20):
+        # 30 x 40 with about two nonzero +-1 entries per row, like the
+        # Ishida differentials
+        m = [[0] * 40 for _ in range(30)]
+        for row in m:
+            for j in rng.sample(range(40), rng.randint(0, 3)):
+                row[j] = rng.choice((-1, 1))
+        assert integer_rank(sparse(m)) == dense_gauss_rank(m)
+
+
+def test_nullspace_randomized():
+    rng = random.Random(11)
+    for _ in range(80):
+        n_rows, n_cols = rng.randint(0, 5), rng.randint(1, 6)
+        m = random_matrix(rng, n_rows, n_cols, -2, 2)
+        basis, cols = nullspace(sparse(m), n_cols)
+        assert len(basis) == len(cols) == n_cols - minor_rank(m)
+        for v, c in zip(basis, cols):
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
+            assert [v[other] for other in cols] == [int(other == c) for other in cols]
 
 
 def test_nullspace_echelon_normalized():
-    basis, cols = nullspace([[1, 1, 1]], 3)
+    basis, cols = nullspace([sparse_row([1, 1, 1])], 3)
     assert cols == [1, 2]
     for v, c in zip(basis, cols):
         assert v[c] == 1
@@ -55,22 +136,26 @@ def test_nullspace_of_empty_constraints():
 
 
 def test_coordinates_roundtrip():
-    basis, cols = nullspace([[1, 2, 3]], 3)
+    basis, cols = nullspace([sparse_row([1, 2, 3])], 3)
     v = [basis[0][j] * 2 - basis[1][j] for j in range(3)]
     coords = coordinates_in_basis(v, basis, cols)
     assert coords == [2, -1]
 
 
 def test_matmul_and_zero():
-    a = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
-    b = [[Fraction(2), Fraction(0)], [Fraction(-1), Fraction(1)]]
-    assert mat_mul(a, b) == [[Fraction(0), Fraction(2)], [Fraction(-1), Fraction(1)]]
-    assert is_zero_matrix([[Fraction(0)]])
-    assert not is_zero_matrix(a)
+    # the complex composes consecutive sparse differentials and requires zero
+    a = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(3), 1: Fraction(6)}]
+    kills_a = [{0: Fraction(2)}, {0: Fraction(-1)}]  # a . kills_a == 0
+    ChainComplexQ(dims=[2, 2, 1], mats=[a, kills_a])
+    b = [{0: Fraction(2)}, {0: Fraction(-1), 1: Fraction(1)}]  # a . b != 0
+    with pytest.raises(CrossCheckMismatch):
+        ChainComplexQ(dims=[2, 2, 2], mats=[a, b])
+    ChainComplexQ(dims=[2, 2, 2], mats=[[{}, {}], b])
 
 
 def test_determinant():
-    assert determinant([[1, 2], [3, 4]]) == -2
-    assert determinant([[2]]) == 2
+    assert determinant(sparse([[1, 2], [3, 4]])) == -2
+    assert determinant(sparse([[2]])) == 2
     assert determinant([]) == 1
-    assert determinant([[1, 2], [2, 4]]) == 0
+    assert determinant(sparse([[1, 2], [2, 4]])) == 0
+    assert determinant(sparse([[0, 1], [1, 0]])) == -1
