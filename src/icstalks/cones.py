@@ -1,11 +1,11 @@
 """Strongly convex rational polyhedral cones and their face lattices.
 
-A full-dimensional cone sigma in Z^n is described by its primitive ray
-generators.  The dual description (facet normals = extreme rays of the dual
-cone) is computed by enumerating the hyperplanes spanned by (n-1)-subsets of
-rays; faces are then exactly the zero sets of subsets of facet normals on
-sigma.  Everything is exact integer/rational arithmetic; performance is not a
-concern at this scale (rank <= 6, a couple dozen rays).
+A full-dimensional cone sigma in Z^n is given by its primitive ray
+generators.  The facet normals (the extreme rays of the dual cone) come from
+the hyperplanes spanned by (n-1)-subsets of rays.  The faces and covers come
+from one top-down walk over ray sets (Kaibel & Pfetsch 2002): the facets of
+a face are the maximal proper intersections of its rays with the facets of
+sigma, so the walk visits only faces.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -138,48 +138,43 @@ class FaceLattice:
         for i, r in enumerate(self.rays):
             if frozenset((i,)) not in self._by_rayset:
                 raise ValueError(f"ray {i} = {list(r)} is not an extreme ray of the cone")
-        self.covers = self._covering_pairs()
         self._validate()
         self._chain_counts: dict[tuple[int, int, int], int] = {}
 
     # -- construction ---------------------------------------------------
 
     def _enumerate_faces(self):
-        n_normals = len(self.dual_generators)
-        seen: dict[frozenset[int], frozenset[int]] = {}
-        for size in range(n_normals + 1):
-            for subset in itertools.combinations(range(n_normals), size):
-                zero = frozenset(
-                    i
-                    for i, r in enumerate(self.rays)
-                    if all(dot(self.dual_generators[s], r) == 0 for s in subset)
-                )
-                if zero not in seen:
-                    # store the full vanishing set, not the defining subset
-                    seen[zero] = frozenset(
-                        s
-                        for s in range(n_normals)
-                        if all(dot(self.dual_generators[s], self.rays[i]) == 0 for i in zero)
-                    )
-        keyed = sorted(seen, key=lambda z: (rank_of([self.rays[i] for i in z]), sorted(z)))
-        for fid, zero in enumerate(keyed):
-            face = Face(
-                id=fid,
-                rays=zero,
-                dim=rank_of([self.rays[i] for i in zero]),
-                normals=seen[zero],
-            )
-            self.faces.append(face)
-            self._by_rayset[zero] = fid
-            self._by_normalset[seen[zero]] = fid
+        """Walk down from sigma, finding every face with its covers.
 
-    def _covering_pairs(self) -> list[tuple[int, int]]:
-        pairs = []
-        for lo in self.faces:
-            for hi in self.faces:
-                if lo.dim + 1 == hi.dim and lo.rays < hi.rays:
-                    pairs.append((lo.id, hi.id))
-        return pairs
+        ``zero_sets[s]``, Z_s, holds the rays on facet s.  The facets of a
+        face F are the maximal sets among the proper intersections F & Z_s,
+        so the walk visits only faces and meets each cover once, from above.
+        """
+        zero_sets = [
+            frozenset(i for i, r in enumerate(self.rays) if dot(u, r) == 0)
+            for u in self.dual_generators
+        ]
+        below: dict[frozenset[int], list[frozenset[int]]] = {}
+        todo = [frozenset(range(len(self.rays)))]
+        while todo:
+            face = todo.pop()
+            if face in below:
+                continue
+            facets: list[frozenset[int]] = []
+            for cut in sorted({face & z for z in zero_sets} - {face}, key=len, reverse=True):
+                if not any(cut < f for f in facets):
+                    facets.append(cut)
+            below[face] = facets
+            todo.extend(facets)
+        dims = {z: rank_of([self.rays[i] for i in z]) for z in below}
+        for fid, zero in enumerate(sorted(below, key=lambda z: (dims[z], sorted(z)))):
+            normals = frozenset(s for s, z in enumerate(zero_sets) if zero <= z)
+            self.faces.append(Face(id=fid, rays=zero, dim=dims[zero], normals=normals))
+            self._by_rayset[zero] = fid
+            self._by_normalset[normals] = fid
+        self.covers = sorted(
+            (self._by_rayset[lo], self._by_rayset[hi]) for hi in below for lo in below[hi]
+        )
 
     def _validate(self):
         # closed under intersection, diamonds, two rays per 2-face

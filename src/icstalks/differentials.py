@@ -186,8 +186,9 @@ def build_degree_complex(
     """The pushforward Ishida complex for p-forms in lattice degree u.
 
     A cone's summand survives in degree u exactly when u pairs to zero with
-    every ray of the cone; for u interior to the dual face of tau these are
-    the cones contained in tau.  Position 0 holds the wedge^p of the whole
+    every ray of the cone.  ``validate_degree`` has just shown that u
+    vanishes on sigma exactly on tau's rays, so these are the cones whose
+    pushforward lies in tau.  Position 0 holds the wedge^p of the whole
     dual space (the zero cone); position l collects the surviving l-ray cones.
     """
     lattice = sub.lattice
@@ -201,9 +202,7 @@ def build_degree_complex(
 
     survivors: dict[int, list[ConeSet]] = {l: [] for l in range(p + 1)}
     for cone in sub.cones:
-        if len(cone) > p:
-            continue
-        if all(dot(degree.u, sub.rays[i]) == 0 for i in cone):
+        if len(cone) <= p and lattice.leq(sub.pushforward[cone], degree.face):
             survivors[len(cone)].append(cone)
     for lst in survivors.values():
         lst.sort(key=sorted)

@@ -181,11 +181,11 @@ def check_face_lattice(ctx: ConeContext) -> str:
     if ctx.spec.expected_face_counts:
         counts = tuple(len(lat.faces_of_dim(d)) for d in range(lat.rank + 1))
         _require(counts == ctx.spec.expected_face_counts, f"face counts {counts}")
+    if lat.rank >= 1:
+        euler = sum((-1) ** d * len(lat.faces_of_dim(d)) for d in range(lat.rank + 1))
+        _require(euler == 0, "Euler identity fails")
     if lat.rank == 4:
-        v = len(lat.faces_of_dim(1))
         e = len(lat.faces_of_dim(2))
-        f = len(lat.faces_of_dim(3))
-        _require(v - e + f == 2, "Euler identity fails")
         nk_sum = sum(len(lat.faces[fid].rays) for fid in lat.faces_of_dim(3))
         _require(nk_sum == 2 * e, f"facet rays sum to {nk_sum}, not twice the {e} edges")
     return f"{len(lat.faces)} faces"

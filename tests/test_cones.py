@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from icstalks.cones import (
@@ -6,9 +8,11 @@ from icstalks.cones import (
     face_lattice,
     pick_degree,
     primitive,
+    rank_of,
     second_degree,
     validate_degree,
 )
+from icstalks.corpus import CORPUS, polygon_cone
 from icstalks.errors import InvariantViolation, NotFullDimensional, NotStronglyConvex
 
 ORTHANT3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -22,6 +26,13 @@ OCTAHEDRON = [
     (0, 0, 1, 1),
     (0, 0, -1, 1),
 ]
+# square pyramid and triangular prism, as in test_stress
+PYRAMID = [(0, 0, 0, 1), (2, 0, 0, 1), (0, 2, 0, 1), (2, 2, 0, 1), (1, 1, 1, 1)]
+PRISM = [(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (1, 0, 1, 1), (0, 1, 1, 1)]
+SIMPLEX5 = [(0, 0, 0, 0, 1)] + [
+    tuple(1 if i == j else 0 for j in range(4)) + (1,) for i in range(4)
+]
+CUBE5 = [v + (1,) for v in itertools.product((0, 1), repeat=4)]
 
 
 def test_primitive():
@@ -58,8 +69,6 @@ def test_orthant_face_lattice_is_boolean():
     lat = face_lattice(ORTHANT3)
     assert len(lat.faces) == 8
     raysets = {f.rays for f in lat.faces}
-    import itertools
-
     expected = {
         frozenset(s)
         for k in range(4)
@@ -92,6 +101,56 @@ def test_octahedron_cone_face_counts():
     assert counts == [1, 6, 12, 8, 1]
     for fid in lat.faces_of_dim(3):
         assert len(lat.faces[fid].rays) == 3
+
+
+def _subset_lattice(lat):
+    """Faces and covers by brute force, from the zero set of every subset of normals.
+
+    Faces are sorted by (dim, sorted rays); a cover is a pair of faces one
+    dimension apart with nested ray sets.
+    """
+    normals = lat.dual_generators
+    vanishing = {}
+    for size in range(len(normals) + 1):
+        for subset in itertools.combinations(normals, size):
+            zero = frozenset(
+                i for i, r in enumerate(lat.rays) if all(dot(u, r) == 0 for u in subset)
+            )
+            vanishing[zero] = frozenset(
+                s for s, u in enumerate(normals) if all(dot(u, lat.rays[i]) == 0 for i in zero)
+            )
+    dims = {z: rank_of([lat.rays[i] for i in z]) for z in vanishing}
+    keyed = sorted(vanishing, key=lambda z: (dims[z], sorted(z)))
+    faces = [(fid, z, dims[z], vanishing[z]) for fid, z in enumerate(keyed)]
+    covers = [
+        (lo[0], hi[0]) for lo in faces for hi in faces if lo[2] + 1 == hi[2] and lo[1] < hi[1]
+    ]
+    return faces, covers
+
+
+REFERENCE_CONES = [(spec.name, list(spec.rays), spec.rank) for spec in CORPUS] + [
+    ("pyramid", PYRAMID, 4),
+    ("prism", PRISM, 4),
+    ("simplex5", SIMPLEX5, 5),
+    ("cube5", CUBE5, 5),
+    ("polygon-12", list(polygon_cone(12).rays), 3),
+]
+
+
+@pytest.mark.parametrize("name, rays, rank", REFERENCE_CONES, ids=[c[0] for c in REFERENCE_CONES])
+def test_walk_matches_subset_enumeration(name, rays, rank):
+    lat = face_lattice(rays, rank)
+    faces, covers = _subset_lattice(lat)
+    assert [(f.id, f.rays, f.dim, f.normals) for f in lat.faces] == faces
+    assert lat.covers == covers
+
+
+def test_polygon_32_lattice():
+    # the subset enumeration would test 2^32 sets of normals here
+    lat = polygon_cone(32).lattice()
+    assert [len(lat.faces_of_dim(d)) for d in range(4)] == [1, 32, 32, 1]
+    assert len(lat.covers) == 4 * 32
+    lat._validate()
 
 
 @pytest.mark.parametrize("dropped", [0, -1])

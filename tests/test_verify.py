@@ -2,10 +2,25 @@ import pytest
 
 import icstalks.differentials
 from icstalks.cones import pick_degree, second_degree
-from icstalks.corpus import corpus_by_name
+from icstalks.corpus import ConeSpec, corpus_by_name, polygon_cone
 from icstalks.errors import CrossCheckMismatch
 from icstalks.polynomials import BiLaurentPolynomial
-from icstalks.verify import ConeContext, check_degree_zero_exactness, run_cone
+from icstalks.verify import (
+    ConeContext,
+    check_degree_zero_exactness,
+    check_face_lattice,
+    run_cone,
+)
+
+
+def test_face_lattice_check_tests_euler_at_rank_3():
+    # no expected face counts: only Euler's relation can see the lost ray
+    spec = ConeSpec(name="pentagon", rank=3, rays=polygon_cone(5).rays)
+    ctx = ConeContext(spec)
+    assert check_face_lattice(ctx) == "12 faces"
+    del ctx.lattice.faces[ctx.lattice.faces_of_dim(1)[0]]
+    with pytest.raises(CrossCheckMismatch, match="Euler"):
+        check_face_lattice(ctx)
 
 
 def test_degree_zero_exactness_reads_the_oracle_map():
