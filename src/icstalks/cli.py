@@ -54,6 +54,11 @@ def _subdivide(lattice, kind: str):
     raise ValueError(f"unknown subdivision {kind!r}")
 
 
+def _check_face_id(lattice, option: str, fid: int | None) -> None:
+    if fid is not None and not 0 <= fid <= lattice.top_id:
+        raise ValueError(f"{option} {fid} is not a face id in 0..{lattice.top_id}")
+
+
 def _emit(args, payload: dict, text: str | None = None) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -124,6 +129,7 @@ def cmd_decompose(args) -> int:
 def cmd_omega(args) -> int:
     spec = _read_spec(args)
     lattice = spec.lattice()
+    _check_face_id(lattice, "--tau", args.tau)
     sub = barycentric_subdivision(lattice)
     d = multiplicity_table(sub)
     taus = [args.tau] if args.tau is not None else [f.id for f in lattice.faces]
@@ -163,6 +169,8 @@ def cmd_omega(args) -> int:
 def cmd_icdr(args) -> int:
     spec = _read_spec(args)
     lattice = spec.lattice()
+    _check_face_id(lattice, "--mu", args.mu)
+    _check_face_id(lattice, "--tau", args.tau)
     sub = barycentric_subdivision(lattice)
     d = multiplicity_table(sub)
     dec = solve_decomposition(lattice, d)

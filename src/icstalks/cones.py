@@ -304,7 +304,7 @@ def pick_degree(lattice: FaceLattice, fid: int) -> DegreeVector:
     still validated by direct pairing against every ray, and a failure
     raises ``DegenerateSelection``.
     """
-    if fid >= len(lattice.faces):
+    if not 0 <= fid <= lattice.top_id:
         raise NotComparable(f"face {fid} is not in the lattice")
     face = lattice.faces[fid]
     gens = [lattice.dual_generators[i] for i in sorted(face.normals)]

@@ -10,11 +10,12 @@ contained in tau.  The summand of a cone nu with rays rho_1..rho_r is
 realized concretely as the wedge powers of an echelon-normalized rational
 basis of nu_perp, with every line M/rho_perp trivialized by evaluation at the
 primitive generator of rho.  The differential into the term that adds a ray
-rho splits off the e-factor of omega = alpha + beta ^ e (for any e with
-<e, rho> = 1) and maps omega to beta; this canonical projection is
-independent of the choice of e, and consecutive differentials anticommute
-with no extra sign, which the builder checks rather than trusts: a nonzero
-composite raises ``CrossCheckMismatch``.
+rho is the contraction with rho.  Adding rho to the cone's rays turns exactly
+one coordinate column of the echelon basis into a pivot, so in echelon
+coordinates the contraction needs no splitting vector: its entries are the
+pairings <b_i, rho> with signs, read off the columns.  Consecutive
+differentials anticommute with no extra sign, which the builder checks rather
+than trusts: a nonzero composite raises ``CrossCheckMismatch``.
 
 Every differential is a list of sparse rows, placed block by block at the
 blocks' offsets.  Cohomology dimensions are exact: dim ker - dim im, with
@@ -34,18 +35,10 @@ from __future__ import annotations
 import itertools
 from math import comb
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cones import DegreeVector, dot, pick_degree, second_degree, validate_degree
 from .errors import CrossCheckMismatch, DegreeMismatch, InvariantViolation
-from .linalg import (
-    SparseRow,
-    coordinates_in_basis,
-    determinant,
-    integer_rank,
-    nullspace,
-    sparse_row,
-)
+from .linalg import SparseRow, integer_rank, nullspace, sparse_row
 from .polynomials import (
     BiLaurentPolynomial,
     K_INV,
@@ -122,60 +115,41 @@ def _perp_basis(sub: SubdivisionMap, cone: ConeSet):
     return memo[cone]
 
 
-def _wedge_coordinates(vectors, dim: int, size: int) -> dict[tuple[int, ...], Fraction]:
-    """Coefficients of v_1 ^ ... ^ v_size in the standard wedge basis.
-
-    ``vectors`` are given in coordinates of a dim-dimensional space; the
-    coefficient at a size-subset T is the minor with columns T.
-    """
-    if size == 0:
-        return {(): Fraction(1)}
-    out: dict[tuple[int, ...], Fraction] = {}
-    for cols in itertools.combinations(range(dim), size):
-        minor = determinant([sparse_row([v[c] for c in cols]) for v in vectors])
-        if minor:
-            out[cols] = minor
-    return out
-
-
 def _block(sub: SubdivisionMap, mu: ConeSet, nu: ConeSet, p: int):
-    """Sparse rows of the differential component V_mu^p -> V_nu^p (row convention)."""
+    """Sparse rows of the differential component V_mu^p -> V_nu^p (row convention).
+
+    The component is the contraction with the ray rho of nu not in mu.  Let
+    t_i = <b_i, rho> on mu's basis, e the first index with t_e != 0.  The
+    left-to-right elimination makes mu's free column e nu's one new pivot, so
+    b_s - (t_s / t_e) b_e has nu-coordinates the unit vector at s - (s > e) and
+    is 0 at s = e: row S has (-1)^(k-1-j) t_{s_j} at S - {s_j}, reindexed.
+    """
     memo = sub.ishida_memo
     key = (mu, nu, p)
     if key in memo:
         return memo[key]
 
     (rho,) = nu - mu
-    v = sub.rays[rho]
-    src_basis, _ = _perp_basis(sub, mu)
-    dst_basis, dst_cols = _perp_basis(sub, nu)
+    src_basis, src_cols = _perp_basis(sub, mu)
+    _, dst_cols = _perp_basis(sub, nu)
+    t = [dot(b, sub.rays[rho]) for b in src_basis]
+    e = next(i for i, x in enumerate(t) if x)
+    if dst_cols != src_cols[:e] + src_cols[e + 1 :]:
+        raise InvariantViolation(
+            None, "ishida", f"free columns {dst_cols} do not nest in {src_cols}"
+        )
     k = p - len(mu)
-    dim_dst_space = len(dst_basis)
-    dst_labels = itertools.combinations(range(dim_dst_space), k - 1)
+    dst_labels = itertools.combinations(range(len(dst_cols)), k - 1)
     dst_index = {lab: i for i, lab in enumerate(dst_labels)}
 
-    pairing = [dot(b, v) for b in src_basis]
-    e_idx = next(i for i, t in enumerate(pairing) if t != 0)
-    e = [x / pairing[e_idx] for x in src_basis[e_idx]]
-    n = sub.lattice.rank
-    beta_coords = []
-    for b, t in zip(src_basis, pairing):
-        bv = [Fraction(b[j]) - t * e[j] for j in range(n)]
-        beta_coords.append(coordinates_in_basis(bv, dst_basis, dst_cols))
-
     rows = []
-    for label in itertools.combinations(range(len(src_basis)), k):
+    for label in itertools.combinations(range(len(src_cols)), k):
         row: SparseRow = {}
-        for j, s_j in enumerate(label):
-            t = pairing[s_j]
-            if t == 0:
-                continue
-            rest = [beta_coords[s] for s in label if s != s_j]
-            sign = (-1) ** (k - 1 - j)
-            for cols, minor in _wedge_coordinates(rest, dim_dst_space, k - 1).items():
-                col = dst_index[cols]
-                row[col] = row.get(col, 0) + sign * t * minor
-        rows.append({j: x for j, x in row.items() if x})
+        for j, s in enumerate(label):
+            if t[s] and (s == e or e not in label):
+                rest = tuple(r - (r > e) for r in label if r != s)
+                row[dst_index[rest]] = (-1) ** (k - 1 - j) * t[s]
+        rows.append(row)
     memo[key] = rows
     return rows
 
@@ -195,7 +169,7 @@ def build_degree_complex(
     n = lattice.rank
     if not (0 <= p <= n):
         raise ValueError(f"form degree {p} out of range 0..{n}")
-    if degree.face >= len(lattice.faces) or not validate_degree(
+    if not 0 <= degree.face <= lattice.top_id or not validate_degree(
         lattice, degree.face, degree.u
     ):
         raise DegreeMismatch(f"degree {degree.u} is not valid for face {degree.face}")

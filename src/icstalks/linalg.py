@@ -118,20 +118,3 @@ def nullspace(rows, n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
                 v[c] = -s / row[c]
         basis.append([v.get(j, Fraction(0)) for j in range(n_cols)])
     return basis, free_cols
-
-
-def coordinates_in_basis(vector, basis, coord_cols: list[int]) -> list[Fraction]:
-    """Coordinates of ``vector`` in an echelon-normalized basis.
-
-    The subspace membership is verified exactly; a vector outside the span of
-    ``basis`` raises ValueError.
-    """
-    coords = [Fraction(vector[c]) for c in coord_cols]
-    n = len(vector)
-    for j in range(n):
-        s = Fraction(0)
-        for coef, b in zip(coords, basis):
-            s += coef * b[j]
-        if s != Fraction(vector[j]):
-            raise ValueError("vector is not in the span of the basis")
-    return coords

@@ -193,6 +193,38 @@ def test_non_extreme_generator_exit_2(capsys, tmp_path, extra):
     assert "ray 4" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["omega", "--closed-form", "--tau", "99"],
+        ["omega", "--closed-form", "--tau", "-1"],
+        ["omega", "--oracle", "--tau", "10"],
+        ["omega", "--oracle", "--tau", "-1"],
+        ["icdr", "--mu", "-1"],
+        ["icdr", "--mu", "10"],
+        ["icdr", "--tau", "-1"],
+        ["icdr", "--mu", "0", "--tau", "99"],
+    ],
+    ids=[
+        "omega-closed-form-tau-99",
+        "omega-closed-form-tau-negative",
+        "omega-oracle-tau-past-top",
+        "omega-oracle-tau-negative",
+        "icdr-mu-negative",
+        "icdr-mu-past-top",
+        "icdr-tau-negative",
+        "icdr-tau-99",
+    ],
+)
+def test_face_id_outside_lattice_exit_2(capsys, square_file, argv):
+    # the square cone has faces 0..9
+    code, out = run_cli(capsys, *argv, "--cone", square_file)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "MalformedInput"
+    assert "0..9" in error["message"]
+
+
 def test_non_pointed_cone_exit_1(capsys, tmp_path):
     spec = {"name": "line", "rank": 2, "rays": [[1, 0], [-1, 0], [0, 1]]}
     path = tmp_path / "line.json"

@@ -1,9 +1,13 @@
+import itertools
 import subprocess
 import sys
+from fractions import Fraction
+
 import pytest
 
 from icstalks import differentials
 from icstalks.cones import DegreeVector, face_lattice, pick_degree, second_degree
+from icstalks.corpus import CUBE, OCTAHEDRON, polygon_cone
 from icstalks.differentials import (
     ChainComplexQ,
     build_degree_complex,
@@ -14,9 +18,18 @@ from icstalks.differentials import (
     omega_oracle,
 )
 from icstalks.decomposition import fiber_poincare
-from icstalks.errors import CrossCheckMismatch, DegreeMismatch
+from icstalks.errors import (
+    CrossCheckMismatch,
+    DegreeMismatch,
+    InvariantViolation,
+    NotComparable,
+)
 from icstalks.polynomials import BiLaurentPolynomial, bipoly_from_triples, poly_from_pairs
-from icstalks.subdivision import barycentric_subdivision, multiplicity_table
+from icstalks.subdivision import (
+    barycentric_subdivision,
+    interior_ray_subdivision,
+    multiplicity_table,
+)
 
 SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
 ORTHANT3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -62,6 +75,92 @@ def test_degree_mismatch():
     bad = DegreeVector(u=(1, 0, 0), face=lat.top_id)
     with pytest.raises(DegreeMismatch):
         build_degree_complex(sub, 1, bad)
+
+
+@pytest.mark.parametrize("fid", [-1, 10])
+def test_face_id_outside_lattice(fid):
+    lat, sub = square_setup()
+    with pytest.raises(NotComparable):
+        pick_degree(lat, fid)
+    # u = 0 is sigma's degree, and faces[-1] is sigma
+    with pytest.raises(DegreeMismatch):
+        build_degree_complex(sub, 1, DegreeVector(u=(0, 0, 0), face=fid))
+
+
+def _leibniz(m):
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def _minor_reference_block(sub, mu, nu, p):
+    # the splitting construction: omega = alpha + beta ^ e with <e, rho> = 1
+    # maps to beta; each beta_s = b_s - <b_s, rho> e is checked densely to lie
+    # in nu's span, and the wedge coordinates are (k-1)-minors
+    (rho,) = nu - mu
+    ray = sub.rays[rho]
+    n = sub.lattice.rank
+    src_basis, _ = differentials._perp_basis(sub, mu)
+    dst_basis, dst_cols = differentials._perp_basis(sub, nu)
+    pairing = [sum(Fraction(x) * y for x, y in zip(b, ray)) for b in src_basis]
+    e_idx = next(i for i, t in enumerate(pairing) if t)
+    e = [x / pairing[e_idx] for x in src_basis[e_idx]]
+    beta = []
+    for b, t in zip(src_basis, pairing):
+        bv = [b[j] - t * e[j] for j in range(n)]
+        coords = [bv[c] for c in dst_cols]
+        for j in range(n):
+            assert sum(c * d[j] for c, d in zip(coords, dst_basis)) == bv[j]
+        beta.append(coords)
+    k = p - len(mu)
+    dst_labels = itertools.combinations(range(len(dst_basis)), k - 1)
+    dst_index = {lab: i for i, lab in enumerate(dst_labels)}
+    rows = []
+    for label in itertools.combinations(range(len(src_basis)), k):
+        row = {}
+        for j, s_j in enumerate(label):
+            rest = [beta[s] for s in label if s != s_j]
+            for cols, col in dst_index.items():
+                minor = _leibniz([[v[c] for c in cols] for v in rest])
+                sign = (-1) ** (k - 1 - j)
+                row[col] = row.get(col, 0) + sign * pairing[s_j] * minor
+        rows.append({col: x for col, x in row.items() if x})
+    return rows
+
+
+@pytest.mark.parametrize(
+    "rays",
+    [SQUARE, CUBE.rays, OCTAHEDRON.rays, polygon_cone(5).rays],
+    ids=["square", "cube", "octahedron", "polygon-5"],
+)
+def test_block_matches_minor_reference(rays):
+    lat = face_lattice(rays)
+    for sub in (barycentric_subdivision(lat), interior_ray_subdivision(lat)):
+        for nu in sub.cones:
+            for rho in nu:
+                mu = nu - {rho}
+                for p in range(len(nu), lat.rank + 1):
+                    expected = _minor_reference_block(sub, mu, nu, p)
+                    assert differentials._block(sub, mu, nu, p) == expected
+
+
+def test_block_rejects_free_columns_that_do_not_nest(monkeypatch):
+    lat, sub = square_setup()
+    mu, nu = frozenset(), frozenset({0})
+    real = differentials._perp_basis
+
+    def reversed_for_nu(sub, cone):
+        basis, cols = real(sub, cone)
+        return (basis, cols[::-1]) if cone == nu else (basis, cols)
+
+    monkeypatch.setattr(differentials, "_perp_basis", reversed_for_nu)
+    with pytest.raises(InvariantViolation):
+        differentials._block(sub, mu, nu, 1)
 
 
 def test_degree_zero_exactness_square():

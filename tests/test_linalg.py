@@ -7,7 +7,6 @@ import pytest
 from icstalks.differentials import ChainComplexQ
 from icstalks.errors import CrossCheckMismatch
 from icstalks.linalg import (
-    coordinates_in_basis,
     determinant,
     integer_rank,
     nullspace,
@@ -133,13 +132,6 @@ def test_nullspace_of_empty_constraints():
     basis, cols = nullspace([], 2)
     assert cols == [0, 1]
     assert basis == [[1, 0], [0, 1]]
-
-
-def test_coordinates_roundtrip():
-    basis, cols = nullspace([sparse_row([1, 2, 3])], 3)
-    v = [basis[0][j] * 2 - basis[1][j] for j in range(3)]
-    coords = coordinates_in_basis(v, basis, cols)
-    assert coords == [2, -1]
 
 
 def test_matmul_and_zero():
