@@ -210,6 +210,12 @@ class FaceLattice:
     def top_id(self) -> int:
         return len(self.faces) - 1
 
+    def face(self, fid: int) -> Face:
+        """The face with id ``fid``; ``NotComparable`` if there is none."""
+        if not 0 <= fid <= self.top_id:
+            raise NotComparable(f"face {fid} is not in the lattice")
+        return self.faces[fid]
+
     def dim(self, fid: int) -> int:
         return self.faces[fid].dim
 
@@ -304,9 +310,7 @@ def pick_degree(lattice: FaceLattice, fid: int) -> DegreeVector:
     still validated by direct pairing against every ray, and a failure
     raises ``DegenerateSelection``.
     """
-    if not 0 <= fid <= lattice.top_id:
-        raise NotComparable(f"face {fid} is not in the lattice")
-    face = lattice.faces[fid]
+    face = lattice.face(fid)
     gens = [lattice.dual_generators[i] for i in sorted(face.normals)]
     candidate = vector_sum(gens, lattice.rank)
     if not validate_degree(lattice, fid, candidate):

@@ -49,7 +49,7 @@ def _fiber_series(counts: list[int]) -> LaurentPolynomial:
 
 def fiber_poincare(d: MultiplicityTable, tau: int) -> LaurentPolynomial:
     """Poincare polynomial of the fiber over the orbit of tau."""
-    out = _fiber_series([d.get(l, tau) for l in range(d.lattice.dim(tau) + 1)])
+    out = _fiber_series([d.get(l, tau) for l in range(d.lattice.face(tau).dim + 1)])
     if not (out.is_integer() and out.is_nonnegative()):
         raise NegativeCoefficient(
             f"fiber series of face {tau} has a negative coefficient: {out.to_text()}"

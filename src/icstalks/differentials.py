@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from .cones import DegreeVector, dot, pick_degree, second_degree, validate_degree
 from .errors import CrossCheckMismatch, DegreeMismatch, InvariantViolation
-from .linalg import SparseRow, integer_rank, nullspace, sparse_row
+from .linalg import SparseRow, canonical, integer_rank, nullspace, sparse_row
 from .polynomials import (
     BiLaurentPolynomial,
     K_INV,
@@ -132,7 +132,7 @@ def _block(sub: SubdivisionMap, mu: ConeSet, nu: ConeSet, p: int):
     (rho,) = nu - mu
     src_basis, src_cols = _perp_basis(sub, mu)
     _, dst_cols = _perp_basis(sub, nu)
-    t = [dot(b, sub.rays[rho]) for b in src_basis]
+    t = [canonical(dot(b, sub.rays[rho])) for b in src_basis]
     e = next(i for i, x in enumerate(t) if x)
     if dst_cols != src_cols[:e] + src_cols[e + 1 :]:
         raise InvariantViolation(
@@ -255,7 +255,7 @@ def omega_closed_form(d: MultiplicityTable, tau: int) -> BiLaurentPolynomial:
     """Closed form of the generating function from the multiplicity table."""
     lattice = d.lattice
     n = lattice.rank
-    d_tau = lattice.dim(tau)
+    d_tau = lattice.face(tau).dim
     one = BiLaurentPolynomial.one()
     kl2 = BiLaurentPolynomial.monomial(-2, 2)  # K^{-1} L^2
     inner = BiLaurentPolynomial.zero()

@@ -5,14 +5,25 @@ A row is a dict from column index to its nonzero entry, a ``Fraction`` or an
 98% zeros, so only the nonzero entries are stored and touched.  One exact
 elimination, ``_eliminate``, gives every rank, determinant and nullspace;
 there is no modular or floating-point shortcut.
+
+``determinant`` and the ``nullspace`` basis entries are an ``int`` where
+the value is integral and a ``Fraction`` only where it is not (the rule of
+``canonical``, which the polynomial coefficients follow too).  Integral
+bases keep every later pairing in ``int`` arithmetic, and an elimination
+whose pivots are all ±1 never leaves ``int``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
-SparseRow = dict[int, Fraction]
+SparseRow = dict[int, int | Fraction]
+
+
+def canonical(x: int | Fraction) -> int | Fraction:
+    """``x`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def sparse_row(vector) -> SparseRow:
@@ -85,18 +96,15 @@ def integer_rank(rows) -> int:
     return len(_eliminate(rows)[0])
 
 
-def determinant(rows) -> Fraction:
+def determinant(rows) -> int | Fraction:
     """Determinant of a square matrix given by sparse rows."""
     pivots, sign = _eliminate(rows)
     if len(pivots) < len(rows):
-        return Fraction(0)
-    det = Fraction(sign)
-    for c, row in pivots:
-        det *= row[c]
-    return det
+        return 0
+    return canonical(prod((row[c] for c, row in pivots), start=sign))
 
 
-def nullspace(rows, n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
+def nullspace(rows, n_cols: int) -> tuple[list[list[int | Fraction]], list[int]]:
     """Basis of {x : A x = 0} for A given by sparse ``rows`` with ``n_cols`` columns.
 
     Returns (basis, coordinate_columns), the basis as dense vectors.  The
@@ -111,10 +119,10 @@ def nullspace(rows, n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
     free_cols = [c for c in range(n_cols) if c not in pivot_cols]
     basis = []
     for f in free_cols:
-        v = {f: Fraction(1)}
+        v = {f: 1}
         for c, row in reversed(pivots):
             s = sum(x * v[j] for j, x in row.items() if j in v)
             if s:
-                v[c] = -s / row[c]
-        basis.append([v.get(j, Fraction(0)) for j in range(n_cols)])
+                v[c] = canonical(Fraction(-s) / row[c])
+        basis.append([v.get(j, 0) for j in range(n_cols)])
     return basis, free_cols

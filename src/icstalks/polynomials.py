@@ -1,8 +1,12 @@
 """Exact sparse Laurent polynomial arithmetic in one and two variables.
 
-Coefficients are ``fractions.Fraction`` throughout; no floating point is used
-anywhere.  Two immutable types share one ring core and differ only in their
-exponent type:
+A coefficient is an ``int`` when it is integral and a ``fractions.Fraction``
+only when it is not; a ``Fraction`` with denominator 1 is stored as its
+numerator, so ``str`` renders every coefficient as ``n`` or ``n/d``.  The two
+types compare and hash alike, so only the cost of the arithmetic depends on
+which one is stored.  No floating point is used anywhere: a float coefficient
+raises ``TypeError``.  Two immutable types share one ring core and differ only
+in their exponent type:
 
   ``LaurentPolynomial``    one variable q, terms stored as {exponent: coeff}
   ``BiLaurentPolynomial``  two variables K, L; the K-exponent may be a
@@ -27,20 +31,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import NonIntegralExponent
-
-Coeff = Fraction
-
-
-def _coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
+from .linalg import canonical
 
 
-def _format_coeff(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+def _coeff(value) -> int | Fraction:
+    if isinstance(value, (int, Fraction)):
+        return canonical(value)
+    raise TypeError(f"coefficient {value!r} is neither an int nor a Fraction")
 
 
 class _LaurentCore:
@@ -106,7 +103,7 @@ class _LaurentCore:
             return NotImplemented
         out = dict(self._terms)
         for e, c in other._terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return type(self)(out)
 
     __radd__ = __add__
@@ -130,7 +127,7 @@ class _LaurentCore:
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = add_exp(e1, e2)
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return type(self)(out)
 
     __rmul__ = __mul__
@@ -158,7 +155,7 @@ class _LaurentCore:
         for e in sorted(self._terms):
             c = self._terms[e]
             mono = monomial_text(e)
-            body = _format_coeff(abs(c))
+            body = str(abs(c))
             if mono:
                 body = mono if abs(c) == 1 else f"{body}*{mono}"
             if not parts:
@@ -183,8 +180,8 @@ class LaurentPolynomial(_LaurentCore):
     def term(cls, exponent: int, coeff=1) -> "LaurentPolynomial":
         return cls({exponent: coeff})
 
-    def coefficient(self, exponent: int) -> Fraction:
-        return self._terms.get(exponent, Fraction(0))
+    def coefficient(self, exponent: int) -> int | Fraction:
+        return self._terms.get(exponent, 0)
 
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiply by q^k."""
@@ -209,7 +206,7 @@ class LaurentPolynomial(_LaurentCore):
         out: dict[tuple[int, int], Fraction] = {}
         for e, coeff in self._terms.items():
             key = (kt * e, l * e)
-            out[key] = out.get(key, Fraction(0)) + coeff * c**e
+            out[key] = out.get(key, 0) + coeff * Fraction(c) ** e
         return BiLaurentPolynomial(out)
 
     def is_palindromic(self) -> bool:
@@ -220,7 +217,7 @@ class LaurentPolynomial(_LaurentCore):
 
     def to_json_obj(self, var: str = "q") -> list[dict]:
         return [
-            {var: e, "c": _format_coeff(self._terms[e])} for e in sorted(self._terms)
+            {var: e, "c": str(self._terms[e])} for e in sorted(self._terms)
         ]
 
 
@@ -249,8 +246,8 @@ class BiLaurentPolynomial(_LaurentCore):
         """The monomial coeff * K^(k_twice/2) * L^l."""
         return cls({(k_twice, l): coeff})
 
-    def coefficient(self, k_twice: int, l: int) -> Fraction:
-        return self._terms.get((k_twice, l), Fraction(0))
+    def coefficient(self, k_twice: int, l: int) -> int | Fraction:
+        return self._terms.get((k_twice, l), 0)
 
     @property
     def is_integral(self) -> bool:
@@ -273,7 +270,7 @@ class BiLaurentPolynomial(_LaurentCore):
             k = kt // 2
             e = -k
             sign = -1 if (k + l) % 2 else 1
-            out[e] = out.get(e, Fraction(0)) + sign * c
+            out[e] = out.get(e, 0) + sign * c
         return LaurentPolynomial(out)
 
     @staticmethod
@@ -295,7 +292,7 @@ class BiLaurentPolynomial(_LaurentCore):
         out = []
         for (kt, l) in sorted(self._terms):
             k = kt // 2 if kt % 2 == 0 else kt / 2
-            out.append({"k": k, "l": l, "c": _format_coeff(self._terms[(kt, l)])})
+            out.append({"k": k, "l": l, "c": str(self._terms[(kt, l)])})
         return out
 
 
@@ -316,7 +313,7 @@ def poly_from_pairs(pairs: Iterable[tuple[int, object]]) -> LaurentPolynomial:
     """Build a one-variable polynomial from (exponent, coefficient) pairs."""
     out: dict[int, Fraction] = {}
     for e, c in pairs:
-        out[e] = out.get(e, Fraction(0)) + _coeff(c)
+        out[e] = out.get(e, 0) + _coeff(c)
     return LaurentPolynomial(out)
 
 
@@ -327,5 +324,5 @@ def bipoly_from_triples(
     out: dict[tuple[int, int], Fraction] = {}
     for kt, l, c in triples:
         key = (kt, l)
-        out[key] = out.get(key, Fraction(0)) + _coeff(c)
+        out[key] = out.get(key, 0) + _coeff(c)
     return BiLaurentPolynomial(out)

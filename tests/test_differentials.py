@@ -7,7 +7,7 @@ import pytest
 
 from icstalks import differentials
 from icstalks.cones import DegreeVector, face_lattice, pick_degree, second_degree
-from icstalks.corpus import CUBE, OCTAHEDRON, polygon_cone
+from icstalks.corpus import CORPUS, CUBE, OCTAHEDRON, orthant, polygon_cone
 from icstalks.differentials import (
     ChainComplexQ,
     build_degree_complex,
@@ -17,7 +17,7 @@ from icstalks.differentials import (
     omega_from_fiber_poincare,
     omega_oracle,
 )
-from icstalks.decomposition import fiber_poincare
+from icstalks.decomposition import fiber_poincare, solve_decomposition
 from icstalks.errors import (
     CrossCheckMismatch,
     DegreeMismatch,
@@ -85,6 +85,42 @@ def test_face_id_outside_lattice(fid):
     # u = 0 is sigma's degree, and faces[-1] is sigma
     with pytest.raises(DegreeMismatch):
         build_degree_complex(sub, 1, DegreeVector(u=(0, 0, 0), face=fid))
+
+
+@pytest.mark.parametrize("where", ["below", "above"])
+def test_closed_form_and_fiber_reject_face_ids_outside_lattice(where):
+    lat = orthant(2).lattice()
+    d = multiplicity_table(barycentric_subdivision(lat))
+    fid = -1 if where == "below" else lat.top_id + 1
+    with pytest.raises(NotComparable):
+        omega_closed_form(d, fid)
+    with pytest.raises(NotComparable):
+        fiber_poincare(d, fid)
+
+
+def _is_canonical(x):
+    """An int, or a Fraction that is not integral: never a float or n/1."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+@pytest.mark.parametrize("spec", CORPUS, ids=lambda s: s.name)
+def test_exact_scalars_are_canonical_on_both_fans(spec):
+    lat = spec.lattice()
+    for sub in (barycentric_subdivision(lat), interior_ray_subdivision(lat)):
+        d = multiplicity_table(sub)
+        dec = solve_decomposition(lat, d)
+        polys = [*dec.Htilde.values(), *dec.D.values()]
+        for f in lat.faces:
+            polys += [omega_oracle(sub, f.id), omega_closed_form(d, f.id)]
+        values = [c for poly in polys for _, c in poly.items()]
+        for cone in sub.cones:
+            basis, _ = differentials._perp_basis(sub, cone)
+            values += [x for b in basis for x in b]
+        for key, block in sub.ishida_memo.items():
+            if isinstance(key, tuple):
+                values += [x for row in block for x in row.values()]
+        bad = [x for x in values if not _is_canonical(x)]
+        assert not bad, f"{spec.name}: {bad[:5]}"
 
 
 def _leibniz(m):

@@ -151,3 +151,26 @@ def test_determinant():
     assert determinant([]) == 1
     assert determinant(sparse([[1, 2], [2, 4]])) == 0
     assert determinant(sparse([[0, 1], [1, 0]])) == -1
+
+
+def test_nullspace_integral_entries_are_ints():
+    basis, cols = nullspace([{0: 1, 1: 2}], 2)
+    assert basis == [[-2, 1]] and cols == [1]
+    assert all(type(x) is int for x in basis[0])
+
+
+def test_nullspace_keeps_a_fraction_only_where_it_is_not_integral():
+    basis, _ = nullspace([{0: 2, 1: 1}], 2)
+    assert basis == [[Fraction(-1, 2), 1]]
+    assert [type(x) for x in basis[0]] == [Fraction, int]
+    # a Fraction input with an integral result still comes back as an int
+    basis, _ = nullspace([{0: Fraction(1, 2), 1: 1}], 2)
+    assert basis == [[-2, 1]] and type(basis[0][0]) is int
+
+
+def test_determinant_of_an_integer_matrix_is_an_int():
+    for m in ([[1, 0, 2], [0, 1, 3], [2, 1, 0]], [[2, 1, 0], [1, 3, 1], [0, 1, 2]]):
+        det = determinant(sparse(m))
+        assert det == leibniz_det(m) and type(det) is int
+    assert type(determinant(sparse([[1, 2], [2, 4]]))) is int
+    assert determinant(sparse([[Fraction(1, 2), 0], [0, 1]])) == Fraction(1, 2)

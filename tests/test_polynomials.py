@@ -10,6 +10,7 @@ from icstalks.polynomials import (
     K_INV_PLUS_L_INV,
     L_INV,
     LaurentPolynomial,
+    _coeff,
     bipoly_from_triples,
     poly_from_pairs,
 )
@@ -51,6 +52,32 @@ def test_substitute_with_coefficient_and_rational_power():
     p = L({2: 1, -1: 3})
     image = p.substitute(B.monomial(0, 1, 2))  # q -> 2L
     assert image == B({(0, 2): 4, (0, -1): Fraction(3, 2)})
+
+
+def test_substitute_with_coefficient_three_is_exact():
+    # q^-1 under q -> 3L is 1/3 L^-1; 3 ** -1 would be a float
+    image = L({-1: 1}).substitute(B.monomial(0, 1, 3))
+    assert image.coefficient(0, -1) == Fraction(1, 3)
+    assert type(image.coefficient(0, -1)) is Fraction
+    assert image.to_text() == "1/3*L^-1"
+
+
+def test_coefficients_are_ints_when_integral_and_never_floats():
+    p = L({0: Fraction(4, 2), 1: Fraction(1, 2)})
+    assert type(p.coefficient(0)) is int
+    assert type(p.coefficient(1)) is Fraction
+    assert type((p + p).coefficient(1)) is int
+    assert type(p.coefficient(5)) is int
+    with pytest.raises(TypeError):
+        _coeff(0.5)
+    with pytest.raises(TypeError):
+        L({0: 0.5})
+    with pytest.raises(TypeError):
+        B({(0, 0): 1.0})
+    with pytest.raises(TypeError):
+        p * 0.5
+    with pytest.raises(TypeError):
+        poly_from_pairs([(0, 2.0)])
 
 
 def test_mirror_examples():
