@@ -118,6 +118,8 @@ class FaceLattice:
 
     Face ids are stable: faces are sorted by (dim, lexicographically smallest
     ray index set), so id 0 is the zero face and the last id is sigma itself.
+    ``below[f]`` holds the faces covered by face f and ``above[f]`` the faces
+    covering it; ``covers`` lists the same relation as sorted (lo, hi) pairs.
     """
 
     def __init__(self, rays: list[Vector], rank: int):
@@ -172,9 +174,14 @@ class FaceLattice:
             self.faces.append(Face(id=fid, rays=zero, dim=dims[zero], normals=normals))
             self._by_rayset[zero] = fid
             self._by_normalset[normals] = fid
-        self.covers = sorted(
-            (self._by_rayset[lo], self._by_rayset[hi]) for hi in below for lo in below[hi]
-        )
+        ids = self._by_rayset
+        self.below = [frozenset(ids[lo] for lo in below[f.rays]) for f in self.faces]
+        above: list[set[int]] = [set() for _ in self.faces]
+        for hi, los in enumerate(self.below):
+            for lo in los:
+                above[lo].add(hi)
+        self.above = [frozenset(ups) for ups in above]
+        self.covers = sorted((lo, hi) for hi, los in enumerate(self.below) for lo in los)
 
     def _validate(self):
         # closed under intersection, diamonds, two rays per 2-face
@@ -183,13 +190,11 @@ class FaceLattice:
                 if a.rays & b.rays not in self._by_rayset:
                     raise InvariantViolation(a.id, "lattice", "face set not intersection-closed")
         # every interval of length 2 has exactly two middle faces
-        above: dict[int, list[int]] = {f.id: [] for f in self.faces}
-        for lo, hi in self.covers:
-            above[lo].append(hi)
         middles: dict[tuple[int, int], int] = {}
-        for lo, mid in self.covers:
-            for hi in above[mid]:
-                middles[lo, hi] = middles.get((lo, hi), 0) + 1
+        for lo, ups in enumerate(self.above):
+            for mid in ups:
+                for hi in self.above[mid]:
+                    middles[lo, hi] = middles.get((lo, hi), 0) + 1
         for (lo, hi), count in middles.items():
             if count != 2:
                 message = f"interval [{lo}, {hi}] has {count} middle faces, not 2"
@@ -235,7 +240,7 @@ class FaceLattice:
 
     def facets_of(self, fid: int) -> list[int]:
         """Faces covered by ``fid``."""
-        return sorted(lo for lo, hi in self.covers if hi == fid)
+        return sorted(self.below[fid])
 
     def strictly_between(self, lo: int, hi: int) -> list[int]:
         return [
@@ -262,12 +267,10 @@ class FaceLattice:
 
     def face_of_point(self, point: Vector) -> int:
         """The face whose relative interior contains a point of sigma."""
-        vanish = frozenset(
-            i for i, u in enumerate(self.dual_generators) if dot(u, point) == 0
-        )
-        for i, u in enumerate(self.dual_generators):
-            if dot(u, point) < 0:
-                raise ValueError("point lies outside the cone")
+        pairings = [dot(u, point) for u in self.dual_generators]
+        if any(p < 0 for p in pairings):
+            raise ValueError("point lies outside the cone")
+        vanish = frozenset(i for i, p in enumerate(pairings) if p == 0)
         if vanish not in self._by_normalset:
             # the relative interiors of the faces partition sigma
             raise ValueError("point does not lie in the relative interior of a face")

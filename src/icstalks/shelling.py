@@ -6,9 +6,14 @@ vertex sets; coordinates are never consulted):
   * ``verify_shelling`` checks a facet order by the unique-minimal-new-face
     characterization: at each step the faces not seen earlier must form an
     interval [R, F].  The restriction face R gives the facet's type |R|.
+    One set holds every face of the earlier facets, so a step is 2^d set
+    lookups and F facets of size d cost O(F * 2^d), not a rescan of the
+    earlier facets.
   * ``find_shelling`` searches for a shelling order by depth-first extension
     with backtracking, memoizing dead prefix sets (step validity depends only
-    on the set of earlier facets, not their order).
+    on the set of earlier facets, not their order).  It keeps the face set of
+    its current prefix, adding a facet's new faces on extension and removing
+    them on backtrack.
   * ``lexicographic_shelling`` builds the recursive lexicographic order on
     the maximal chains of a face lattice, the barycentric analogue of a line
     shelling: chains are compared at the largest level where they differ,
@@ -87,43 +92,61 @@ def complex_from_fan(sub: SubdivisionMap) -> SimplicialComplex:
     return SimplicialComplex(facets=sorted(sub.maximal, key=sorted))
 
 
+def _faces(vertices: frozenset[int]) -> list[frozenset[int]]:
+    """Every subset of ``vertices``, the empty face included."""
+    items = sorted(vertices)
+    return [
+        frozenset(subset)
+        for size in range(len(items) + 1)
+        for subset in itertools.combinations(items, size)
+    ]
+
+
 def _step_restriction(
-    facet: frozenset[int], earlier: list[frozenset[int]]
+    facet: frozenset[int], old: set[frozenset[int]]
 ) -> frozenset[int] | None:
     """The unique minimal new face at this step, or None if the step fails.
 
-    A subset of ``facet`` is old when it lies in an earlier facet.  The step
-    is valid when the old subsets are exactly those missing some vertex of
-    the candidate restriction face R = {v : facet - v is old}, R nonempty.
+    ``old`` holds every face of the earlier facets, so a subset of ``facet``
+    lies in an earlier facet exactly when it is in ``old``.  The step is valid
+    when the old subsets are exactly those missing some vertex of the
+    candidate restriction face R = {v : facet - v is old}, R nonempty.  The
+    test makes 2^d set lookups for a facet of size d.
     """
-    restriction = frozenset(
-        v for v in facet if any(facet - {v} <= e for e in earlier)
-    )
+    restriction = frozenset(v for v in facet if facet - {v} in old)
     if not restriction:
         return None
-    for size in range(len(facet) + 1):
-        for subset in itertools.combinations(sorted(facet), size):
-            s = frozenset(subset)
-            old = any(s <= e for e in earlier)
-            if old != (not restriction <= s):
-                return None
+    if any((s in old) == (restriction <= s) for s in _faces(facet)):
+        return None
     return restriction
+
+
+def _new_faces(facet: frozenset[int], restriction: frozenset[int]) -> list[frozenset[int]]:
+    """The faces a valid step adds: the subsets of ``facet`` containing R."""
+    return [restriction | rest for rest in _faces(facet - restriction)]
 
 
 def verify_shelling(
     complex: SimplicialComplex, order: list[frozenset[int]]
 ) -> ShellingOrder:
-    """Check a facet order; raises NotAShelling at the first violating index."""
+    """Check a facet order; raises NotAShelling at the first violating index.
+
+    One set ``old`` holds every face of the facets checked so far, and each
+    step adds the faces the new facet brings, so F facets of size d cost
+    O(F * 2^d) set operations.
+    """
     if sorted(order, key=sorted) != sorted(complex.facets, key=sorted):
         raise ValueError("order is not a permutation of the facets")
     types = [0]
     restriction: list[frozenset[int]] = [frozenset()]
+    old = set(_faces(order[0]))
     for j in range(1, len(order)):
-        r = _step_restriction(order[j], order[:j])
+        r = _step_restriction(order[j], old)
         if r is None:
             raise NotAShelling(j)
         types.append(len(r))
         restriction.append(r)
+        old.update(_new_faces(order[j], r))
     return ShellingOrder(order=list(order), types=types, restriction=restriction)
 
 
@@ -132,6 +155,7 @@ def find_shelling(complex: SimplicialComplex) -> ShellingOrder:
     facets = sorted(complex.facets, key=sorted)
     n = len(facets)
     dead: set[frozenset[int]] = set()
+    old: set[frozenset[int]] = set()  # every face of the facets in the prefix
 
     def extend(order: list[int], used: frozenset[int]) -> list[int] | None:
         if len(order) == n:
@@ -141,13 +165,17 @@ def find_shelling(complex: SimplicialComplex) -> ShellingOrder:
         for i in range(n):
             if i in used:
                 continue
-            if order and _step_restriction(facets[i], [facets[k] for k in order]) is None:
+            r = _step_restriction(facets[i], old) if order else frozenset()
+            if r is None:
                 continue
+            new = _new_faces(facets[i], r)
+            old.update(new)
             order.append(i)
             found = extend(order, used | {i})
             if found is not None:
                 return found
             order.pop()
+            old.difference_update(new)
         dead.add(used)
         return None
 
@@ -319,14 +347,10 @@ def lexicographic_shelling(
         for j in range(1, len(chain)):
             hi = chain[j - 1]
             lo = lattice.zero_id if j == len(chain) - 1 else chain[j + 1]
-            middles = [
-                m
-                for m in lattice.strictly_between(lo, hi)
-                if lattice.dim(m) == lattice.dim(chain[j])
-            ]
+            middles = lattice.above[lo] & lattice.below[hi]
             if len(middles) != 2:
                 raise InvariantViolation(hi, "diamond", "intervals of length 2 are diamonds")
-            other = middles[0] if middles[1] == chain[j] else middles[1]
+            (other,) = middles - {chain[j]}
             swapped = chain[:j] + (other,) + chain[j + 1 :]
             if keys[swapped] < keys[chain]:
                 swaps += 1

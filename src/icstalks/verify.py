@@ -38,7 +38,7 @@ from .differentials import (
     omega_from_fiber_poincare,
     omega_oracle,
 )
-from .errors import CrossCheckMismatch
+from .errors import CrossCheckMismatch, ToricError
 from .golden import golden_derham, golden_multiplicities, golden_stalks
 from .polynomials import BiLaurentPolynomial, LaurentPolynomial
 from .shelling import lexicographic_shelling
@@ -380,7 +380,7 @@ def run_cone(spec: ConeSpec, report: Report | None = None) -> Report:
     ctx = ConeContext(spec)
     try:
         ctx.lattice
-    except Exception as exc:  # noqa: BLE001 - report the construction error once
+    except ToricError as exc:  # report the construction error once
         report.checks.append(
             CheckResult(
                 name="face-lattice",

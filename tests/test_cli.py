@@ -245,6 +245,18 @@ def test_verify_single_failure_for_bad_cone(capsys, tmp_path):
     assert "NotStronglyConvex" in payload["checks"][0]["detail"]
 
 
+def test_verify_non_extreme_generator_exit_2(capsys, tmp_path):
+    # malformed input is exit 2 for verify too, not a failed check
+    spec = {"name": "square", "rank": 3, "rays": SQUARE_SPEC["rays"] + [[1, 0, 2]]}
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(capsys, "verify", "--cone", str(path), "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "MalformedInput"
+    assert "ray 4" in error["message"]
+
+
 def test_verify_corpus_cone(capsys):
     code, out = run_cli(capsys, "verify", "--name", "polygon-5", "--format", "json")
     assert code == 0

@@ -157,7 +157,9 @@ def test_polygon_32_lattice():
 def test_validate_rejects_a_missing_cover(dropped):
     # without one cover, an interval of length 2 has a single middle face
     lat = face_lattice(CUBE)
-    del lat.covers[dropped]
+    lo, hi = lat.covers.pop(dropped)
+    lat.above[lo] -= {hi}
+    lat.below[hi] -= {lo}
     with pytest.raises(InvariantViolation, match="middle faces"):
         lat._validate()
 

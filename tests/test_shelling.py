@@ -1,6 +1,10 @@
+import itertools
+import random
+
 import pytest
 
 from icstalks.cones import face_lattice
+from icstalks.corpus import CORPUS
 from icstalks.errors import NoShellingFound, NotAShelling, NotPure
 from icstalks.shelling import (
     SimplicialComplex,
@@ -14,6 +18,9 @@ from icstalks.subdivision import barycentric_subdivision, interior_ray_subdivisi
 SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
 ORTHANT3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 CUBE = [(x, y, z, 1) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+SIMPLEX5 = [(0, 0, 0, 0, 1)] + [
+    tuple(1 if i == j else 0 for j in range(4)) + (1,) for i in range(4)
+]
 
 
 def fs(*vals):
@@ -69,8 +76,6 @@ def test_two_triangles_sharing_edge():
 
 
 def test_tetrahedron_boundary_any_order_shells():
-    import itertools
-
     facets = [fs(*c) for c in itertools.combinations(range(4), 3)]
     cx = SimplicialComplex(facets=facets)
     found = find_shelling(cx)
@@ -111,18 +116,125 @@ def test_lexicographic_cube():
     assert order.type_histogram()[0] == 1
 
 
+def _subsets(facet):
+    items = sorted(facet)
+    for size in range(len(items) + 1):
+        for sub in itertools.combinations(items, size):
+            yield frozenset(sub)
+
+
+def _reference_restriction(facet, earlier):
+    """The step test by definition: a face is old when it lies in an earlier facet."""
+    restriction = frozenset(v for v in facet if any(facet - {v} <= e for e in earlier))
+    if not restriction:
+        return None
+    for s in _subsets(facet):
+        if any(s <= e for e in earlier) == (restriction <= s):
+            return None
+    return restriction
+
+
+def _reference_verify(order):
+    """(index of the first failing step, None) or (None, (types, restrictions))."""
+    types, restriction = [0], [frozenset()]
+    for j in range(1, len(order)):
+        r = _reference_restriction(order[j], order[:j])
+        if r is None:
+            return j, None
+        types.append(len(r))
+        restriction.append(r)
+    return None, (types, restriction)
+
+
 def test_restriction_faces_describe_new_faces():
     # the faces of each facet not seen earlier are exactly those containing
     # the restriction face
-    lat = face_lattice(SQUARE)
-    order = lexicographic_shelling(lat)
-    import itertools
-
-    for j, facet in enumerate(order.order):
-        earlier = order.order[:j]
-        for size in range(len(facet) + 1):
-            for sub in itertools.combinations(sorted(facet), size):
-                s = frozenset(sub)
+    for rays in (SQUARE, CUBE, SIMPLEX5):
+        order = lexicographic_shelling(face_lattice(rays))
+        for j, facet in enumerate(order.order):
+            earlier = order.order[:j]
+            for s in _subsets(facet):
                 is_old = any(s <= e for e in earlier)
                 contains_restriction = order.restriction[j] <= s
                 assert is_old == (not contains_restriction)
+
+
+def test_restriction_face_must_start_an_interval():
+    # {0, 1, 2} meets the earlier facets in the edge {0, 1}, so R = {2}, but
+    # also in the vertex {2}, a face containing R that is already old
+    facets = [fs(0, 1, 3), fs(1, 3, 4), fs(2, 3, 4), fs(0, 1, 2)]
+    assert _reference_verify(facets) == (3, None)
+    with pytest.raises(NotAShelling) as err:
+        verify_shelling(SimplicialComplex(facets=facets), facets)
+    assert err.value.index == 3
+
+
+@pytest.mark.parametrize("rays", [SQUARE, CUBE], ids=["square", "cube"])
+def test_verify_shelling_matches_quadratic_reference(rays):
+    lat = face_lattice(rays)
+    cx = complex_from_fan(barycentric_subdivision(lat))
+    shelling = lexicographic_shelling(lat).order
+    rng = random.Random(11)
+    verdicts = set()
+    for trial in range(100):
+        if trial % 2:
+            order = list(cx.facets)
+            rng.shuffle(order)
+        else:
+            # a shelling with one transposition: often still a shelling
+            order = list(shelling)
+            i, j = rng.sample(range(len(order)), 2)
+            order[i], order[j] = order[j], order[i]
+        index, expected = _reference_verify(order)
+        if index is None:
+            found = verify_shelling(cx, order)
+            assert (found.types, found.restriction) == expected
+        else:
+            with pytest.raises(NotAShelling) as err:
+                verify_shelling(cx, order)
+            assert err.value.index == index
+        verdicts.add(index is None)
+    assert verdicts == {True, False}
+
+
+def test_find_shelling_returns_the_first_shelling_permutation():
+    # the search extends prefixes in facet order, so it must return the first
+    # permutation of the sorted facets that the reference accepts
+    rng = random.Random(5)
+    triangles = [fs(*t) for t in itertools.combinations(range(6), 3)]
+    complexes = [rng.sample(triangles, rng.randint(3, 6)) for _ in range(40)]
+    # here the prefix [0, 1, 2], [0, 2, 4], [0, 3, 4], [0, 3, 5] cannot be
+    # extended, so the search must undo it
+    backtracks = [
+        (0, 1, 2), (0, 2, 4), (0, 3, 4), (0, 3, 5), (1, 2, 5),
+        (1, 3, 4), (1, 3, 5), (1, 4, 5), (2, 4, 5),
+    ]
+    complexes.append([fs(*t) for t in backtracks])
+    outcomes = set()
+    for facets in complexes:
+        cx = SimplicialComplex(facets=facets)
+        facets = sorted(cx.facets, key=sorted)
+        first = next(
+            (list(p) for p in itertools.permutations(facets) if _reference_verify(p)[0] is None),
+            None,
+        )
+        if first is None:
+            with pytest.raises(NoShellingFound):
+                find_shelling(cx)
+        else:
+            assert find_shelling(cx).order == first
+        outcomes.add(first is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("spec", CORPUS, ids=[spec.name for spec in CORPUS])
+def test_cover_adjacency_matches_scans(spec):
+    lat = spec.lattice()
+    for f in lat.faces:
+        assert lat.facets_of(f.id) == sorted(lo for lo, hi in lat.covers if hi == f.id)
+    for lo in lat.faces:
+        for hi in lat.faces:
+            if hi.dim == lo.dim + 2 and lat.leq(lo.id, hi.id):
+                middles = lat.above[lo.id] & lat.below[hi.id]
+                assert sorted(middles) == lat.strictly_between(lo.id, hi.id)
+                assert len(middles) == 2
