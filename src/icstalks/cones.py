@@ -123,6 +123,8 @@ class FaceLattice:
     """
 
     def __init__(self, rays: list[Vector], rank: int):
+        if rank < 0:
+            raise ValueError("rank must be nonnegative")
         self.rank = rank
         for r in rays:
             if len(r) != rank:
@@ -234,6 +236,9 @@ class FaceLattice:
 
     def meet(self, a: int, b: int) -> int:
         return self._by_rayset[self.faces[a].rays & self.faces[b].rays]
+
+    def join(self, a: int, b: int) -> int:
+        return self._by_normalset[self.faces[a].normals & self.faces[b].normals]
 
     def faces_of_dim(self, d: int) -> list[int]:
         return [f.id for f in self.faces if f.dim == d]

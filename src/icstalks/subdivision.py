@@ -10,9 +10,9 @@ of the chain, or g itself when the chain is empty.
 
   * ``barycentric_subdivision`` centres every face of dimension >= 2, so its
     maximal cones correspond to maximal chains of nonzero faces.  The table
-    is read off the geometric pushforward, so the chain-counting oracle stays
-    an independent cross-check of it rather than a restatement of the
-    construction.
+    is read off the pushforward, the join of the ray tags, so the
+    chain-counting oracle stays an independent cross-check of it rather than
+    a restatement of the construction.
   * ``interior_ray_subdivision`` centres every face of dimension >= 3.  It
     equals the staged stellar subdivision that stars those faces in
     decreasing dimension order: once every face of dimension > d is starred,
@@ -21,19 +21,21 @@ of the chain, or g itself when the chain is empty.
     proper faces with the new ray.  Faces of dimension <= 2 are simplicial
     already, so the result is a simplicial fan.
 
-The multiplicity table d_l(tau) counts l-dimensional cones of the subdivision
-whose minimal containing face of sigma is tau.  The minimal containing face is
-located exactly: the sum of a cone's primitive ray generators lies in the
-relative interior of precisely that face.
+A fan is its maximal cones and its ray tags, the faces of sigma whose
+relative interiors hold its rays.  The multiplicity table d_l(tau) counts
+l-dimensional cones whose minimal containing face of sigma, the join of
+their rays' tags, is tau.
 
-``validate_subdivision`` proves that a fan subdivides sigma: its maximal
-cones meet in pairs across every interior ridge, from opposite sides, and one
-point lies in exactly one of them.
+``validate_subdivision`` proves that a fan subdivides sigma from one
+determinant per maximal cone: its maximal cones meet in pairs across every
+interior ridge, from opposite sides, and one point lies in exactly one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import combinations
 
 from .cones import FaceLattice, Vector, dot, primitive, rank_of, vector_sum
 from .errors import CrossCheckMismatch, InvariantViolation, NotSimplicialResult
@@ -44,38 +46,37 @@ ConeSet = frozenset[int]
 
 @dataclass
 class SubdivisionMap:
-    """A subdivision of sigma together with the minimal-containing-face map.
+    """A simplicial fan in sigma: its maximal cones and its ray tags.
 
     ``rays`` starts with sigma's own rays (same indices as the lattice), then
     any added interior rays; ``ray_face`` tags each ray with the face of sigma
-    whose relative interior contains it.  ``cones`` contains every cone of the
-    subdivision including the zero cone (the empty index set).
+    whose relative interior contains it (checked here).  Derived: ``cones``,
+    every face of a maximal cone with the zero cone (the empty index set),
+    and ``pushforward``, each cone's minimal containing face.  That face is
+    the join of the cone's ray tags: the rays pair >= 0 with every facet
+    normal, so their sum vanishes on a normal exactly when each ray does.
     """
 
     lattice: FaceLattice
     rays: list[Vector]
     ray_face: list[int]
-    cones: set[ConeSet]
     maximal: list[ConeSet]
-    pushforward: dict[ConeSet, int] = field(default_factory=dict)
     kind: str = ""
+    cones: set[ConeSet] = field(init=False)
+    pushforward: dict[ConeSet, int] = field(init=False)
     # the Ishida wedge bases and differential blocks of this fan, memoized
     # by ``differentials`` alone; not part of the fan's value
     ishida_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.pushforward:
-            self.pushforward = {c: self._locate(c) for c in self.cones}
-
-    def _locate(self, cone: ConeSet) -> int:
-        point = vector_sum([self.rays[i] for i in cone], self.lattice.rank)
-        return self.lattice.face_of_point(point)
-
-    def cone_dim(self, cone: ConeSet) -> int:
-        return rank_of([self.rays[i] for i in cone])
-
-    def is_simplicial(self) -> bool:
-        return all(self.cone_dim(c) == len(c) for c in self.cones)
+        lattice = self.lattice
+        for i, (ray, fid) in enumerate(zip(self.rays, self.ray_face)):
+            if lattice.face_of_point(ray) != fid:
+                raise InvariantViolation(fid, "ray tag", f"ray {i} is not interior to its face")
+        faces = (combinations(c, k) for c in self.maximal for k in range(len(c) + 1))
+        self.cones = {frozenset(f) for fs in faces for f in fs}
+        join, zero, tags = lattice.join, lattice.zero_id, self.ray_face
+        self.pushforward = {c: reduce(join, (tags[i] for i in c), zero) for c in self.cones}
 
     def cones_by_dim(self) -> dict[int, list[ConeSet]]:
         out: dict[int, list[ConeSet]] = {}
@@ -150,8 +151,9 @@ def _chain_subdivision(
     Sigma's rays keep their lattice indices; the interior ray of
     ``centred[k]`` gets index ``len(lattice.rays) + k``.  Every centred face
     must have dimension >= 2.  The construction is checked, not trusted:
-    every cone must be simplicial, every maximal cone full-dimensional, and
-    the geometric pushforward of a cone must be the top of its chain.
+    every maximal cone must be simplicial and n-dimensional, so every cone
+    is simplicial, being a face of one; and the fan's derived cones and
+    pushforward must be the chain cones and their chain tops.
     """
     n = lattice.rank
     faces = lattice.faces
@@ -189,30 +191,21 @@ def _chain_subdivision(
                 for rs, top in chains_from[fid]:
                     top_of[g.rays | rs] = top
 
-    for cone in top_of:
-        if rank_of([rays[i] for i in cone]) != len(cone):
-            raise NotSimplicialResult(f"{kind} cone {sorted(cone)} is not simplicial")
     # the cones are closed under faces, so a cone is maximal unless it is a
     # facet of another cone
     cones = set(top_of)
     covered = {c - {i} for c in cones for i in c}
     maximal = sorted(cones - covered, key=sorted)
-    if any(len(c) != n for c in maximal):
-        raise NotSimplicialResult(f"{kind} maximal cones must be full-dimensional")
-    sub = SubdivisionMap(
-        lattice=lattice,
-        rays=rays,
-        ray_face=ray_face,
-        cones=cones,
-        maximal=maximal,
-        kind=kind,
-    )
-    for cone, top in top_of.items():
-        if sub.pushforward[cone] != top:
-            raise CrossCheckMismatch(
-                f"{kind} cone {sorted(cone)} lies over face {sub.pushforward[cone]}, "
-                f"not over its chain top {top}"
-            )
+    for c in maximal:
+        if len(c) != n or rank_of([rays[i] for i in c]) != n:
+            raise NotSimplicialResult(f"{kind} maximal cone {sorted(c)} is not simplicial, {n}-dim")
+    sub = SubdivisionMap(lattice=lattice, rays=rays, ray_face=ray_face, maximal=maximal, kind=kind)
+    if sub.pushforward != top_of:
+        cone = min((c for c, _ in sub.pushforward.items() ^ top_of.items()), key=sorted)
+        raise CrossCheckMismatch(
+            f"{kind} cone {sorted(cone)} lies over face {sub.pushforward.get(cone)}, "
+            f"not over its chain top {top_of.get(cone)}"
+        )
     return sub
 
 
@@ -246,29 +239,34 @@ def _sign(rows) -> int:
 def validate_subdivision(sub: SubdivisionMap) -> None:
     """Check that the fan subdivides sigma: one pass over the ridges, one point.
 
-    Every cone must be simplicial and lie in its tagged face, every maximal
-    cone n-dimensional.  A ridge (a maximal cone minus one ray) must lie in
-    one maximal cone over the boundary of sigma and in two otherwise, those
-    two on opposite sides of it.  This suffices (De Loera, Rambau and Santos,
-    *Triangulations*, ch. 4): such a pseudomanifold covers sigma with constant
-    degree, since a generic point crossing an interior ridge leaves one cone
-    as it enters the other, and a point inside one cone and in no other fixes
-    that degree at 1.
+    A maximal cone's determinant, rays in index order, is nonzero exactly
+    when the cone is simplicial and n-dimensional, and its sign orients the
+    cone.  Every cone must lie in its pushforward face.  A ridge (a maximal
+    cone minus one ray) must lie in one maximal cone over the boundary of
+    sigma and in two otherwise, those two on opposite sides of it.  This
+    suffices (De Loera, Rambau and Santos, *Triangulations*, ch. 4): such a
+    pseudomanifold covers sigma with constant degree, since a generic point
+    crossing an interior ridge leaves one cone as it enters the other, and a
+    point inside one cone and in no other fixes that degree at 1.
     """
     lattice = sub.lattice
     n = lattice.rank
     top = lattice.top_id
-    if not sub.is_simplicial() or any(len(c) != n for c in sub.maximal):
-        raise InvariantViolation(top, "simplicial", "cones must be simplicial, maximal ones n-dim")
     if not sub.maximal:
         raise InvariantViolation(top, "covering", "the fan has no maximal cone")
-    # the side of each ridge its maximal cones lie on: the sign of
-    # det(ridge rays in index order, apex ray)
-    ridge_sides: dict[ConeSet, list[int]] = {}
+    oriented: list[tuple[ConeSet, int]] = []
     for c in sub.maximal:
-        for i in c:
-            rows = [sub.rays[j] for j in sorted(c - {i})] + [sub.rays[i]]
-            ridge_sides.setdefault(c - {i}, []).append(_sign(rows))
+        sign = _sign([sub.rays[i] for i in sorted(c)]) if len(c) == n else 0
+        if not sign:
+            message = f"maximal cone {sorted(c)} is not simplicial and {n}-dimensional"
+            raise InvariantViolation(top, "simplicial", message)
+        oriented.append((c, sign))
+    # the side of ridge c - {i} that c lies on: the sign of det(ridge rays in
+    # index order, ray i), which moves row k of c's determinant to the end
+    ridge_sides: dict[ConeSet, list[int]] = {}
+    for c, sign in oriented:
+        for k, i in enumerate(sorted(c)):
+            ridge_sides.setdefault(c - {i}, []).append(sign * (-1) ** (n - 1 - k))
     for ridge, sides in ridge_sides.items():
         tau = sub.pushforward[ridge]
         expected = 2 if tau == top else 1
@@ -278,9 +276,6 @@ def validate_subdivision(sub: SubdivisionMap) -> None:
         if expected == 2 and sides[0] == sides[1]:
             message = f"both maximal cones at ridge {sorted(ridge)} lie on one side of it"
             raise InvariantViolation(top, "orientation", message)
-    for idx, vec, fid in sub.added_rays():
-        if lattice.face_of_point(vec) != fid:
-            raise InvariantViolation(fid, "ray tag", f"ray {idx} is not interior to its face")
     for cone, tau in sub.pushforward.items():
         normals = [lattice.dual_generators[s] for s in lattice.faces[tau].normals]
         if any(dot(u, sub.rays[i]) for u in normals for i in cone):
@@ -289,9 +284,8 @@ def validate_subdivision(sub: SubdivisionMap) -> None:
     # place of any one generator never flips the sign of the determinant
     first = sub.maximal[0]
     point = vector_sum([sub.rays[i] for i in first], n)
-    for c in sub.maximal[1:]:
-        rows = [sub.rays[i] for i in c]
-        sign = _sign(rows)
+    for c, sign in oriented[1:]:
+        rows = [sub.rays[i] for i in sorted(c)]
         if all(_sign(rows[:k] + [point] + rows[k + 1 :]) in (0, sign) for k in range(n)):
             message = f"maximal cones {sorted(first)} and {sorted(c)} overlap"
             raise InvariantViolation(top, "degree", message)

@@ -176,6 +176,16 @@ def test_non_integer_input_exit_2(capsys, tmp_path, spec):
     assert json.loads(out)["error"]["type"] == "MalformedInput"
 
 
+def test_negative_rank_exit_2(capsys, tmp_path):
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps({"name": "neg", "rank": -1, "rays": []}))
+    code, out = run_cli(capsys, "faces", "--cone", str(path))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "MalformedInput"
+    assert "rank" in error["message"]
+
+
 @pytest.mark.parametrize(
     "extra",
     [[1, 0, 2], [1, 1, 2]],

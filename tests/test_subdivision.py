@@ -1,8 +1,7 @@
-from itertools import combinations
-
 import pytest
 
-from icstalks.cones import dot, face_lattice
+from icstalks.cones import dot, face_lattice, vector_sum
+from icstalks.corpus import CORPUS
 from icstalks.decomposition import solve_decomposition
 from icstalks.errors import InvariantViolation
 from icstalks.subdivision import (
@@ -18,6 +17,16 @@ SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
 TRIANGLE = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
 CUBE = [(x, y, z, 1) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
 CUBE5 = [(x, y, z, w, 1) for x in (0, 1) for y in (0, 1) for z in (0, 1) for w in (0, 1)]
+SIMPLEX5 = [(0, 0, 0, 0, 1)] + [tuple(int(i == j) for j in range(4)) + (1,) for i in range(4)]
+CROSS5 = [tuple(s * (i == j) for j in range(4)) + (1,) for i in range(4) for s in (1, -1)]
+# the corpus cones and the rank-5 cones, with their interior-ray maximal cone
+# counts: a d-face with d >= 3 contributes the counts of its facets, a 2-face 1
+FAN_CONES = [(spec.name, list(spec.rays), spec.rank) for spec in CORPUS] + [
+    ("simplex5", SIMPLEX5, 5),
+    ("cube5", CUBE5, 5),
+    ("cross5", CROSS5, 5),
+]
+RANK5 = [("simplex5", SIMPLEX5, 60), ("cube5", CUBE5, 192), ("cross5", CROSS5, 192)]
 
 
 def test_barycentric_square_cone_counts():
@@ -162,14 +171,11 @@ def _fan(lattice, added_rays, maximal):
     """A fan over ``lattice`` from extra (ray, face id) pairs and maximal cones."""
     rays = list(lattice.rays) + [r for r, _ in added_rays]
     ray_face = [lattice.id_of_rayset(frozenset((i,))) for i in range(len(lattice.rays))]
-    maximal = [frozenset(c) for c in maximal]
-    cones = {frozenset(f) for c in maximal for k in range(len(c) + 1) for f in combinations(c, k)}
     return SubdivisionMap(
         lattice=lattice,
         rays=rays,
         ray_face=ray_face + [f for _, f in added_rays],
-        cones=cones,
-        maximal=maximal,
+        maximal=[frozenset(c) for c in maximal],
     )
 
 
@@ -197,13 +203,75 @@ def test_validate_rejects_double_cover():
     assert info.value.prop == "degree"
 
 
-def test_interior_ray_rank5_cube_matches_barycentric_stalks():
-    lat = face_lattice(CUBE5)
+@pytest.mark.parametrize("name, rays, count", RANK5, ids=[name for name, _, _ in RANK5])
+def test_interior_ray_rank5_matches_barycentric_stalks(name, rays, count):
+    lat = face_lattice(rays)
     barycentric = barycentric_subdivision(lat)
     interior = interior_ray_subdivision(lat)
-    assert len(interior.maximal) == 192
+    assert len(interior.maximal) == count
     validate_subdivision(barycentric)
     validate_subdivision(interior)
     a = solve_decomposition(lat, multiplicity_table(barycentric))
     b = solve_decomposition(lat, multiplicity_table(interior))
     assert a.Htilde == b.Htilde
+
+
+def test_fan_cones_are_the_faces_of_its_maximal_cones():
+    lat = face_lattice(SQUARE)
+    fan = _fan(lat, [((1, 1, 2), lat.top_id)], [{0, 1, 4}, {1, 3, 4}, {3, 2, 4}, {2, 0, 4}])
+    assert len(fan.cones) == 1 + 5 + 8 + 4
+    assert fan.pushforward[frozenset()] == lat.zero_id
+    assert fan.pushforward[frozenset((0, 4))] == lat.top_id
+    assert fan.pushforward[frozenset((0, 1))] == lat.id_of_rayset(frozenset((0, 1)))
+    validate_subdivision(fan)
+
+
+@pytest.mark.parametrize("name, rays, rank", FAN_CONES, ids=[name for name, _, _ in FAN_CONES])
+def test_pushforward_is_the_face_of_the_ray_sum(name, rays, rank):
+    # the geometric route: the sum of a cone's rays lies in the relative
+    # interior of its minimal containing face
+    lat = face_lattice(rays, rank=rank)
+    for sub in (barycentric_subdivision(lat), interior_ray_subdivision(lat)):
+        for cone, tau in sub.pushforward.items():
+            assert tau == lat.face_of_point(vector_sum([sub.rays[i] for i in cone], rank))
+
+
+@pytest.mark.parametrize("spec", CORPUS, ids=[spec.name for spec in CORPUS])
+def test_join_is_the_least_upper_bound(spec):
+    lat = spec.lattice()
+    ids = [f.id for f in lat.faces]
+    for a in ids:
+        for b in ids:
+            j = lat.join(a, b)
+            uppers = [f for f in ids if lat.leq(a, f) and lat.leq(b, f)]
+            assert j in uppers
+            assert all(lat.leq(j, f) for f in uppers)
+
+
+def test_validate_rejects_a_flat_maximal_cone():
+    # the ray (1,1,0) lies on the 2-face of e1 and e2, so {e1, e2, (1,1,0)}
+    # spans only a plane
+    lat = face_lattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    edge = lat.id_of_rayset(frozenset((0, 1)))
+    fan = _fan(lat, [((1, 1, 0), edge)], [{0, 1, 3}, {0, 2, 3}, {1, 2, 3}])
+    with pytest.raises(InvariantViolation) as info:
+        validate_subdivision(fan)
+    assert info.value.prop == "simplicial"
+
+
+def test_fan_rejects_a_wrong_ray_tag():
+    # (1,1) is interior to the quadrant, not to the zero face
+    lat = face_lattice([(1, 0), (0, 1)])
+    with pytest.raises(InvariantViolation) as info:
+        _fan(lat, [((1, 1), lat.zero_id)], [{0, 2}, {2, 1}])
+    assert info.value.prop == "ray tag"
+
+
+def test_validate_rejects_a_pushforward_leaving_its_face():
+    lat = face_lattice(SQUARE)
+    sub = barycentric_subdivision(lat)
+    centre = frozenset((len(sub.rays) - 1,))
+    sub.pushforward[centre] = lat.faces_of_dim(1)[0]
+    with pytest.raises(InvariantViolation) as info:
+        validate_subdivision(sub)
+    assert info.value.prop == "pushforward"
