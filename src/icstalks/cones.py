@@ -2,15 +2,15 @@
 
 A full-dimensional cone sigma in Z^n is given by its primitive ray
 generators.  The facet normals (the extreme rays of the dual cone) come from
-the hyperplanes spanned by (n-1)-subsets of rays.  The faces and covers come
-from one top-down walk over ray sets (Kaibel & Pfetsch 2002): the facets of
-a face are the maximal proper intersections of its rays with the facets of
-sigma, so the walk visits only faces.  All arithmetic is exact.
+an incremental double description that adds one ray at a time, in integer
+arithmetic.  The faces and covers come from one top-down walk over ray sets
+(Kaibel & Pfetsch 2002): the facets of a face are the maximal proper
+intersections of its rays with the facets of sigma, so the walk visits only
+faces.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 
@@ -21,7 +21,7 @@ from .errors import (
     NotFullDimensional,
     NotStronglyConvex,
 )
-from .linalg import clear_row_denominators, integer_rank, nullspace, sparse_row
+from .linalg import determinant, integer_rank, sparse_row
 
 Vector = tuple[int, ...]
 
@@ -51,11 +51,6 @@ def primitive(v) -> Vector:
     return tuple(int(x) // g for x in v)
 
 
-def primitive_from_rational(v) -> Vector:
-    """Primitive integer vector on the ray spanned by a rational vector."""
-    return primitive(clear_row_denominators(v))
-
-
 def rank_of(vectors) -> int:
     return integer_rank([sparse_row(v) for v in vectors])
 
@@ -63,9 +58,15 @@ def rank_of(vectors) -> int:
 def dual_cone(rays: list[Vector], rank: int) -> list[Vector]:
     """Primitive generators (extreme rays) of the dual of a full-dim cone.
 
-    These are precisely the facet normals of the input cone.  Every facet of a
-    polyhedral cone is spanned by the input rays it contains, so enumerating
-    normals of hyperplanes through (rank-1)-subsets of rays finds them all.
+    These are precisely the facet normals of the input cone.  They come from
+    an incremental double description (Motzkin et al. 1953; Fukuda & Prodon
+    1996): the dual of the simplicial cone on ``rank`` independent rays,
+    chosen greedily by index, has one generator per omitted basis ray; each
+    further ray r keeps the generators pairing >= 0 with r and adds
+    <a, r> b - <b, r> a for every adjacent pair with <a, r> > 0 > <b, r>.
+    The dual cone is pointed because the input is full-dimensional, so a and
+    b are adjacent exactly when no other generator vanishes on every ray,
+    processed so far, that both vanish on.
     """
     if rank_of(rays) < rank:
         raise NotFullDimensional(
@@ -74,22 +75,43 @@ def dual_cone(rays: list[Vector], rank: int) -> list[Vector]:
         )
     if rank == 0:
         return []
-    normals: set[Vector] = set()
-    for subset in itertools.combinations(range(len(rays)), rank - 1):
-        basis, _cols = nullspace([sparse_row(rays[i]) for i in subset], rank)
-        if len(basis) != 1:
-            continue
-        u = primitive_from_rational(basis[0])
-        pairings = [dot(u, r) for r in rays]
-        if any(p > 0 for p in pairings) and any(p < 0 for p in pairings):
-            continue
-        if all(p <= 0 for p in pairings):
+    basis: list[int] = []
+    for i, r in enumerate(rays):
+        if rank_of([rays[j] for j in basis] + [r]) > len(basis):
+            basis.append(i)
+            if len(basis) == rank:
+                break
+    # generator -> bitmask of the processed rays it vanishes on
+    gens: dict[Vector, int] = {}
+    for i in basis:
+        others = [sparse_row(rays[j]) for j in basis if j != i]
+        # cofactors: dot(u, x) is det(others + [x]) up to a nonzero factor
+        u = primitive([determinant(others + [{c: 1}]) for c in range(rank)])
+        if dot(u, rays[i]) < 0:
             u = tuple(-x for x in u)
-            pairings = [-p for p in pairings]
-        zero_set = [i for i, p in enumerate(pairings) if p == 0]
-        if rank_of([rays[i] for i in zero_set]) == rank - 1:
-            normals.add(u)
-    normal_list = sorted(normals)
+        gens[u] = sum(1 << j for j in basis if j != i)
+    for i, r in enumerate(rays):
+        if i in basis:
+            continue
+        pairings = {u: dot(u, r) for u in gens}
+        pos = [u for u, p in pairings.items() if p > 0]
+        neg = [u for u, p in pairings.items() if p < 0]
+        added: dict[Vector, int] = {}
+        for a in pos:
+            for b in neg:
+                common = gens[a] & gens[b]
+                if any(z & common == common for g, z in gens.items() if g != a and g != b):
+                    continue
+                pa, pb = pairings[a], pairings[b]
+                w = primitive([pa * y - pb * x for x, y in zip(a, b)])
+                added[w] = common | 1 << i
+        gens = {
+            u: z | 1 << i if pairings[u] == 0 else z
+            for u, z in gens.items()
+            if pairings[u] >= 0
+        }
+        gens.update(added)
+    normal_list = sorted(gens)
     if rank_of(normal_list) < rank:
         raise NotStronglyConvex("the cone contains a line")
     return normal_list
@@ -120,6 +142,7 @@ class FaceLattice:
     ray index set), so id 0 is the zero face and the last id is sigma itself.
     ``below[f]`` holds the faces covered by face f and ``above[f]`` the faces
     covering it; ``covers`` lists the same relation as sorted (lo, hi) pairs.
+    ``down[f]`` holds the faces <= f and ``up[f]`` the faces >= f.
     """
 
     def __init__(self, rays: list[Vector], rank: int):
@@ -184,6 +207,14 @@ class FaceLattice:
                 above[lo].add(hi)
         self.above = [frozenset(ups) for ups in above]
         self.covers = sorted((lo, hi) for hi, los in enumerate(self.below) for lo in los)
+        # ids grow with dimension, so a face's covers are closed before it
+        down: list[frozenset[int]] = []
+        for f, los in enumerate(self.below):
+            down.append(frozenset({f}).union(*(down[lo] for lo in los)))
+        up: list[frozenset[int]] = [frozenset()] * len(self.faces)
+        for f in reversed(range(len(self.faces))):
+            up[f] = frozenset({f}).union(*(up[hi] for hi in self.above[f]))
+        self.down, self.up = down, up
 
     def _validate(self):
         # closed under intersection, diamonds, two rays per 2-face
@@ -230,9 +261,7 @@ class FaceLattice:
         return self._by_rayset[rays]
 
     def leq(self, lo: int, hi: int) -> bool:
-        if lo == hi:
-            return True
-        return self.faces[lo].rays < self.faces[hi].rays
+        return lo in self.down[hi]
 
     def meet(self, a: int, b: int) -> int:
         return self._by_rayset[self.faces[a].rays & self.faces[b].rays]
@@ -248,11 +277,8 @@ class FaceLattice:
         return sorted(self.below[fid])
 
     def strictly_between(self, lo: int, hi: int) -> list[int]:
-        return [
-            f.id
-            for f in self.faces
-            if f.id not in (lo, hi) and self.leq(lo, f.id) and self.leq(f.id, hi)
-        ]
+        """Faces f with lo < f < hi, in id order; empty unless lo <= hi."""
+        return sorted((self.down[hi] & self.up[lo]) - {lo, hi})
 
     def chain_count(self, lo: int, hi: int, length: int) -> int:
         """Number of chains lo < v_1 < ... < v_length = hi of faces (memoized)."""

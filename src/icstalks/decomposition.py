@@ -126,7 +126,7 @@ def solve_decomposition(
     for f in lattice.faces:
         hi = f.id
         result.F[hi] = fiber_poincare(d, hi)
-        for lo in reversed([g.id for g in lattice.faces if lattice.leq(g.id, hi)]):
+        for lo in sorted(lattice.down[hi], reverse=True):
             if lo == hi:
                 htilde[(lo, hi)] = dpal[(lo, hi)] = LaurentPolynomial.one()
                 continue
@@ -167,10 +167,8 @@ def _validate(result: DecompositionResult) -> None:
     for f in lattice.faces:
         tau = f.id
         total = LaurentPolynomial.zero()
-        for g in lattice.faces:
-            mu = g.id
-            if lattice.leq(mu, tau):
-                total = total + result.Htilde[(mu, tau)] * result.D[mu]
+        for mu in sorted(lattice.down[tau]):
+            total = total + result.Htilde[(mu, tau)] * result.D[mu]
         if total != result.F[tau].shift(-f.dim):
             raise InvariantViolation(tau, "stalk identity does not close")
 

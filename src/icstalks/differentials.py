@@ -259,13 +259,11 @@ def omega_closed_form(d: MultiplicityTable, tau: int) -> BiLaurentPolynomial:
     one = BiLaurentPolynomial.one()
     kl2 = BiLaurentPolynomial.monomial(-2, 2)  # K^{-1} L^2
     inner = BiLaurentPolynomial.zero()
-    for f in lattice.faces:
-        if not lattice.leq(f.id, tau):
-            continue
-        for j in range(d_tau + 1):
-            count = d.get(j, f.id)
-            if count:
-                inner = inner + count * (one - kl2) ** (d_tau - j) * kl2**j
+    for j in range(d_tau + 1):
+        # by linearity, one product per j for all the faces below tau
+        count = sum(d.get(j, f) for f in lattice.down[tau])
+        if count:
+            inner = inner + count * (one - kl2) ** (d_tau - j) * kl2**j
     return BiLaurentPolynomial.monomial(0, -n) * (one + K_INV * L_VAR) ** (
         n - d_tau
     ) * inner

@@ -16,7 +16,7 @@ whose pivots are all ±1 never leaves ``int``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import prod
 
 SparseRow = dict[int, int | Fraction]
 
@@ -29,15 +29,6 @@ def canonical(x: int | Fraction) -> int | Fraction:
 def sparse_row(vector) -> SparseRow:
     """The sparse row of a dense vector."""
     return {j: x for j, x in enumerate(vector) if x}
-
-
-def clear_row_denominators(row) -> list[int]:
-    """Scale a rational row to a primitive-denominator integer row."""
-    lcm = 1
-    for x in row:
-        d = Fraction(x).denominator
-        lcm = lcm * d // gcd(lcm, d)
-    return [int(Fraction(x) * lcm) for x in row]
 
 
 def _eliminate(rows) -> tuple[list[tuple[int, SparseRow]], int]:

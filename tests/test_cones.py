@@ -1,6 +1,11 @@
 import itertools
+import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icstalks.cones import (
     dot,
@@ -13,7 +18,13 @@ from icstalks.cones import (
     validate_degree,
 )
 from icstalks.corpus import CORPUS, polygon_cone
-from icstalks.errors import InvariantViolation, NotFullDimensional, NotStronglyConvex
+from icstalks.errors import (
+    InvariantViolation,
+    NotFullDimensional,
+    NotStronglyConvex,
+    ToricError,
+)
+from icstalks.linalg import nullspace, sparse_row
 
 ORTHANT3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
@@ -33,6 +44,9 @@ SIMPLEX5 = [(0, 0, 0, 0, 1)] + [
     tuple(1 if i == j else 0 for j in range(4)) + (1,) for i in range(4)
 ]
 CUBE5 = [v + (1,) for v in itertools.product((0, 1), repeat=4)]
+CROSS5 = [
+    tuple(s if i == j else 0 for j in range(4)) + (1,) for i in range(4) for s in (1, -1)
+]
 
 
 def test_primitive():
@@ -63,6 +77,120 @@ def test_dual_rejects_line():
 def test_dual_rejects_low_rank():
     with pytest.raises(NotFullDimensional):
         dual_cone([(1, 0, 0), (0, 1, 0)], 3)
+
+
+def _subset_dual_cone(rays, rank):
+    """Facet normals by brute force, from the hyperplane of every (rank-1)-subset of rays.
+
+    A subset whose span is a hyperplane gives a normal; it is kept, oriented
+    positive on the cone, when every ray lies on one side and the rays on the
+    hyperplane span rank - 1.
+    """
+    if rank_of(rays) < rank:
+        raise NotFullDimensional("rays do not span the ambient space")
+    if rank == 0:
+        return []
+    normals = set()
+    for subset in itertools.combinations(range(len(rays)), rank - 1):
+        basis, _cols = nullspace([sparse_row(rays[i]) for i in subset], rank)
+        if len(basis) != 1:
+            continue
+        scale = lcm(*(Fraction(x).denominator for x in basis[0]))
+        u = primitive([int(x * scale) for x in basis[0]])
+        pairings = [dot(u, r) for r in rays]
+        if any(p > 0 for p in pairings) and any(p < 0 for p in pairings):
+            continue
+        if all(p <= 0 for p in pairings):
+            u = tuple(-x for x in u)
+        if rank_of([r for r in rays if dot(u, r) == 0]) == rank - 1:
+            normals.add(u)
+    normal_list = sorted(normals)
+    if rank_of(normal_list) < rank:
+        raise NotStronglyConvex("the cone contains a line")
+    return normal_list
+
+
+def _sheared(rays, seed):
+    """The rays under a seeded signed permutation followed by one transvection."""
+    rng = random.Random(seed)
+    n = len(rays[0])
+    perm = rng.sample(range(n), n)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    i, j = rng.sample(range(n), 2)
+    c = rng.choice((-2, -1, 1, 2))
+    out = []
+    for r in rays:
+        v = [signs[k] * r[perm[k]] for k in range(n)]
+        v[i] += c * v[j]
+        out.append(tuple(v))
+    return out
+
+
+DUAL_CONES = (
+    [(spec.name, list(spec.rays), spec.rank) for spec in CORPUS]
+    + [("pyramid", PYRAMID, 4), ("prism", PRISM, 4)]
+    + [("simplex5", SIMPLEX5, 5), ("cube5", CUBE5, 5), ("cross5", CROSS5, 5)]
+    + [(f"polygon-{m}", list(polygon_cone(m).rays), 3) for m in range(5, 25)]
+)
+SHEARED_CONES = [
+    (f"{name}-shear{seed}", _sheared(rays, seed), rank)
+    for name, rays, rank in DUAL_CONES
+    if rank >= 2
+    for seed in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize(
+    "name, rays, rank", DUAL_CONES + SHEARED_CONES, ids=[c[0] for c in DUAL_CONES + SHEARED_CONES]
+)
+def test_dual_cone_matches_subset_loop(name, rays, rank):
+    assert dual_cone(rays, rank) == _subset_dual_cone(rays, rank)
+
+
+def _outcome(route, rays, rank):
+    try:
+        return route(rays, rank)
+    except ToricError as exc:
+        return type(exc)
+
+
+@st.composite
+def _cones(draw, pointed):
+    """Rank 2-5 and rank to 10 distinct nonzero rays.
+
+    A pointed cone has every last coordinate positive; otherwise one ray is
+    followed by its negative, so the cone contains a line.
+    """
+    rank = draw(st.integers(2, 5))
+    last = st.integers(1, 3) if pointed else st.integers(-3, 3)
+    ray = st.tuples(*[st.integers(-3, 3)] * (rank - 1), last).filter(any)
+    rays = draw(st.lists(ray, min_size=rank, max_size=10 if rank < 5 else 8, unique=True))
+    if not pointed:
+        rays.append(tuple(-x for x in rays[0]))
+    return rays, rank
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_cones(pointed=True))
+def test_dual_cone_agrees_with_subset_loop_on_pointed_cones(cone):
+    rays, rank = cone
+    normals = _outcome(dual_cone, rays, rank)
+    assert normals == _outcome(_subset_dual_cone, rays, rank)
+    if normals is NotFullDimensional:
+        return
+    assert isinstance(normals, list)
+    for u in normals:
+        assert all(dot(u, r) >= 0 for r in rays)
+        assert rank_of([r for r in rays if dot(u, r) == 0]) == rank - 1
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_cones(pointed=False))
+def test_dual_cone_raises_like_subset_loop_on_lines(cone):
+    rays, rank = cone
+    error = _outcome(dual_cone, rays, rank)
+    assert error in (NotFullDimensional, NotStronglyConvex)
+    assert error is _outcome(_subset_dual_cone, rays, rank)
 
 
 def test_orthant_face_lattice_is_boolean():
@@ -162,6 +290,30 @@ def test_validate_rejects_a_missing_cover(dropped):
     lat.below[hi] -= {lo}
     with pytest.raises(InvariantViolation, match="middle faces"):
         lat._validate()
+
+
+INTERVAL_LATTICES = [(spec.name, list(spec.rays), spec.rank) for spec in CORPUS] + [
+    ("cube5", CUBE5, 5),
+    ("cross5", CROSS5, 5),
+]
+
+
+@pytest.mark.parametrize(
+    "name, rays, rank", INTERVAL_LATTICES, ids=[c[0] for c in INTERVAL_LATTICES]
+)
+def test_intervals_match_the_ray_set_scan(name, rays, rank):
+    # the reference reads the order off the ray sets and scans every face
+    lat = face_lattice(rays, rank)
+    ray_sets = [f.rays for f in lat.faces]
+    for lo in range(len(ray_sets)):
+        for hi in range(len(ray_sets)):
+            between = [
+                f
+                for f, z in enumerate(ray_sets)
+                if f not in (lo, hi) and ray_sets[lo] < z < ray_sets[hi]
+            ]
+            assert lat.strictly_between(lo, hi) == between
+            assert lat.leq(lo, hi) == (ray_sets[lo] <= ray_sets[hi])
 
 
 def test_rank_zero_lattice():

@@ -24,7 +24,13 @@ from icstalks.errors import (
     InvariantViolation,
     NotComparable,
 )
-from icstalks.polynomials import BiLaurentPolynomial, bipoly_from_triples, poly_from_pairs
+from icstalks.polynomials import (
+    K_INV,
+    L_VAR,
+    BiLaurentPolynomial,
+    bipoly_from_triples,
+    poly_from_pairs,
+)
 from icstalks.subdivision import (
     barycentric_subdivision,
     interior_ray_subdivision,
@@ -295,3 +301,39 @@ def test_closed_form_tau_zero():
         * (BiLaurentPolynomial.one() + BiLaurentPolynomial.monomial(-2, 1)) ** 3
     )
     assert omega_closed_form(d, lat.zero_id) == expected
+
+
+def _per_face_closed_form(d, tau):
+    """The closed form with one product per (face below tau, j), as a reference."""
+    lattice = d.lattice
+    n, d_tau = lattice.rank, lattice.faces[tau].dim
+    one = BiLaurentPolynomial.one()
+    kl2 = BiLaurentPolynomial.monomial(-2, 2)
+    inner = BiLaurentPolynomial.zero()
+    for f in lattice.faces:
+        if f.rays <= lattice.faces[tau].rays:
+            for j in range(d_tau + 1):
+                inner = inner + d.get(j, f.id) * (one - kl2) ** (d_tau - j) * kl2**j
+    return BiLaurentPolynomial.monomial(0, -n) * (one + K_INV * L_VAR) ** (n - d_tau) * inner
+
+
+SIMPLEX5 = [(0, 0, 0, 0, 1)] + [
+    tuple(1 if i == j else 0 for j in range(4)) + (1,) for i in range(4)
+]
+CLOSED_FORM_CONES = [(spec.name, list(spec.rays), spec.rank) for spec in CORPUS] + [
+    ("simplex5", SIMPLEX5, 5)
+]
+
+
+@pytest.mark.parametrize(
+    "name, rays, rank", CLOSED_FORM_CONES, ids=[c[0] for c in CLOSED_FORM_CONES]
+)
+def test_closed_form_matches_the_per_face_sum(name, rays, rank):
+    lat = face_lattice(rays, rank)
+    for sub in (barycentric_subdivision(lat), interior_ray_subdivision(lat)):
+        d = multiplicity_table(sub)
+        for f in lat.faces:
+            expected = _per_face_closed_form(d, f.id)
+            got = omega_closed_form(d, f.id)
+            assert got == expected
+            assert got.to_json_obj() == expected.to_json_obj()
