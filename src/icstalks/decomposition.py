@@ -30,21 +30,30 @@ than steering the computation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 from .cones import FaceLattice
 from .errors import InvariantViolation, NegativeCoefficient
-from .polynomials import LaurentPolynomial, Q_SQUARED_MINUS_ONE
+from .polynomials import LaurentPolynomial
 from .subdivision import MultiplicityTable
 
 
 def _fiber_series(counts: list[int]) -> LaurentPolynomial:
-    """sum_l counts[l] (q^2 - 1)^(n - l), where n = len(counts) - 1."""
+    """sum_l counts[l] (q^2 - 1)^(n - l), where n = len(counts) - 1.
+
+    Expanded by the binomial theorem: the coefficient of q^(2j) is
+    sum_l counts[l] (-1)^(n - l - j) C(n - l, j).
+    """
     n = len(counts) - 1
-    out = LaurentPolynomial.zero()
-    for l, count in enumerate(counts):
-        if count:
-            out = out + count * Q_SQUARED_MINUS_ONE ** (n - l)
-    return out
+    return LaurentPolynomial(
+        {
+            2 * j: sum(
+                (-1) ** (n - l - j) * comb(n - l, j) * count
+                for l, count in enumerate(counts[: n - j + 1])
+            )
+            for j in range(n + 1)
+        }
+    )
 
 
 def fiber_poincare(d: MultiplicityTable, tau: int) -> LaurentPolynomial:
@@ -137,9 +146,10 @@ def solve_decomposition(
                 fiber = _fiber_series(
                     [lattice.chain_count(lo, hi, l) for l in range(length + 1)]
                 )
-            lhs = fiber.shift(-length)
-            for mid in lattice.strictly_between(lo, hi):
-                lhs = lhs - htilde[(mid, hi)] * dpal[(lo, mid)]
+            lhs = fiber.shift(-length) - LaurentPolynomial.sum_of_products(
+                (htilde[(mid, hi)], dpal[(lo, mid)])
+                for mid in lattice.strictly_between(lo, hi)
+            )
             htilde[(lo, hi)], dpal[(lo, hi)] = split_palindromic_negative(lhs)
         result.D[hi] = dpal[(zero, hi)]
     _validate(result)
@@ -166,9 +176,9 @@ def _validate(result: DecompositionResult) -> None:
     # closure of the stalk identity
     for f in lattice.faces:
         tau = f.id
-        total = LaurentPolynomial.zero()
-        for mu in sorted(lattice.down[tau]):
-            total = total + result.Htilde[(mu, tau)] * result.D[mu]
+        total = LaurentPolynomial.sum_of_products(
+            (result.Htilde[(mu, tau)], result.D[mu]) for mu in sorted(lattice.down[tau])
+        )
         if total != result.F[tau].shift(-f.dim):
             raise InvariantViolation(tau, "stalk identity does not close")
 

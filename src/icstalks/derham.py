@@ -60,9 +60,8 @@ def derham_table(dec: DecompositionResult) -> dict[tuple[int, int], BiLaurentPol
     lattice = dec.lattice
     out = {}
     for f in lattice.faces:
-        for g in lattice.faces:
-            if lattice.leq(g.id, f.id):
-                out[(g.id, f.id)] = derham_from_stalks(dec, g.id, f.id)
+        for mu in sorted(lattice.down[f.id]):
+            out[(mu, f.id)] = derham_from_stalks(dec, mu, f.id)
     return out
 
 
@@ -77,9 +76,8 @@ def derham_by_elimination(
     """
     lattice = dec.lattice
     out = omega
-    for g in lattice.faces:
-        mu = g.id
-        if mu == lattice.zero_id or not lattice.leq(mu, tau):
+    for mu in sorted(lattice.down[tau]):
+        if mu == lattice.zero_id:
             continue
         d_mu = lattice.dim(mu)
         term = (

@@ -19,8 +19,18 @@ operations, the coefficient predicates and the sign-joined text renderer.
 Each type supplies its key normalisation, the exponent of the constant term
 and exponent addition.  Polynomials of different types never compare equal.
 
+Coefficients are validated where terms enter from outside: the public
+constructors, ``term``/``monomial``, ``poly_from_pairs`` and
+``bipoly_from_triples`` pass each one through ``_coeff``.  Ring results
+(``+``, ``-``, ``*``, ``**``, negation, ``shift``, ``mirror``, ``substitute``,
+``chi_y`` and ``sum_of_products``) are canonical by construction: they
+combine canonical coefficients, drop the zeros and canonicalize only the
+non-``int`` values, then wrap the term map with ``_new`` without checking it
+again.
+
 Zero coefficients are never stored; the zero polynomial has an empty term
-map.  Quantities that must end up with integer K-exponents go through
+map.  A polynomial with only a constant term equals that constant and hashes
+like it.  Quantities that must end up with integer K-exponents go through
 ``assert_integral`` at output boundaries instead of assuming integrality.
 """
 
@@ -38,6 +48,17 @@ def _coeff(value) -> int | Fraction:
     if isinstance(value, (int, Fraction)):
         return canonical(value)
     raise TypeError(f"coefficient {value!r} is neither an int nor a Fraction")
+
+
+def _canonical_terms(terms: dict) -> dict:
+    """``terms`` without zero coefficients and with integral values as ``int``.
+
+    The values must already be ``int`` or ``Fraction``: this is the purge a
+    ring operation applies to the sums and products it accumulated.
+    """
+    return {
+        e: c if type(c) is int else canonical(c) for e, c in terms.items() if c
+    }
 
 
 class _LaurentCore:
@@ -60,12 +81,20 @@ class _LaurentCore:
         self._terms = data
 
     @classmethod
+    def _new(cls, terms: dict):
+        """Wrap a canonical term map (normalised keys, no zero, integral
+        values as ``int``) without copying or checking it."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
     def zero(cls):
-        return cls()
+        return cls._new({})
 
     @classmethod
     def one(cls):
-        return cls({cls._CONST: 1})
+        return cls._new({cls._CONST: 1})
 
     def items(self):
         return self._terms.items()
@@ -95,50 +124,91 @@ class _LaurentCore:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        terms = self._terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and self._CONST in terms:
+            return hash(terms[self._CONST])
+        return hash(frozenset(terms.items()))
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """``op(self, other)`` termwise, for ``op`` ``operator.add`` or ``sub``."""
         other = self._lift(other)
         if other is None:
             return NotImplemented
         out = dict(self._terms)
         for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return type(self)(out)
+            s = op(out.get(e, 0), c)
+            if not s:
+                del out[e]
+            else:
+                out[e] = s if type(s) is int else canonical(s)
+        return self._new(out)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)({e: -c for e, c in self._terms.items()})
+        return self._new({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return other._combine(self, operator.sub)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return type(self)({e: c * other for e, c in self._terms.items()})
+            return self._new(
+                _canonical_terms({e: c * other for e, c in self._terms.items()})
+            )
         if type(other) is not type(self):
             return NotImplemented
-        add_exp = self._add_exp
         out: dict = {}
+        self._add_products(out, other)
+        return self._new(_canonical_terms(out))
+
+    __rmul__ = __mul__
+
+    def _add_products(self, out: dict, other) -> None:
+        """Add the terms of ``self * other`` into ``out``, unpurged."""
+        add_exp = self._add_exp
+        get = out.get
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = add_exp(e1, e2)
-                out[e] = out.get(e, 0) + c1 * c2
-        return type(self)(out)
+                out[e] = get(e, 0) + c1 * c2
 
-    __rmul__ = __mul__
+    @classmethod
+    def sum_of_products(cls, pairs: Iterable[tuple]):
+        """``sum a * b`` over the pairs ``(a, b)``, accumulated in one term map."""
+        out: dict = {}
+        for a, b in pairs:
+            if type(a) is not cls or type(b) is not cls:
+                raise TypeError(
+                    f"sum_of_products of {cls.__name__} takes pairs of "
+                    f"{cls.__name__}, not ({type(a).__name__}, {type(b).__name__})"
+                )
+            a._add_products(out, b)
+        return cls._new(_canonical_terms(out))
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a Laurent polynomial is not supported")
-        out = self.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        out = None
+        base = self
+        while n:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return self.one() if out is None else out
 
     def is_integer(self) -> bool:
         return all(c.denominator == 1 for c in self._terms.values())
@@ -185,11 +255,11 @@ class LaurentPolynomial(_LaurentCore):
 
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiply by q^k."""
-        return LaurentPolynomial({e + k: c for e, c in self._terms.items()})
+        return LaurentPolynomial._new({e + k: c for e, c in self._terms.items()})
 
     def mirror(self) -> "LaurentPolynomial":
         """The involution q -> q^{-1}."""
-        return LaurentPolynomial({-e: c for e, c in self._terms.items()})
+        return LaurentPolynomial._new({-e: c for e, c in self._terms.items()})
 
     def substitute(self, image: "BiLaurentPolynomial") -> "BiLaurentPolynomial":
         """Substitute a two-variable monomial c*K^a*L^b for the variable.
@@ -203,11 +273,13 @@ class LaurentPolynomial(_LaurentCore):
         ((kt, l), c) = next(iter(image._terms.items()))
         if c == 0:
             raise ValueError("substitution image must have a nonzero coefficient")
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], int | Fraction] = {}
         for e, coeff in self._terms.items():
             key = (kt * e, l * e)
-            out[key] = out.get(key, 0) + coeff * Fraction(c) ** e
-        return BiLaurentPolynomial(out)
+            if c != 1:
+                coeff = coeff * Fraction(c) ** e
+            out[key] = out.get(key, 0) + coeff
+        return BiLaurentPolynomial._new(_canonical_terms(out))
 
     def is_palindromic(self) -> bool:
         return self == self.mirror()
@@ -265,13 +337,13 @@ class BiLaurentPolynomial(_LaurentCore):
         c*K^k*L^l maps to c*(-1)^{k+l} y^{-k}.
         """
         self.assert_integral()
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         for (kt, l), c in self._terms.items():
             k = kt // 2
             e = -k
             sign = -1 if (k + l) % 2 else 1
             out[e] = out.get(e, 0) + sign * c
-        return LaurentPolynomial(out)
+        return LaurentPolynomial._new(_canonical_terms(out))
 
     @staticmethod
     def _monomial_text(key: tuple[int, int]) -> str:
@@ -298,7 +370,6 @@ class BiLaurentPolynomial(_LaurentCore):
 
 # Common building blocks.
 
-Q_SQUARED_MINUS_ONE = LaurentPolynomial({2: 1, 0: -1})
 K_INV = BiLaurentPolynomial.monomial(-2, 0)   # K^{-1}
 L_VAR = BiLaurentPolynomial.monomial(0, 1)    # L
 L_INV = BiLaurentPolynomial.monomial(0, -1)   # L^{-1}

@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
 
 from icstalks.cones import face_lattice
+from icstalks.corpus import CORPUS
 from icstalks.decomposition import (
+    _fiber_series,
     fiber_poincare,
     lowest_degree_normalized,
     solve_decomposition,
@@ -27,6 +31,14 @@ OCTA = [
     (0, 0, 1, 1),
     (0, 0, -1, 1),
 ]
+SIMPLEX5 = [(0, 0, 0, 0, 1)] + [tuple(int(i == j) for j in range(4)) + (1,) for i in range(4)]
+CUBE5 = [v + (1,) for v in itertools.product((0, 1), repeat=4)]
+CROSS5 = [tuple(s * (i == j) for j in range(4)) + (1,) for i in range(4) for s in (1, -1)]
+FIBER_CONES = [(spec.name, list(spec.rays), spec.rank) for spec in CORPUS] + [
+    ("simplex5", SIMPLEX5, 5),
+    ("cube5", CUBE5, 5),
+    ("cross5", CROSS5, 5),
+]
 
 
 def test_fiber_poincare_stellar_3dim():
@@ -45,6 +57,36 @@ def test_fiber_poincare_barycentric_square():
     lat = face_lattice(SQUARE)
     fib = fiber_poincare(multiplicity_table(barycentric_subdivision(lat)), lat.top_id)
     assert fib == poly_from_pairs([(4, 1), (2, 6), (0, 1)])
+
+
+def _fiber_series_by_products(counts):
+    """The fiber series as the sum of the products count * (q^2 - 1)^(n - l)."""
+    n = len(counts) - 1
+    q2m1 = poly_from_pairs([(2, 1), (0, -1)])
+    out = L.zero()
+    for l, count in enumerate(counts):
+        if count:
+            out = out + count * q2m1 ** (n - l)
+    return out
+
+
+@pytest.mark.parametrize(
+    "rays, rank", [c[1:] for c in FIBER_CONES], ids=[c[0] for c in FIBER_CONES]
+)
+def test_fiber_series_matches_product_form(rays, rank):
+    lat = face_lattice(rays, rank=rank)
+    for sub in (barycentric_subdivision(lat), interior_ray_subdivision(lat)):
+        d = multiplicity_table(sub)
+        for f in lat.faces:
+            counts = [d.get(l, f.id) for l in range(f.dim + 1)]
+            assert _fiber_series(counts) == _fiber_series_by_products(counts)
+    # the chain-count series of the intervals [lo, hi] with lo != 0
+    for f in lat.faces:
+        for lo in lat.down[f.id] - {lat.zero_id}:
+            counts = [
+                lat.chain_count(lo, f.id, l) for l in range(f.dim - lat.dim(lo) + 1)
+            ]
+            assert _fiber_series(counts) == _fiber_series_by_products(counts)
 
 
 def test_fiber_poincare_zero_face():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icstalks.errors import NonIntegralExponent
 from icstalks.polynomials import (
@@ -176,3 +178,139 @@ def test_shift_and_pow():
     p = poly_from_pairs([(2, 1), (0, 6), (4, 1)])
     assert p.shift(-3) == L({-1: 1, -3: 6, 1: 1})
     assert (L({2: 1, 0: -1})) ** 2 == L({4: 1, 2: -2, 0: 1})
+
+
+@pytest.mark.parametrize("cls", [L, B])
+@pytest.mark.parametrize("c", [0, 1, -3, Fraction(1, 2), Fraction(-7, 3), Fraction(4, 2)])
+def test_constant_polynomial_hashes_like_its_value(cls, c):
+    p = cls.one() * c
+    assert p == c
+    assert hash(p) == hash(c)
+    assert {c: "a"}.get(p) == "a"
+
+
+def test_constant_polynomials_in_sets():
+    assert len({L.one(), 1}) == 1
+    assert len({L.one(), B.one()}) == 2  # equal hashes, but never equal
+
+
+# -- the ring against a naive dict-of-Fraction reference -----------------------
+
+COEFFS = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+KEYS = {
+    L: st.integers(-5, 5),
+    B: st.tuples(st.integers(-5, 5), st.integers(-4, 4)),
+}
+ZERO_EXP = {L: 0, B: (0, 0)}
+RING = settings(max_examples=30, derandomize=True, database=None, deadline=None)
+
+
+def _add_keys(a, b):
+    return a + b if isinstance(a, int) else (a[0] + b[0], a[1] + b[1])
+
+
+def _poly(cls, max_size=4):
+    return st.dictionaries(KEYS[cls], COEFFS, max_size=max_size).map(cls)
+
+
+def _ref(p) -> dict:
+    return {e: Fraction(c) for e, c in p.items()}
+
+
+def _purge(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c != 0}
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = _add_keys(e1, e2)
+            out[e] = out.get(e, 0) + c1 * c2
+    return _purge(out)
+
+
+def _ref_combine(a: dict, b: dict, sign: int) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return _purge(out)
+
+
+def _assert_matches(p, ref: dict) -> None:
+    """``p`` has the terms of ``ref``, stored canonically."""
+    assert _ref(p) == ref
+    for c in dict(p.items()).values():
+        assert type(c) in (int, Fraction)
+        assert c != 0
+        assert (type(c) is int) == (Fraction(c).denominator == 1)
+
+
+@pytest.mark.parametrize("cls", [L, B])
+def test_add_sub_neg_match_reference(cls):
+    @RING
+    @given(_poly(cls), _poly(cls), COEFFS)
+    def check(p, r, c):
+        const = {ZERO_EXP[cls]: Fraction(c)}
+        _assert_matches(p + r, _ref_combine(_ref(p), _ref(r), 1))
+        _assert_matches(p - r, _ref_combine(_ref(p), _ref(r), -1))
+        _assert_matches(-p, _ref_combine({}, _ref(p), -1))
+        _assert_matches(p + c, _ref_combine(_ref(p), const, 1))
+        _assert_matches(c + p, _ref_combine(_ref(p), const, 1))
+        _assert_matches(c - p, _ref_combine(const, _ref(p), -1))
+        _assert_matches(p - p, {})
+
+    check()
+
+
+@pytest.mark.parametrize("cls", [L, B])
+def test_mul_and_sum_of_products_match_reference(cls):
+    @RING
+    @given(_poly(cls), _poly(cls), COEFFS, st.lists(st.tuples(_poly(cls), _poly(cls)), max_size=3))
+    def check(p, r, c, pairs):
+        _assert_matches(p * r, _ref_mul(_ref(p), _ref(r)))
+        _assert_matches(p * c, _ref_mul(_ref(p), _purge({ZERO_EXP[cls]: Fraction(c)})))
+        _assert_matches(c * p, _ref_mul(_ref(p), _purge({ZERO_EXP[cls]: Fraction(c)})))
+        total: dict = {}
+        for a, b in pairs:
+            total = _ref_combine(total, _ref_mul(_ref(a), _ref(b)), 1)
+        _assert_matches(cls.sum_of_products(pairs), total)
+
+    check()
+
+
+@pytest.mark.parametrize("cls", [L, B])
+def test_pow_matches_reference(cls):
+    @RING
+    @given(_poly(cls, max_size=3), st.integers(0, 6))
+    def check(p, n):
+        ref = {ZERO_EXP[cls]: Fraction(1)}
+        for _ in range(n):
+            ref = _ref_mul(ref, _ref(p))
+        _assert_matches(p**n, ref)
+
+    check()
+
+
+@RING
+@given(_poly(L), st.integers(-4, 4), st.integers(-3, 3), st.integers(-3, 3), COEFFS.filter(bool))
+def test_shift_mirror_substitute_match_reference(p, k, kt, l, c):
+    _assert_matches(p.shift(k), {e + k: x for e, x in _ref(p).items()})
+    _assert_matches(p.mirror(), {-e: x for e, x in _ref(p).items()})
+    image: dict = {}
+    for e, x in _ref(p).items():
+        key = (kt * e, l * e)
+        image[key] = image.get(key, 0) + x * Fraction(c) ** e
+    _assert_matches(p.substitute(B.monomial(kt, l, c)), _purge(image))
+
+
+def test_ring_results_reject_float_scalars():
+    p = L({0: 1, 1: Fraction(1, 2)})
+    for bad in (lambda: p + 0.5, lambda: 0.5 - p, lambda: p * 0.5):
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(TypeError):
+        L.sum_of_products([(p, B.one())])
