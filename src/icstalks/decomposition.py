@@ -21,10 +21,10 @@ the fiber of an interval with lo != 0 is its chain-count series, the
 barycentric fiber of the quotient cone of hi by lo.
 
 The solved table is validated after the fact: nonnegative integer
-coefficients, palindromic D, strictly negative support of off-diagonal Ht,
-degree supports matching the parity of the relevant face dimensions, and
-closure of the stalk identity itself.  Violations surface as errors rather
-than steering the computation.
+coefficients, palindromic and unimodal D, strictly negative support of
+off-diagonal Ht, degree supports matching the parity of the relevant face
+dimensions, and closure of the stalk identity itself.  Violations surface
+as errors rather than steering the computation.
 """
 
 from __future__ import annotations
@@ -165,6 +165,9 @@ def _validate(result: DecompositionResult) -> None:
             raise InvariantViolation(tau, "negative or fractional multiplicity")
         if any(e % 2 != lattice.dim(tau) % 2 for e in poly.support()):
             raise InvariantViolation(tau, "multiplicity parity")
+        rising = [poly.coefficient(e) for e in range(min(poly.support(), default=0), 1, 2)]
+        if any(a > b for a, b in zip(rising, rising[1:])):
+            raise InvariantViolation(tau, "multiplicity unimodality")
     for (mu, tau), poly in result.Htilde.items():
         if not (poly.is_integer() and poly.is_nonnegative()):
             raise InvariantViolation(tau, "negative or fractional stalk coefficient")

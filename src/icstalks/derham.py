@@ -31,23 +31,20 @@ from .polynomials import (
 )
 
 
-def derham_from_stalks(
-    dec: DecompositionResult, mu: int, tau: int, n: int | None = None
+def stalk_formula(
+    h: LaurentPolynomial, d_mu: int, d_tau: int, cofactor: BiLaurentPolynomial
 ) -> BiLaurentPolynomial:
-    """dR_{mu,tau} evaluated from the stalk polynomial; integral by parity."""
+    """h(K^{-1/2} L) K^{(d_mu - d_tau)/2} cofactor, with cofactor (K^{-1} + L^{-1})^{n - d_tau}."""
+    shift = BiLaurentPolynomial.monomial(d_mu - d_tau, 0)
+    return (h.substitute(L_K_INV_HALF) * shift * cofactor).assert_integral()
+
+
+def _derham_pair(
+    dec: DecompositionResult, mu: int, tau: int, cofactor: BiLaurentPolynomial
+) -> BiLaurentPolynomial:
     lattice = dec.lattice
-    if n is None:
-        n = lattice.rank
-    d_mu = lattice.dim(mu)
-    d_tau = lattice.dim(tau)
-    h = dec.htilde(mu, tau)
-    out = (
-        h.substitute(L_K_INV_HALF)
-        * BiLaurentPolynomial.monomial(d_mu - d_tau, 0)
-        * K_INV_PLUS_L_INV ** (n - d_tau)
-    )
     try:
-        return out.assert_integral()
+        return stalk_formula(dec.htilde(mu, tau), lattice.dim(mu), lattice.dim(tau), cofactor)
     except NonIntegralExponent as exc:
         raise NonIntegralExponent(
             f"dR for faces ({mu}, {tau}) has half-integer exponents; "
@@ -55,13 +52,20 @@ def derham_from_stalks(
         ) from exc
 
 
+def derham_from_stalks(dec: DecompositionResult, mu: int, tau: int) -> BiLaurentPolynomial:
+    """dR_{mu,tau} evaluated from the stalk polynomial; integral by parity."""
+    lattice = dec.lattice
+    return _derham_pair(dec, mu, tau, K_INV_PLUS_L_INV ** (lattice.rank - lattice.dim(tau)))
+
+
 def derham_table(dec: DecompositionResult) -> dict[tuple[int, int], BiLaurentPolynomial]:
     """All dR_{mu,tau} for nested pairs of faces."""
     lattice = dec.lattice
     out = {}
     for f in lattice.faces:
+        cofactor = K_INV_PLUS_L_INV ** (lattice.rank - f.dim)
         for mu in sorted(lattice.down[f.id]):
-            out[(mu, f.id)] = derham_from_stalks(dec, mu, f.id)
+            out[(mu, f.id)] = _derham_pair(dec, mu, f.id, cofactor)
     return out
 
 
@@ -75,13 +79,14 @@ def derham_by_elimination(
     for the pair (0, tau).
     """
     lattice = dec.lattice
+    cofactor = K_INV_PLUS_L_INV ** (lattice.rank - lattice.dim(tau))
     out = omega
     for mu in sorted(lattice.down[tau]):
         if mu == lattice.zero_id:
             continue
         d_mu = lattice.dim(mu)
         term = (
-            derham_from_stalks(dec, mu, tau)
+            _derham_pair(dec, mu, tau, cofactor)
             * dec.D[mu].substitute(L_INV_K_HALF)
             * BiLaurentPolynomial.monomial(-d_mu, 0)
         )

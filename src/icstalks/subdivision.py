@@ -61,7 +61,6 @@ class SubdivisionMap:
     rays: list[Vector]
     ray_face: list[int]
     maximal: list[ConeSet]
-    kind: str = ""
     cones: set[ConeSet] = field(init=False)
     pushforward: dict[ConeSet, int] = field(init=False)
     # the Ishida wedge bases and differential blocks of this fan, memoized
@@ -199,7 +198,7 @@ def _chain_subdivision(
     for c in maximal:
         if len(c) != n or rank_of([rays[i] for i in c]) != n:
             raise NotSimplicialResult(f"{kind} maximal cone {sorted(c)} is not simplicial, {n}-dim")
-    sub = SubdivisionMap(lattice=lattice, rays=rays, ray_face=ray_face, maximal=maximal, kind=kind)
+    sub = SubdivisionMap(lattice=lattice, rays=rays, ray_face=ray_face, maximal=maximal)
     if sub.pushforward != top_of:
         cone = min((c for c, _ in sub.pushforward.items() ^ top_of.items()), key=sorted)
         raise CrossCheckMismatch(

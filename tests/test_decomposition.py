@@ -5,13 +5,15 @@ import pytest
 from icstalks.cones import face_lattice
 from icstalks.corpus import CORPUS
 from icstalks.decomposition import (
+    DecompositionResult,
     _fiber_series,
+    _validate,
     fiber_poincare,
     lowest_degree_normalized,
     solve_decomposition,
     split_palindromic_negative,
 )
-from icstalks.errors import NegativeCoefficient
+from icstalks.errors import InvariantViolation, NegativeCoefficient
 from icstalks.polynomials import LaurentPolynomial, poly_from_pairs
 from icstalks.subdivision import (
     MultiplicityTable,
@@ -218,3 +220,11 @@ def test_subdivision_independence_of_stalks():
     # multiplicities at the 3-dimensional facets agree as well
     for fid in lat.faces_of_dim(3):
         assert a.D[fid] == b.D[fid]
+
+
+def test_validate_rejects_a_multiplicity_that_is_not_unimodal():
+    # palindromic, nonnegative and of the parity of the 4-dimensional cube
+    lat = face_lattice(CUBE)
+    bad = poly_from_pairs([(-4, 1), (-2, 3), (0, 1), (2, 3), (4, 1)])
+    with pytest.raises(InvariantViolation, match="multiplicity unimodality"):
+        _validate(DecompositionResult(lattice=lat, D={lat.top_id: bad}))
