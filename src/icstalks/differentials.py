@@ -13,9 +13,17 @@ primitive generator of rho.  The differential into the term that adds a ray
 rho is the contraction with rho.  Adding rho to the cone's rays turns exactly
 one coordinate column of the echelon basis into a pivot, so in echelon
 coordinates the contraction needs no splitting vector: its entries are the
-pairings <b_i, rho> with signs, read off the columns.  Consecutive
-differentials anticommute with no extra sign, which the builder checks rather
-than trusts: a nonzero composite raises ``CrossCheckMismatch``.
+pairings <b_i, rho> with signs, read off the columns.  The same elimination
+step gives each cone's basis from that of the facet without its largest ray.
+
+The block V_mu^p -> V_nu^p depends on (mu, nu, p) alone, not on u.  So each
+fan builds one *apex* complex per p, in degree u = 0 where every cone with at
+most p rays survives, by walking each cone's facets.  Consecutive
+differentials anticommute with no extra sign, which the apex checks rather
+than trusts: a nonzero composite raises ``CrossCheckMismatch``.  The complex
+at (tau, u) keeps the cones whose pushforward lies in tau, a downward-closed
+set; it is the quotient of the apex by the upward-closed rest, read off as
+the apex's rows and columns of the kept cones, renumbered.
 
 Every differential is a list of sparse rows, placed block by block at the
 blocks' offsets.  Cohomology dimensions are exact: dim ker - dim im, with
@@ -33,12 +41,14 @@ and the fiber-cohomology form is L^-n (1+K^-1 L)^(n-d_tau) F_tau(L K^-1/2).
 from __future__ import annotations
 
 import itertools
-from math import comb
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
+from math import comb
 
 from .cones import DegreeVector, dot, pick_degree, second_degree, validate_degree
 from .errors import CrossCheckMismatch, DegreeMismatch, InvariantViolation
-from .linalg import SparseRow, canonical, integer_rank, nullspace, sparse_row
+from .linalg import SparseRow, canonical, integer_rank
 from .polynomials import (
     BiLaurentPolynomial,
     K_INV,
@@ -74,6 +84,22 @@ class ChainComplexQ:
                         f"differentials {i} and {i + 1} do not compose to zero"
                     )
 
+    @classmethod
+    def _composing_to_zero(
+        cls, dims: list[int], mats: list[list[SparseRow]]
+    ) -> ChainComplexQ:
+        """A complex whose composites are zero by construction; nothing is checked.
+
+        Its two callers each derive it from a complex that passed the check:
+          * the quotient of an apex complex by upward-closed cones, in
+            ``build_degree_complex``: every composite entry between two kept
+            cones runs through kept cones only, so it is an apex entry;
+          * the dual complex, in ``_dual_cohomology_dims``: (d'd)^T = d^T d'^T.
+        """
+        complex = cls.__new__(cls)
+        complex.dims, complex.mats = dims, mats
+        return complex
+
 
 def cohomology_dims(complex: ChainComplexQ) -> list[int]:
     """Exact cohomology dimensions h^i = dim ker d_i - dim im d_{i-1}."""
@@ -102,20 +128,77 @@ def _dual_cohomology_dims(complex: ChainComplexQ) -> list[int]:
             for j, x in row.items():
                 columns[j][r] = x
         transposed.append(columns)
-    dual = ChainComplexQ(dims=complex.dims[::-1], mats=transposed[::-1])
+    dual = ChainComplexQ._composing_to_zero(complex.dims[::-1], transposed[::-1])
     return cohomology_dims(dual)[::-1]
 
 
 def _perp_basis(sub: SubdivisionMap, cone: ConeSet):
-    """Echelon-normalized basis of nu_perp for the cone nu, with its coordinate columns."""
+    """Echelon-normalized basis of nu_perp for the cone nu, with its coordinate columns.
+
+    The zero cone has the standard basis.  Otherwise nu = mu + {rho} for its
+    largest ray index rho, and nu's basis is mu's after one elimination step:
+    b_s - (t_s / t_e) b_e for s != e, with t and e from ``_pairings``.  A
+    vector of nu_perp is a combination sum_s c_s b_s with sum_s c_s t_s = 0;
+    its last nonzero column is mu's column s for the largest s with c_s != 0,
+    and that s can be any index but e.  So nu's coordinate columns are mu's
+    without column e, and the new vectors are 1 and 0 on them, as echelon
+    normalization asks.
+    """
     memo = sub.ishida_memo
     if cone not in memo:
-        rows = [sparse_row(sub.rays[i]) for i in sorted(cone)]
-        memo[cone] = nullspace(rows, sub.lattice.rank)
+        if cone:
+            rho = max(cone)
+            mu = cone - {rho}
+            basis, cols = _perp_basis(sub, mu)
+            t, e = _pairings(sub, mu, rho)
+            pivot, b_e = t[e], basis[e]
+            new_basis = []
+            for s, (b, x) in enumerate(zip(basis, t)):
+                if s != e:
+                    if x:
+                        # a unit pivot is its own inverse
+                        f = x * pivot if pivot in (1, -1) else Fraction(x) / pivot
+                        b = [canonical(y - f * z) for y, z in zip(b, b_e)]
+                    new_basis.append(b)
+            memo[cone] = new_basis, cols[:e] + cols[e + 1 :]
+        else:
+            n = sub.lattice.rank
+            memo[cone] = [[int(i == j) for j in range(n)] for i in range(n)], list(range(n))
     return memo[cone]
 
 
-def _block(sub: SubdivisionMap, mu: ConeSet, nu: ConeSet, p: int):
+def _pairings(sub: SubdivisionMap, mu: ConeSet, rho: int):
+    """The pairings t_i = <b_i, rho> on mu's basis, and e, the first i with t_i != 0."""
+    memo = sub.ishida_memo
+    key = (mu, rho)
+    if key not in memo:
+        ray = sub.rays[rho]
+        t = [canonical(dot(b, ray)) for b in _perp_basis(sub, mu)[0]]
+        memo[key] = t, next(i for i, x in enumerate(t) if x)
+    return memo[key]
+
+
+@cache
+def _block_layout(m: int, k: int, e: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per row of a block from m basis vectors in wedge degree k, its (column, i).
+
+    The row's entry at that column is ``(t + -t)[i]``: t_s at i = s and -t_s
+    at i = m + s.  ``_block`` explains the signs.
+    """
+    dst_labels = itertools.combinations(range(m - 1), k - 1)
+    dst_index = {lab: i for i, lab in enumerate(dst_labels)}
+    layout = []
+    for label in itertools.combinations(range(m), k):
+        entries = []
+        for j, s in enumerate(label):
+            if s == e or e not in label:
+                rest = tuple(r - (r > e) for r in label if r != s)
+                entries.append((dst_index[rest], s + m * ((k - 1 - j) % 2)))
+        layout.append(tuple(entries))
+    return tuple(layout)
+
+
+def _block(sub: SubdivisionMap, mu: ConeSet, nu: ConeSet, p: int) -> list[SparseRow]:
     """Sparse rows of the differential component V_mu^p -> V_nu^p (row convention).
 
     The component is the contraction with the ray rho of nu not in mu.  Let
@@ -124,34 +207,56 @@ def _block(sub: SubdivisionMap, mu: ConeSet, nu: ConeSet, p: int):
     b_s - (t_s / t_e) b_e has nu-coordinates the unit vector at s - (s > e) and
     is 0 at s = e: row S has (-1)^(k-1-j) t_{s_j} at S - {s_j}, reindexed.
     """
-    memo = sub.ishida_memo
-    key = (mu, nu, p)
-    if key in memo:
-        return memo[key]
-
     (rho,) = nu - mu
-    src_basis, src_cols = _perp_basis(sub, mu)
-    _, dst_cols = _perp_basis(sub, nu)
-    t = [canonical(dot(b, sub.rays[rho])) for b in src_basis]
-    e = next(i for i, x in enumerate(t) if x)
+    src_cols = _perp_basis(sub, mu)[1]
+    dst_cols = _perp_basis(sub, nu)[1]
+    t, e = _pairings(sub, mu, rho)
     if dst_cols != src_cols[:e] + src_cols[e + 1 :]:
         raise InvariantViolation(
             None, "ishida", f"free columns {dst_cols} do not nest in {src_cols}"
         )
-    k = p - len(mu)
-    dst_labels = itertools.combinations(range(len(dst_cols)), k - 1)
-    dst_index = {lab: i for i, lab in enumerate(dst_labels)}
+    signed = t + [-x for x in t]
+    return [
+        {col: signed[i] for col, i in entries if signed[i]}
+        for entries in _block_layout(len(src_cols), p - len(mu), e)
+    ]
 
-    rows = []
-    for label in itertools.combinations(range(len(src_cols)), k):
-        row: SparseRow = {}
-        for j, s in enumerate(label):
-            if t[s] and (s == e or e not in label):
-                rest = tuple(r - (r > e) for r in label if r != s)
-                row[dst_index[rest]] = (-1) ** (k - 1 - j) * t[s]
-        rows.append(row)
-    memo[key] = rows
-    return rows
+
+def _apex(sub: SubdivisionMap, p: int):
+    """The p-form complex in degree 0 and its cones by position, once per fan and p.
+
+    Position l holds every l-ray cone, sorted, each with a summand of
+    dimension comb(n - l, p - l).  Each cone nu receives one block from each
+    of its facets nu - {rho}.  ``ChainComplexQ`` checks the composites.
+    """
+    memo = sub.ishida_memo
+    if p not in memo:
+        n = sub.lattice.rank
+        layers: list[list[ConeSet]] = [[] for _ in range(p + 1)]
+        for cone in sub.cones:
+            if len(cone) <= p:
+                layers[len(cone)].append(cone)
+        sizes = [comb(n - l, p - l) for l in range(p + 1)]
+        offsets: list[dict[ConeSet, int]] = []
+        for layer, size in zip(layers, sizes):
+            layer.sort(key=sorted)
+            offsets.append({cone: c * size for c, cone in enumerate(layer)})
+        dims = [len(layer) * size for layer, size in zip(layers, sizes)]
+        mats = []
+        for l in range(p):
+            rows: list[SparseRow] = [{} for _ in range(dims[l])]
+            for nu in layers[l + 1]:
+                c0 = offsets[l + 1][nu]
+                for rho in nu:
+                    mu = nu - {rho}
+                    r0 = offsets[l][mu]
+                    for i, block_row in enumerate(_block(sub, mu, nu, p)):
+                        target = rows[r0 + i]
+                        for j, x in block_row.items():
+                            target[c0 + j] = x
+            mats.append(rows)
+        memo[p] = layers, ChainComplexQ(dims=dims, mats=mats)
+    return memo[p]
 
 
 def build_degree_complex(
@@ -164,6 +269,8 @@ def build_degree_complex(
     vanishes on sigma exactly on tau's rays, so these are the cones whose
     pushforward lies in tau.  Position 0 holds the wedge^p of the whole
     dual space (the zero cone); position l collects the surviving l-ray cones.
+    The blocks do not depend on u, so this is the apex complex with only the
+    rows and columns of the surviving cones, renumbered in order.
     """
     lattice = sub.lattice
     n = lattice.rank
@@ -174,38 +281,28 @@ def build_degree_complex(
     ):
         raise DegreeMismatch(f"degree {degree.u} is not valid for face {degree.face}")
 
-    survivors: dict[int, list[ConeSet]] = {l: [] for l in range(p + 1)}
-    for cone in sub.cones:
-        if len(cone) <= p and lattice.leq(sub.pushforward[cone], degree.face):
-            survivors[len(cone)].append(cone)
-    for lst in survivors.values():
-        lst.sort(key=sorted)
-
-    dims = []
-    offsets: list[dict[ConeSet, int]] = []
-    for l in range(p + 1):
-        off: dict[ConeSet, int] = {}
-        total = 0
-        for cone in survivors[l]:
-            off[cone] = total
-            total += comb(len(_perp_basis(sub, cone)[0]), p - l)
-        dims.append(total)
-        offsets.append(off)
-
+    layers, apex = _apex(sub, p)
+    if degree.face == lattice.top_id:
+        return apex
+    below = lattice.down[degree.face]
+    kept: list[list[int]] = []  # the apex rows kept at each position, in order
+    for l, layer in enumerate(layers):
+        size = comb(n - l, p - l)
+        kept.append(
+            [
+                c * size + i
+                for c, cone in enumerate(layer)
+                if sub.pushforward[cone] in below
+                for i in range(size)
+            ]
+        )
     mats = []
-    for l in range(p):
-        rows: list[SparseRow] = [{} for _ in range(dims[l])]
-        for mu in survivors[l]:
-            r0 = offsets[l][mu]
-            for nu in survivors[l + 1]:
-                if mu < nu:
-                    c0 = offsets[l + 1][nu]
-                    for i, block_row in enumerate(_block(sub, mu, nu, p)):
-                        target = rows[r0 + i]
-                        for j, val in block_row.items():
-                            target[c0 + j] = val
-        mats.append(rows)
-    return ChainComplexQ(dims=dims, mats=mats)
+    for l, rows in enumerate(apex.mats):
+        index = {j: new for new, j in enumerate(kept[l + 1])}
+        mats.append(
+            [{index[j]: x for j, x in rows[r].items() if j in index} for r in kept[l]]
+        )
+    return ChainComplexQ._composing_to_zero([len(k) for k in kept], mats)
 
 
 def omega_oracle(sub: SubdivisionMap, tau: int) -> BiLaurentPolynomial:

@@ -2,6 +2,7 @@ import itertools
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -24,6 +25,7 @@ from icstalks.errors import (
     InvariantViolation,
     NotComparable,
 )
+from icstalks.linalg import nullspace, sparse_row
 from icstalks.polynomials import (
     K_INV,
     L_VAR,
@@ -39,6 +41,12 @@ from icstalks.subdivision import (
 
 SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
 ORTHANT3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+SIMPLEX5 = [(0, 0, 0, 0, 1)] + [
+    tuple(1 if i == j else 0 for j in range(4)) + (1,) for i in range(4)
+]
+CORPUS_AND_SIMPLEX5 = [(spec.name, list(spec.rays), spec.rank) for spec in CORPUS] + [
+    ("simplex5", SIMPLEX5, 5)
+]
 
 
 def square_setup():
@@ -122,9 +130,11 @@ def test_exact_scalars_are_canonical_on_both_fans(spec):
         for cone in sub.cones:
             basis, _ = differentials._perp_basis(sub, cone)
             values += [x for b in basis for x in b]
-        for key, block in sub.ishida_memo.items():
-            if isinstance(key, tuple):
-                values += [x for row in block for x in row.values()]
+        # every face's complex is read off the apex complexes, one per p
+        apexes = {k: v for k, v in sub.ishida_memo.items() if isinstance(k, int)}
+        assert sorted(apexes) == list(range(lat.rank + 1))
+        for _, apex in apexes.values():
+            values += [x for m in apex.mats for row in m for x in row.values()]
         bad = [x for x in values if not _is_canonical(x)]
         assert not bad, f"{spec.name}: {bad[:5]}"
 
@@ -189,6 +199,68 @@ def test_block_matches_minor_reference(rays):
                 for p in range(len(nu), lat.rank + 1):
                     expected = _minor_reference_block(sub, mu, nu, p)
                     assert differentials._block(sub, mu, nu, p) == expected
+
+
+def _pairwise_reference_complex(sub, p, tau, block):
+    # every pair of surviving cones, each block placed at the pair's offsets
+    lat = sub.lattice
+    n = lat.rank
+    survivors = [
+        sorted(
+            (c for c in sub.cones if len(c) == l and lat.leq(sub.pushforward[c], tau)),
+            key=sorted,
+        )
+        for l in range(p + 1)
+    ]
+    sizes = [comb(n - l, p - l) for l in range(p + 1)]
+    dims = [len(cones) * size for cones, size in zip(survivors, sizes)]
+    mats = []
+    for l in range(p):
+        rows = [{} for _ in range(dims[l])]
+        for a, mu in enumerate(survivors[l]):
+            for b, nu in enumerate(survivors[l + 1]):
+                if mu < nu:
+                    for i, block_row in enumerate(block(mu, nu, p)):
+                        for j, x in block_row.items():
+                            rows[a * sizes[l] + i][b * sizes[l + 1] + j] = x
+        mats.append(rows)
+    return dims, mats
+
+
+@pytest.mark.parametrize(
+    "rays",
+    [SQUARE, CUBE.rays, OCTAHEDRON.rays, polygon_cone(5).rays],
+    ids=["square", "cube", "octahedron", "polygon-5"],
+)
+def test_degree_complex_matches_pairwise_reference(rays):
+    lat = face_lattice(rays)
+    for sub in (barycentric_subdivision(lat), interior_ray_subdivision(lat)):
+        blocks = {}
+
+        def block(mu, nu, p):
+            if (mu, nu, p) not in blocks:
+                blocks[mu, nu, p] = _minor_reference_block(sub, mu, nu, p)
+            return blocks[mu, nu, p]
+
+        for f in lat.faces:
+            deg = pick_degree(lat, f.id)
+            for p in range(lat.rank + 1):
+                cx = build_degree_complex(sub, p, deg)
+                dims, mats = _pairwise_reference_complex(sub, p, f.id, block)
+                assert cx.dims == dims
+                assert cx.mats == mats
+
+
+@pytest.mark.parametrize(
+    "name, rays, rank", CORPUS_AND_SIMPLEX5, ids=[c[0] for c in CORPUS_AND_SIMPLEX5]
+)
+def test_perp_basis_matches_nullspace(name, rays, rank):
+    # one elimination step from the facet's basis equals a fresh nullspace
+    lat = face_lattice(rays, rank)
+    for sub in (barycentric_subdivision(lat), interior_ray_subdivision(lat)):
+        for cone in sub.cones:
+            rows = [sparse_row(sub.rays[i]) for i in sorted(cone)]
+            assert differentials._perp_basis(sub, cone) == nullspace(rows, rank)
 
 
 def test_block_rejects_free_columns_that_do_not_nest(monkeypatch):
@@ -276,21 +348,59 @@ def test_second_degree_check_reads_the_dual_complex(monkeypatch):
         check_second_degree(sub, two_face, omega)
 
 
+def _flip_first_block(real):
+    """``_block`` with the sign of the block from the zero cone to ray 0 flipped."""
+
+    def flipped(sub, mu, nu, p):
+        rows = real(sub, mu, nu, p)
+        if nu == {0}:
+            rows = [{j: -x for j, x in row.items()} for row in rows]
+        return rows
+
+    return flipped
+
+
+def test_flipped_block_sign_raises_off_the_apex(monkeypatch):
+    # the quotient at a face is not checked again, but the apex it is read
+    # off is, whatever face asks first
+    monkeypatch.setattr(differentials, "_block", _flip_first_block(differentials._block))
+    lat, sub = square_setup()
+    face = next(f.id for f in lat.faces if f.dim == 2 and 0 in f.rays)
+    assert face != lat.top_id
+    with pytest.raises(CrossCheckMismatch):
+        omega_oracle(sub, face)
+
+
 def test_nonzero_composite_raises_under_optimize(child_env):
-    # the check is a raise, not an assert, so ``python -O`` keeps it
+    # the check is a raise, not an assert, so ``python -O`` keeps it, also
+    # for a complex read off the apex at a face below sigma
     code = (
-        "from icstalks.differentials import ChainComplexQ\n"
+        "from icstalks import differentials\n"
+        "from icstalks.cones import face_lattice\n"
+        "from icstalks.differentials import ChainComplexQ, omega_oracle\n"
         "from icstalks.errors import CrossCheckMismatch\n"
+        "from icstalks.subdivision import barycentric_subdivision\n"
         "print(__debug__)\n"
         "try:\n"
         "    ChainComplexQ(dims=[1, 1, 1], mats=[[{0: 1}], [{0: 1}]])\n"
+        "except CrossCheckMismatch:\n"
+        "    print('raised')\n"
+        "real = differentials._block\n"
+        "def flipped(sub, mu, nu, p):\n"
+        "    rows = real(sub, mu, nu, p)\n"
+        "    return [{j: -x for j, x in r.items()} for r in rows] if nu == {0} else rows\n"
+        "differentials._block = flipped\n"
+        f"lat = face_lattice({SQUARE})\n"
+        "face = next(f.id for f in lat.faces if f.dim == 2 and 0 in f.rays)\n"
+        "try:\n"
+        "    omega_oracle(barycentric_subdivision(lat), face)\n"
         "except CrossCheckMismatch:\n"
         "    print('raised')\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=child_env
     )
-    assert proc.stdout.split() == ["False", "raised"], proc.stderr
+    assert proc.stdout.split() == ["False", "raised", "raised"], proc.stderr
 
 
 def test_closed_form_tau_zero():
@@ -317,16 +427,8 @@ def _per_face_closed_form(d, tau):
     return BiLaurentPolynomial.monomial(0, -n) * (one + K_INV * L_VAR) ** (n - d_tau) * inner
 
 
-SIMPLEX5 = [(0, 0, 0, 0, 1)] + [
-    tuple(1 if i == j else 0 for j in range(4)) + (1,) for i in range(4)
-]
-CLOSED_FORM_CONES = [(spec.name, list(spec.rays), spec.rank) for spec in CORPUS] + [
-    ("simplex5", SIMPLEX5, 5)
-]
-
-
 @pytest.mark.parametrize(
-    "name, rays, rank", CLOSED_FORM_CONES, ids=[c[0] for c in CLOSED_FORM_CONES]
+    "name, rays, rank", CORPUS_AND_SIMPLEX5, ids=[c[0] for c in CORPUS_AND_SIMPLEX5]
 )
 def test_closed_form_matches_the_per_face_sum(name, rays, rank):
     lat = face_lattice(rays, rank)

@@ -3,6 +3,7 @@ import pytest
 import icstalks.differentials
 from icstalks.cones import pick_degree, second_degree
 from icstalks.corpus import ConeSpec, corpus_by_name, polygon_cone
+from icstalks.differentials import ChainComplexQ
 from icstalks.errors import CrossCheckMismatch
 from icstalks.polynomials import BiLaurentPolynomial
 from icstalks.verify import (
@@ -52,3 +53,28 @@ def test_run_cone_builds_each_ishida_complex_once(monkeypatch):
     # (n + 1) form degrees at each (face, degree): 4 * (10 faces + 9 second degrees)
     assert degrees == 19
     assert len(calls) == len(set(calls)) == (lat.rank + 1) * degrees
+
+
+def test_run_cone_checks_composites_once_per_form_degree(monkeypatch):
+    # only the apex complex of each p runs the d o d check; the complexes
+    # read off it at the other faces and degrees, and their duals, do not
+    spec = corpus_by_name("polygon-4")
+    checks = []
+    check = ChainComplexQ.__post_init__
+
+    def counting(self):
+        checks.append(self.dims)
+        check(self)
+
+    monkeypatch.setattr(ChainComplexQ, "__post_init__", counting)
+    report = run_cone(spec)
+    assert report.passed
+    assert len(checks) == spec.rank + 1
+
+
+@pytest.mark.slow
+def test_run_cone_on_simplex6_fails_only_center_multiplicity():
+    rays = tuple(tuple(int(i == j) for j in range(5)) + (1,) for i in range(-1, 5))
+    report = run_cone(ConeSpec(name="simplex6", rank=6, rays=rays))
+    failed = [c.name for c in report.checks if not c.passed]
+    assert failed == ["center-multiplicity-independence"]
