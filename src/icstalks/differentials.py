@@ -14,7 +14,8 @@ rho is the contraction with rho.  Adding rho to the cone's rays turns exactly
 one coordinate column of the echelon basis into a pivot, so in echelon
 coordinates the contraction needs no splitting vector: its entries are the
 pairings <b_i, rho> with signs, read off the columns.  The same elimination
-step gives each cone's basis from that of the facet without its largest ray.
+step gives each cone's basis, and its pairings with every further ray, from
+those of the facet without its largest ray.
 
 The block V_mu^p -> V_nu^p depends on (mu, nu, p) alone, not on u.  So each
 fan builds one *apex* complex per p, in degree u = 0 where every cone with at
@@ -23,7 +24,9 @@ differentials anticommute with no extra sign, which the apex checks rather
 than trusts: a nonzero composite raises ``CrossCheckMismatch``.  The complex
 at (tau, u) keeps the cones whose pushforward lies in tau, a downward-closed
 set; it is the quotient of the apex by the upward-closed rest, read off as
-the apex's rows and columns of the kept cones, renumbered.
+the apex's rows and columns of the kept cones, renumbered.  The kept cones
+depend on tau alone, so the quotient is memoized per (tau, p) beside the
+apex, and every valid degree of tau reads that one complex.
 
 Every differential is a list of sparse rows, placed block by block at the
 blocks' offsets.  Cohomology dimensions are exact: dim ker - dim im, with
@@ -46,7 +49,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .cones import DegreeVector, dot, pick_degree, second_degree, validate_degree
+from .cones import DegreeVector, pick_degree, second_degree, validate_degree
 from .errors import CrossCheckMismatch, DegreeMismatch, InvariantViolation
 from .linalg import SparseRow, canonical, integer_rank
 from .polynomials import (
@@ -168,12 +171,32 @@ def _perp_basis(sub: SubdivisionMap, cone: ConeSet):
 
 
 def _pairings(sub: SubdivisionMap, mu: ConeSet, rho: int):
-    """The pairings t_i = <b_i, rho> on mu's basis, and e, the first i with t_i != 0."""
+    """The pairings t_i = <b_i, rho> on mu's basis, and e, the first i with t_i != 0.
+
+    They follow the basis recursion of ``_perp_basis`` in O(m) for m basis
+    vectors: with mu' = mu - {max mu}, t' = t(mu', max mu) and e' its first
+    nonzero index, t(mu, rho)_s = t(mu', rho)_s - (t'_s / t'_e') t(mu', rho)_e'
+    for s != e'.  The zero cone's pairings are rho's coordinates.
+    """
     memo = sub.ishida_memo
     key = (mu, rho)
     if key not in memo:
-        ray = sub.rays[rho]
-        t = [canonical(dot(b, ray)) for b in _perp_basis(sub, mu)[0]]
+        if mu:
+            last = max(mu)
+            facet = mu - {last}
+            steps, e = _pairings(sub, facet, last)
+            r = _pairings(sub, facet, rho)[0]
+            pivot, r_e = steps[e], r[e]
+            t = []
+            for s, (x, y) in enumerate(zip(steps, r)):
+                if s != e:
+                    if x and r_e:
+                        # the same step as the basis, so the same canonical scalars
+                        f = x * pivot if pivot in (1, -1) else Fraction(x) / pivot
+                        y = canonical(y - f * r_e)
+                    t.append(y)
+        else:
+            t = list(sub.rays[rho])
         memo[key] = t, next(i for i, x in enumerate(t) if x)
     return memo[key]
 
@@ -270,7 +293,10 @@ def build_degree_complex(
     pushforward lies in tau.  Position 0 holds the wedge^p of the whole
     dual space (the zero cone); position l collects the surviving l-ray cones.
     The blocks do not depend on u, so this is the apex complex with only the
-    rows and columns of the surviving cones, renumbered in order.
+    rows and columns of the surviving cones, renumbered in order.  Which
+    cones survive depends on the face alone, so the quotient is memoized per
+    (face, p) beside the apex, and every valid degree of a face reads the
+    same complex.
     """
     lattice = sub.lattice
     n = lattice.rank
@@ -284,6 +310,10 @@ def build_degree_complex(
     layers, apex = _apex(sub, p)
     if degree.face == lattice.top_id:
         return apex
+    memo = sub.ishida_memo
+    key = (degree.face, p)
+    if key in memo:
+        return memo[key]
     below = lattice.down[degree.face]
     kept: list[list[int]] = []  # the apex rows kept at each position, in order
     for l, layer in enumerate(layers):
@@ -302,7 +332,8 @@ def build_degree_complex(
         mats.append(
             [{index[j]: x for j, x in rows[r].items() if j in index} for r in kept[l]]
         )
-    return ChainComplexQ._composing_to_zero([len(k) for k in kept], mats)
+    memo[key] = ChainComplexQ._composing_to_zero([len(k) for k in kept], mats)
+    return memo[key]
 
 
 def omega_oracle(sub: SubdivisionMap, tau: int) -> BiLaurentPolynomial:

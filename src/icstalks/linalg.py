@@ -6,17 +6,22 @@ A row is a dict from column index to its nonzero entry, a ``Fraction`` or an
 elimination, ``_eliminate``, gives every rank, determinant and nullspace;
 there is no modular or floating-point shortcut.
 
+The elimination is fraction-free (Bareiss 1968, without his exact
+division): a row holding a ``Fraction`` is cleared of its denominators
+once, and a non-unit pivot cross-multiplies the rows it reduces, so every
+pivot row it returns is in ``int``.  Row scalings keep the rank and the
+nullspace; ``determinant`` divides their product back out.
+
 ``determinant`` and the ``nullspace`` basis entries are an ``int`` where
 the value is integral and a ``Fraction`` only where it is not (the rule of
 ``canonical``, which the polynomial coefficients follow too).  Integral
-bases keep every later pairing in ``int`` arithmetic, and an elimination
-whose pivots are all ±1 never leaves ``int``.
+bases keep every later pairing in ``int`` arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 
 SparseRow = dict[int, int | Fraction]
 
@@ -31,31 +36,54 @@ def sparse_row(vector) -> SparseRow:
     return {j: x for j, x in enumerate(vector) if x}
 
 
-def _eliminate(rows) -> tuple[list[tuple[int, SparseRow]], int]:
-    """Row-reduce sparse rows exactly; return the pivots and a permutation sign.
+def _eliminate(rows) -> tuple[list[tuple[int, SparseRow]], int, list[int]]:
+    """Row-reduce sparse rows fraction-free; return the pivots, a sign and the scales.
 
-    Columns are taken left to right.  In each column the pivot is the shortest
-    remaining row with a nonzero entry there, and a multiple of it is
-    subtracted from every other remaining row with a nonzero entry there.
-    The pivot ``(column, row)`` pairs come back in column order, so the pivot
-    rows are an echelon form of the input; the sign is that of a row
-    permutation putting the pivot rows first, in that order.
+    A row holding a ``Fraction`` is first multiplied by the lcm of its
+    denominators, so every row is in ``int``.  Columns are taken left to
+    right.  In each column the pivot is the shortest remaining row with a
+    nonzero entry there; among rows of that length a ±1 entry wins, but never
+    over a shorter row.  Every other remaining row with a nonzero entry x
+    there becomes ``(pivot/g)·row - (x/g)·pivot_row`` with g = gcd(pivot, x),
+    which is ``row - x·pivot·pivot_row`` for a ±1 pivot.  The pivot
+    ``(column, row)`` pairs come back in column order, so the pivot rows are an
+    echelon form of the rows; the sign is that of a row permutation putting
+    the pivot rows first, in that order.  The scales are the row multipliers
+    other than 1, the lcms and the factors pivot/g, whose product divides the
+    determinant of the echelon form down to that of the input.
     """
     rows = [dict(r) for r in rows]
+    scales: list[int] = []
     # column -> indices of the remaining rows with a nonzero entry there
     where: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
             where.setdefault(j, set()).add(i)
+        # an int row sums to an int; a Fraction entry makes the sum a Fraction
+        if type(sum(row.values())) is not int:
+            m = lcm(*(x.denominator for x in row.values()))
+            rows[i] = {j: x.numerator * (m // x.denominator) for j, x in row.items()}
+            if m != 1:
+                scales.append(m)
     position = list(range(len(rows)))  # position[i]: where row i sits
     at = list(range(len(rows)))  # at[k]: the row sitting at position k
     pivots: list[tuple[int, SparseRow]] = []
     sign = 1
+
+    def length(i: int) -> int:
+        return len(rows[i])
+
     for c in sorted(where):
         holders = where[c]
         if not holders:
             continue
-        p = min(holders, key=lambda i: len(rows[i]))
+        p = min(holders, key=length) if len(holders) > 1 else next(iter(holders))
+        if rows[p][c] not in (1, -1):
+            shortest = len(rows[p])
+            for i in holders:
+                if len(rows[i]) == shortest and rows[i][c] in (1, -1):
+                    p = i
+                    break
         k, q = len(pivots), position[p]
         if q != k:
             other = at[k]
@@ -63,12 +91,23 @@ def _eliminate(rows) -> tuple[list[tuple[int, SparseRow]], int]:
             sign = -sign
         pivot_row = rows[p]
         pivot = pivot_row[c]
-        inverse = pivot if pivot in (1, -1) else 1 / Fraction(pivot)
+        unit = pivot in (1, -1)
         for j in pivot_row:
             where[j].discard(p)
         for i in list(holders):
             row = rows[i]
-            factor = row[c] * inverse
+            if unit:
+                factor = row[c] * pivot
+            else:
+                g = gcd(pivot, row[c])
+                if pivot < 0:
+                    g = -g
+                factor = row[c] // g
+                scale = pivot // g
+                if scale != 1:
+                    scales.append(scale)
+                    for j in row:
+                        row[j] *= scale
             for j, x in pivot_row.items():
                 y = row.get(j, 0) - factor * x
                 if y:
@@ -79,7 +118,7 @@ def _eliminate(rows) -> tuple[list[tuple[int, SparseRow]], int]:
                     del row[j]
                     where[j].discard(i)
         pivots.append((c, pivot_row))
-    return pivots, sign
+    return pivots, sign, scales
 
 
 def integer_rank(rows) -> int:
@@ -89,10 +128,12 @@ def integer_rank(rows) -> int:
 
 def determinant(rows) -> int | Fraction:
     """Determinant of a square matrix given by sparse rows."""
-    pivots, sign = _eliminate(rows)
+    pivots, sign, scales = _eliminate(rows)
     if len(pivots) < len(rows):
         return 0
-    return canonical(prod((row[c] for c, row in pivots), start=sign))
+    top = prod((row[c] for c, row in pivots), start=sign)
+    bottom = prod(scales)
+    return top // bottom if top % bottom == 0 else Fraction(top, bottom)
 
 
 def nullspace(rows, n_cols: int) -> tuple[list[list[int | Fraction]], list[int]]:
@@ -105,7 +146,7 @@ def nullspace(rows, n_cols: int) -> tuple[list[list[int | Fraction]], list[int]]
     coefficients of any nullspace vector v in this basis are simply v
     restricted to coordinate_columns.
     """
-    pivots, _ = _eliminate(rows)
+    pivots = _eliminate(rows)[0]
     pivot_cols = {c for c, _ in pivots}
     free_cols = [c for c in range(n_cols) if c not in pivot_cols]
     basis = []

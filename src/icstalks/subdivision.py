@@ -63,8 +63,8 @@ class SubdivisionMap:
     maximal: list[ConeSet]
     cones: set[ConeSet] = field(init=False)
     pushforward: dict[ConeSet, int] = field(init=False)
-    # the Ishida wedge bases, pairings and apex complexes of this fan,
-    # memoized by ``differentials`` alone; not part of the fan's value
+    # the Ishida wedge bases, pairings, apex complexes and face quotients of
+    # this fan, memoized by ``differentials`` alone; not part of the fan's value
     ishida_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -7,8 +7,8 @@ from math import comb
 import pytest
 
 from icstalks import differentials
-from icstalks.cones import DegreeVector, face_lattice, pick_degree, second_degree
-from icstalks.corpus import CORPUS, CUBE, OCTAHEDRON, orthant, polygon_cone
+from icstalks.cones import DegreeVector, dot, face_lattice, pick_degree, second_degree
+from icstalks.corpus import CORPUS, CUBE, OCTAHEDRON, corpus_by_name, orthant, polygon_cone
 from icstalks.differentials import (
     ChainComplexQ,
     build_degree_complex,
@@ -25,7 +25,7 @@ from icstalks.errors import (
     InvariantViolation,
     NotComparable,
 )
-from icstalks.linalg import nullspace, sparse_row
+from icstalks.linalg import canonical, integer_rank, nullspace, sparse_row
 from icstalks.polynomials import (
     K_INV,
     L_VAR,
@@ -38,6 +38,7 @@ from icstalks.subdivision import (
     interior_ray_subdivision,
     multiplicity_table,
 )
+from test_linalg import dense_gauss_rank
 
 SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
 ORTHANT3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -263,6 +264,24 @@ def test_perp_basis_matches_nullspace(name, rays, rank):
             assert differentials._perp_basis(sub, cone) == nullspace(rows, rank)
 
 
+@pytest.mark.parametrize(
+    "name, rays, rank", CORPUS_AND_SIMPLEX5, ids=[c[0] for c in CORPUS_AND_SIMPLEX5]
+)
+def test_pairings_recursion_matches_the_dense_dot(name, rays, rank):
+    # every (mu, rho) the apex uses: each cone nu = mu + {rho} of the fan
+    lat = face_lattice(rays, rank)
+    for sub in (barycentric_subdivision(lat), interior_ray_subdivision(lat)):
+        for nu in sub.cones:
+            for rho in nu:
+                mu = nu - {rho}
+                t, e = differentials._pairings(sub, mu, rho)
+                basis = differentials._perp_basis(sub, mu)[0]
+                dense = [canonical(dot(b, sub.rays[rho])) for b in basis]
+                assert t == dense
+                assert [type(x) for x in t] == [type(x) for x in dense]
+                assert e == next(i for i, x in enumerate(dense) if x)
+
+
 def test_block_rejects_free_columns_that_do_not_nest(monkeypatch):
     lat, sub = square_setup()
     mu, nu = frozenset(), frozenset({0})
@@ -320,6 +339,41 @@ def test_three_way_agreement_all_faces():
         fiber = omega_from_fiber_poincare(fiber_poincare(d, f.id), lat.rank, f.dim)
         assert oracle == closed == fiber
         assert oracle.is_integer() and oracle.is_nonnegative()
+
+
+SECOND_DEGREE_CONES = ["polygon-4", "cube", "octahedron", "polygon-5"]
+
+
+@pytest.mark.parametrize("name", SECOND_DEGREE_CONES)
+def test_second_degree_reads_the_first_degree_complex(name):
+    # the kept cones depend on the face alone, so both degrees share one
+    # memoized quotient; its exact ranks match a dense Fraction elimination
+    lat = corpus_by_name(name).lattice()
+    for sub in (barycentric_subdivision(lat), interior_ray_subdivision(lat)):
+        for f in lat.faces:
+            if f.id == lat.top_id:
+                continue
+            deg = pick_degree(lat, f.id)
+            other = second_degree(lat, deg)
+            assert other is not None and other.u != deg.u
+            for p in range(lat.rank + 1):
+                complex = build_degree_complex(sub, p, deg)
+                assert build_degree_complex(sub, p, other) is complex
+                for i, m in enumerate(complex.mats):
+                    dense = [[row.get(j, 0) for j in range(complex.dims[i + 1])] for row in m]
+                    assert integer_rank(m) == dense_gauss_rank(dense)
+
+
+def test_invalid_degree_raises_after_the_face_complex_is_memoized():
+    lat, sub = square_setup()
+    face = lat.faces_of_dim(2)[0]
+    deg = pick_degree(lat, face)
+    assert build_degree_complex(sub, 1, deg) is build_degree_complex(sub, 1, deg)
+    negated = DegreeVector(u=tuple(-x for x in deg.u), face=face)
+    with pytest.raises(DegreeMismatch):
+        build_degree_complex(sub, 1, negated)
+    with pytest.raises(DegreeMismatch):
+        build_degree_complex(sub, 1, DegreeVector(u=(0, 0, 0), face=face))
 
 
 def test_second_degree_check_rejects_wrong_omega():

@@ -1,12 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from icstalks.differentials import ChainComplexQ
 from icstalks.errors import CrossCheckMismatch
 from icstalks.linalg import (
+    _eliminate,
     determinant,
     integer_rank,
     nullspace,
@@ -174,3 +176,78 @@ def test_determinant_of_an_integer_matrix_is_an_int():
         assert det == leibniz_det(m) and type(det) is int
     assert type(determinant(sparse([[1, 2], [2, 4]]))) is int
     assert determinant(sparse([[Fraction(1, 2), 0], [0, 1]])) == Fraction(1, 2)
+
+
+def random_rational_matrix(rng, n_rows, n_cols):
+    """Entries in -9..9, about a third of them over a denominator from 2 to 6."""
+
+    def entry():
+        x = rng.randint(-9, 9)
+        return Fraction(x, rng.randint(2, 6)) if rng.random() < 0.3 else x
+
+    return [[entry() for _ in range(n_cols)] for _ in range(n_rows)]
+
+
+def force_deficiency(rng, m):
+    """m with one row replaced by a rational combination of two others."""
+    if len(m) >= 3:
+        i, j, k = rng.sample(range(len(m)), 3)
+        a, b = Fraction(rng.randint(-4, 4), rng.randint(1, 6)), rng.randint(-3, 3)
+        m[k] = [a * x + b * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+def rational_leibniz_det(m):
+    """Leibniz in int arithmetic: det(m) = det(l m) / l^n for l the lcm of all denominators."""
+    common = lcm(*(Fraction(x).denominator for row in m for x in row))
+    scaled = [[int(x * common) for x in row] for row in m]
+    return Fraction(leibniz_det(scaled), common ** len(m))
+
+
+def test_fraction_free_rank_and_determinant_match_the_references_randomized():
+    rng = random.Random(17)
+    kinds = list(itertools.product((False, True), repeat=2))  # (rational, deficient)
+    for n in range(1, 9):
+        # Leibniz over 8! permutations is slow, so each kind has one 8 x 8 case
+        for rational, deficient in kinds * (1 if n == 8 else 3):
+            if rational:
+                square = random_rational_matrix(rng, n, n)
+            else:
+                square = random_matrix(rng, n, n, -9, 9)
+            if deficient:
+                square = force_deficiency(rng, square)
+            det, expected = determinant(sparse(square)), rational_leibniz_det(square)
+            assert det == expected, square
+            # an int where the value is integral, a Fraction only where not
+            assert type(det) is (int if expected.denominator == 1 else Fraction), square
+            m = random_rational_matrix(rng, n, rng.randint(1, 8))
+            if deficient:
+                m = force_deficiency(rng, m)
+            rank = integer_rank(sparse(m))
+            assert rank == dense_gauss_rank(m), m
+            if len(m) <= 6 and len(m[0]) <= 6:
+                assert rank == minor_rank(m), m
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["int", "fraction"])
+def test_pivot_rows_hold_only_ints(rational):
+    rng = random.Random(23)
+    for _ in range(60):
+        n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 8)
+        if rational:
+            m = random_rational_matrix(rng, n_rows, n_cols)
+            # an integral Fraction is still a Fraction on the way in
+            m[0][0] = Fraction(2)
+        else:
+            m = random_matrix(rng, n_rows, n_cols, -9, 9)
+        pivots = _eliminate(sparse(force_deficiency(rng, m)))[0]
+        assert all(type(x) is int for _, row in pivots for x in row.values()), m
+
+
+def test_pivot_is_the_shortest_row_and_a_unit_only_breaks_ties():
+    # a shorter row with pivot 2 beats a longer row with pivot 1
+    short = {0: 2, 1: 1}
+    assert _eliminate([{0: 1, 1: 1, 2: 1}, short])[0][0] == (0, short)
+    # among rows of equal length, the unit entry wins
+    unit = {0: -1, 2: 1}
+    assert _eliminate([{0: 2, 1: 1}, unit])[0][0] == (0, unit)

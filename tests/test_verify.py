@@ -72,9 +72,18 @@ def test_run_cone_checks_composites_once_per_form_degree(monkeypatch):
     assert len(checks) == spec.rank + 1
 
 
+SIMPLEX6 = tuple(tuple(int(i == j) for j in range(5)) + (1,) for i in range(-1, 5))
+CUBE6 = tuple(tuple((v >> k) & 1 for k in range(5)) + (1,) for v in range(32))
+CROSS6 = tuple(
+    tuple(s * int(i == j) for j in range(5)) + (1,) for i in range(5) for s in (1, -1)
+)
+
+
 @pytest.mark.slow
-def test_run_cone_on_simplex6_fails_only_center_multiplicity():
-    rays = tuple(tuple(int(i == j) for j in range(5)) + (1,) for i in range(-1, 5))
-    report = run_cone(ConeSpec(name="simplex6", rank=6, rays=rays))
+@pytest.mark.parametrize(
+    "name, rays", [("simplex6", SIMPLEX6), ("cube6", CUBE6), ("cross6", CROSS6)]
+)
+def test_run_cone_at_rank_6_fails_only_center_multiplicity(name, rays):
+    report = run_cone(ConeSpec(name=name, rank=6, rays=rays))
     failed = [c.name for c in report.checks if not c.passed]
     assert failed == ["center-multiplicity-independence"]
