@@ -59,11 +59,10 @@ def _check_face_id(lattice, option: str, fid: int | None) -> None:
         raise ValueError(f"{option} {fid} is not a face id in 0..{lattice.top_id}")
 
 
-def _emit(args, payload: dict, text: str | None = None) -> None:
+def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text if text is not None else json.dumps(payload, indent=2, sort_keys=True))
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    print(text)
 
 
 def cmd_faces(args) -> int:

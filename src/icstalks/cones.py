@@ -152,6 +152,9 @@ class FaceLattice:
         for r in rays:
             if len(r) != rank:
                 raise ValueError("ray length does not match the ambient rank")
+            # a float, Fraction or bool entry would be truncated into another cone
+            if any(isinstance(x, bool) or not isinstance(x, int) for x in r):
+                raise ValueError(f"ray {list(r)} has an entry that is not an int")
             if not any(r):
                 raise ValueError("the zero vector is not a valid ray")
         self.rays = [primitive(r) for r in rays]

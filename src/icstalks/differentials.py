@@ -13,9 +13,10 @@ primitive generator of rho.  The differential into the term that adds a ray
 rho is the contraction with rho.  Adding rho to the cone's rays turns exactly
 one coordinate column of the echelon basis into a pivot, so in echelon
 coordinates the contraction needs no splitting vector: its entries are the
-pairings <b_i, rho> with signs, read off the columns.  The same elimination
-step gives each cone's basis, and its pairings with every further ray, from
-those of the facet without its largest ray.
+pairings <b_i, rho> with signs, read off the columns.  The basis itself
+stays implicit: only its coordinate columns and its pairings with the rays
+are computed, each cone's from those of the facet without its largest ray,
+by the one elimination step that the basis would take.
 
 The block V_mu^p -> V_nu^p depends on (mu, nu, p) alone, not on u.  So each
 fan builds one *apex* complex per p, in degree u = 0 where every cone with at
@@ -135,45 +136,35 @@ def _dual_cohomology_dims(complex: ChainComplexQ) -> list[int]:
     return cohomology_dims(dual)[::-1]
 
 
-def _perp_basis(sub: SubdivisionMap, cone: ConeSet):
-    """Echelon-normalized basis of nu_perp for the cone nu, with its coordinate columns.
+def _free_columns(sub: SubdivisionMap, cone: ConeSet) -> list[int]:
+    """The coordinate columns of the cone's echelon basis of nu_perp.
 
-    The zero cone has the standard basis.  Otherwise nu = mu + {rho} for its
-    largest ray index rho, and nu's basis is mu's after one elimination step:
-    b_s - (t_s / t_e) b_e for s != e, with t and e from ``_pairings``.  A
-    vector of nu_perp is a combination sum_s c_s b_s with sum_s c_s t_s = 0;
-    its last nonzero column is mu's column s for the largest s with c_s != 0,
-    and that s can be any index but e.  So nu's coordinate columns are mu's
-    without column e, and the new vectors are 1 and 0 on them, as echelon
-    normalization asks.
+    The zero cone's basis is the standard one, on every column.  Otherwise
+    nu = mu + {rho} for its largest ray index rho, and nu's basis is mu's after
+    one elimination step: b_s - (t_s / t_e) b_e for s != e, with t and e from
+    ``_pairings``.  A vector of nu_perp is a combination sum_s c_s b_s with
+    sum_s c_s t_s = 0; its last nonzero column is mu's column s for the
+    largest s with c_s != 0, and that s can be any index but e.  So nu's
+    coordinate columns are mu's without column e.  The vectors themselves are
+    never formed: the blocks read only these columns and the pairings.
     """
     memo = sub.ishida_memo
     if cone not in memo:
         if cone:
             rho = max(cone)
             mu = cone - {rho}
-            basis, cols = _perp_basis(sub, mu)
-            t, e = _pairings(sub, mu, rho)
-            pivot, b_e = t[e], basis[e]
-            new_basis = []
-            for s, (b, x) in enumerate(zip(basis, t)):
-                if s != e:
-                    if x:
-                        # a unit pivot is its own inverse
-                        f = x * pivot if pivot in (1, -1) else Fraction(x) / pivot
-                        b = [canonical(y - f * z) for y, z in zip(b, b_e)]
-                    new_basis.append(b)
-            memo[cone] = new_basis, cols[:e] + cols[e + 1 :]
+            e = _pairings(sub, mu, rho)[1]
+            cols = _free_columns(sub, mu)
+            memo[cone] = cols[:e] + cols[e + 1 :]
         else:
-            n = sub.lattice.rank
-            memo[cone] = [[int(i == j) for j in range(n)] for i in range(n)], list(range(n))
+            memo[cone] = list(range(sub.lattice.rank))
     return memo[cone]
 
 
 def _pairings(sub: SubdivisionMap, mu: ConeSet, rho: int):
     """The pairings t_i = <b_i, rho> on mu's basis, and e, the first i with t_i != 0.
 
-    They follow the basis recursion of ``_perp_basis`` in O(m) for m basis
+    They follow the basis recursion of ``_free_columns`` in O(m) for m basis
     vectors: with mu' = mu - {max mu}, t' = t(mu', max mu) and e' its first
     nonzero index, t(mu, rho)_s = t(mu', rho)_s - (t'_s / t'_e') t(mu', rho)_e'
     for s != e'.  The zero cone's pairings are rho's coordinates.
@@ -191,7 +182,7 @@ def _pairings(sub: SubdivisionMap, mu: ConeSet, rho: int):
             for s, (x, y) in enumerate(zip(steps, r)):
                 if s != e:
                     if x and r_e:
-                        # the same step as the basis, so the same canonical scalars
+                        # a unit pivot is its own inverse
                         f = x * pivot if pivot in (1, -1) else Fraction(x) / pivot
                         y = canonical(y - f * r_e)
                     t.append(y)
@@ -231,8 +222,8 @@ def _block(sub: SubdivisionMap, mu: ConeSet, nu: ConeSet, p: int) -> list[Sparse
     is 0 at s = e: row S has (-1)^(k-1-j) t_{s_j} at S - {s_j}, reindexed.
     """
     (rho,) = nu - mu
-    src_cols = _perp_basis(sub, mu)[1]
-    dst_cols = _perp_basis(sub, nu)[1]
+    src_cols = _free_columns(sub, mu)
+    dst_cols = _free_columns(sub, nu)
     t, e = _pairings(sub, mu, rho)
     if dst_cols != src_cols[:e] + src_cols[e + 1 :]:
         raise InvariantViolation(

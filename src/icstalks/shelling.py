@@ -222,8 +222,6 @@ class _BoundaryShellings:
         return frozenset(maximal)
 
     def step_ok(self, new_facet: int, earlier: list[int]) -> bool:
-        if not earlier:
-            return self.shelling_with_prefix(new_facet, frozenset()) is not None
         prefix = self._meets_restriction(new_facet, earlier)
         if prefix is None:
             return False
@@ -287,6 +285,12 @@ def lexicographic_shelling(
         return verify_shelling(complex, list(complex.facets))
 
     face_ray = {fid: ri for ri, fid in enumerate(sub.ray_face)}
+    for f in lattice.faces:
+        if f.id != lattice.zero_id and f.id not in face_ray:
+            raise ValueError(
+                f"face {f.id} has no ray in the fan; the lexicographic shelling "
+                "needs the barycentric fan, with one ray per nonzero face"
+            )
     boundaries = _BoundaryShellings(lattice)
     order_memo: dict[tuple[int, ...], list[int]] = {}
 

@@ -63,7 +63,7 @@ class SubdivisionMap:
     maximal: list[ConeSet]
     cones: set[ConeSet] = field(init=False)
     pushforward: dict[ConeSet, int] = field(init=False)
-    # the Ishida wedge bases, pairings, apex complexes and face quotients of
+    # the Ishida free columns, pairings, apex complexes and face quotients of
     # this fan, memoized by ``differentials`` alone; not part of the fan's value
     ishida_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

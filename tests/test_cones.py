@@ -322,6 +322,15 @@ def test_rank_zero_lattice():
     assert lat.zero_id == lat.top_id == 0
 
 
+@pytest.mark.parametrize(
+    "entry", [1.5, Fraction(3, 2), True], ids=["float", "fraction", "bool"]
+)
+def test_face_lattice_rejects_ray_entries_that_are_not_ints(entry):
+    # each would otherwise be truncated to 1, giving the orthant
+    with pytest.raises(ValueError, match="not an int"):
+        face_lattice([(entry, 0), (0, 1)])
+
+
 def test_meet_is_ray_intersection():
     lat = face_lattice(CUBE)
     for a in lat.faces:

@@ -244,10 +244,7 @@ def test_pivot_rows_hold_only_ints(rational):
         assert all(type(x) is int for _, row in pivots for x in row.values()), m
 
 
-def test_pivot_is_the_shortest_row_and_a_unit_only_breaks_ties():
+def test_pivot_is_the_shortest_row():
     # a shorter row with pivot 2 beats a longer row with pivot 1
     short = {0: 2, 1: 1}
     assert _eliminate([{0: 1, 1: 1, 2: 1}, short])[0][0] == (0, short)
-    # among rows of equal length, the unit entry wins
-    unit = {0: -1, 2: 1}
-    assert _eliminate([{0: 2, 1: 1}, unit])[0][0] == (0, unit)

@@ -116,6 +116,14 @@ def test_lexicographic_cube():
     assert order.type_histogram()[0] == 1
 
 
+def test_lexicographic_rejects_a_fan_that_is_not_barycentric():
+    # the cube's edges are simplicial 2-faces: the interior-ray fan adds no ray
+    lat = face_lattice(CUBE)
+    first = min(f.id for f in lat.faces if f.dim == 2)
+    with pytest.raises(ValueError, match=f"face {first} has no ray"):
+        lexicographic_shelling(lat, interior_ray_subdivision(lat))
+
+
 def _subsets(facet):
     items = sorted(facet)
     for size in range(len(items) + 1):
