@@ -48,11 +48,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, lcm
 
 from .cones import DegreeVector, pick_degree, second_degree, validate_degree
 from .errors import CrossCheckMismatch, DegreeMismatch, InvariantViolation
-from .linalg import SparseRow, canonical, integer_rank
+from .linalg import SparseRow, canonical, integer_rank, integral_row
 from .polynomials import (
     BiLaurentPolynomial,
     K_INV,
@@ -70,6 +70,9 @@ class ChainComplexQ:
     ``mats[i]`` is the differential from position i to i+1 in row convention:
     one sparse row per source basis element, ``dims[i]`` rows in all.
     Consecutive products are zero; a nonzero one raises ``CrossCheckMismatch``.
+    The check runs in ``int``: each row of d_i and each column of d_{i+1}
+    holding a ``Fraction`` is multiplied by the lcm of its denominators, and
+    R·d_i·d_{i+1}·S vanishes with d_i·d_{i+1} for invertible diagonal R, S.
     """
 
     dims: list[int]
@@ -77,8 +80,9 @@ class ChainComplexQ:
 
     def __post_init__(self):
         for i in range(len(self.mats) - 1):
-            following = self.mats[i + 1]
+            following = _integral_columns(self.mats[i + 1])
             for row in self.mats[i]:
+                row, _ = integral_row(row)
                 composite: SparseRow = {}
                 for k, x in row.items():
                     for j, y in following[k].items():
@@ -103,6 +107,21 @@ class ChainComplexQ:
         complex = cls.__new__(cls)
         complex.dims, complex.mats = dims, mats
         return complex
+
+
+def _integral_columns(rows: list[SparseRow]) -> list[SparseRow]:
+    """``rows`` with each column holding a ``Fraction`` times its denominators' lcm."""
+    scale: dict[int, int] = {}
+    for row in rows:
+        for j, y in row.items():
+            if type(y) is not int:
+                scale[j] = lcm(scale.get(j, 1), y.denominator)
+    if not scale:
+        return rows
+    return [
+        {j: y.numerator * (scale.get(j, 1) // y.denominator) for j, y in row.items()}
+        for row in rows
+    ]
 
 
 def cohomology_dims(complex: ChainComplexQ) -> list[int]:

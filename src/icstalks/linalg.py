@@ -38,6 +38,15 @@ def sparse_row(vector) -> SparseRow:
     return {j: x for j, x in enumerate(vector) if x}
 
 
+def integral_row(row: SparseRow) -> tuple[SparseRow, int]:
+    """``row`` times the lcm m of its denominators, in ``int``, and m."""
+    # an int row sums to an int; a Fraction entry makes the sum a Fraction
+    if type(sum(row.values())) is int:
+        return row, 1
+    m = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (m // x.denominator) for j, x in row.items()}, m
+
+
 def _eliminate(rows) -> tuple[list[tuple[int, SparseRow]], int, list[int]]:
     """Row-reduce sparse rows fraction-free; return the pivots, a sign and the scales.
 
@@ -61,12 +70,9 @@ def _eliminate(rows) -> tuple[list[tuple[int, SparseRow]], int, list[int]]:
     for i, row in enumerate(rows):
         for j in row:
             where.setdefault(j, set()).add(i)
-        # an int row sums to an int; a Fraction entry makes the sum a Fraction
-        if type(sum(row.values())) is not int:
-            m = lcm(*(x.denominator for x in row.values()))
-            rows[i] = {j: x.numerator * (m // x.denominator) for j, x in row.items()}
-            if m != 1:
-                scales.append(m)
+        rows[i], m = integral_row(row)
+        if m != 1:
+            scales.append(m)
     position = list(range(len(rows)))  # position[i]: where row i sits
     at = list(range(len(rows)))  # at[k]: the row sitting at position k
     pivots: list[tuple[int, SparseRow]] = []

@@ -5,15 +5,17 @@ vertex sets; coordinates are never consulted):
 
   * ``verify_shelling`` checks a facet order by the unique-minimal-new-face
     characterization: at each step the faces not seen earlier must form an
-    interval [R, F].  The restriction face R gives the facet's type |R|.
-    One set holds every face of the earlier facets, so a step is 2^d set
-    lookups and F facets of size d cost O(F * 2^d), not a rescan of the
-    earlier facets.
+    interval [R, F] (Ziegler, *Lectures on Polytopes*, sec. 8.1).  The
+    restriction face R gives the facet's type |R|.  One set holds every
+    face of the earlier facets; it is closed under subsets, so a step holds
+    exactly when R = {v : F - v is old} is nonempty and not old itself.
+    F facets of size d cost O(F * d) set lookups plus one insertion per face
+    of the complex, not a rescan of the earlier facets.
   * ``find_shelling`` searches for a shelling order by depth-first extension
     with backtracking, memoizing dead prefix sets (step validity depends only
     on the set of earlier facets, not their order).  It keeps the face set of
     its current prefix, adding a facet's new faces on extension and removing
-    them on backtrack.
+    them on backtrack, so the set stays closed under subsets.
   * ``lexicographic_shelling`` builds the recursive lexicographic order on
     the maximal chains of a face lattice, the barycentric analogue of a line
     shelling: chains are compared at the largest level where they differ,
@@ -110,13 +112,14 @@ def _step_restriction(
     ``old`` holds every face of the earlier facets, so a subset of ``facet``
     lies in an earlier facet exactly when it is in ``old``.  The step is valid
     when the old subsets are exactly those missing some vertex of the
-    candidate restriction face R = {v : facet - v is old}, R nonempty.  The
-    test makes 2^d set lookups for a facet of size d.
+    candidate restriction face R = {v : facet - v is old}, R nonempty.
+    Since ``old`` is closed under subsets, that holds exactly when R is not
+    old: a subset missing a vertex v of R lies in the old facet - v, and a
+    subset containing R is old only if R is.  So the test makes d + 1 set
+    lookups for a facet of size d.
     """
     restriction = frozenset(v for v in facet if facet - {v} in old)
-    if not restriction:
-        return None
-    if any((s in old) == (restriction <= s) for s in _faces(facet)):
+    if not restriction or restriction in old:
         return None
     return restriction
 
@@ -131,9 +134,9 @@ def verify_shelling(
 ) -> ShellingOrder:
     """Check a facet order; raises NotAShelling at the first violating index.
 
-    One set ``old`` holds every face of the facets checked so far, and each
-    step adds the faces the new facet brings, so F facets of size d cost
-    O(F * 2^d) set operations.
+    One set ``old`` holds every face of the facets checked so far, closed
+    under subsets, and each step adds the faces the new facet brings, so F
+    facets of size d cost O(F * d) lookups plus one insertion per face.
     """
     if sorted(order, key=sorted) != sorted(complex.facets, key=sorted):
         raise ValueError("order is not a permutation of the facets")

@@ -22,7 +22,10 @@ of the chain, or g itself when the chain is empty.
     already, so the result is a simplicial fan.
 
 A fan is its maximal cones and its ray tags, the faces of sigma whose
-relative interiors hold its rays.  The multiplicity table d_l(tau) counts
+relative interiors hold its rays.  Its cones are reached in one walk down
+from the maximal cones, one ray at a time, each cone once; a cone lies over
+the join of its rays' tags, found with one join per cone from the facet
+without its largest ray.  The multiplicity table d_l(tau) counts
 l-dimensional cones whose minimal containing face of sigma, the join of
 their rays' tags, is tau.
 
@@ -34,8 +37,6 @@ interior ridge, from opposite sides, and one point lies in exactly one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import combinations
 
 from .cones import FaceLattice, Vector, dot, primitive, rank_of, vector_sum
 from .errors import CrossCheckMismatch, InvariantViolation, NotSimplicialResult
@@ -55,6 +56,10 @@ class SubdivisionMap:
     and ``pushforward``, each cone's minimal containing face.  That face is
     the join of the cone's ray tags: the rays pair >= 0 with every facet
     normal, so their sum vanishes on a normal exactly when each ray does.
+    The cones come from a walk down from the maximal cones, which may have
+    mixed sizes, dropping one ray at a time; then, in increasing size, each
+    cone's face is the join of its facet without its largest ray with that
+    ray's tag, one join per nonzero cone.
     """
 
     lattice: FaceLattice
@@ -72,10 +77,24 @@ class SubdivisionMap:
         for i, (ray, fid) in enumerate(zip(self.rays, self.ray_face)):
             if lattice.face_of_point(ray) != fid:
                 raise InvariantViolation(fid, "ray tag", f"ray {i} is not interior to its face")
-        faces = (combinations(c, k) for c in self.maximal for k in range(len(c) + 1))
-        self.cones = {frozenset(f) for fs in faces for f in fs}
-        join, zero, tags = lattice.join, lattice.zero_id, self.ray_face
-        self.pushforward = {c: reduce(join, (tags[i] for i in c), zero) for c in self.cones}
+        # walk down from the maximal cones one ray at a time, size by size,
+        # so each cone is reached once however many maximal cones hold it
+        size = max(map(len, self.maximal), default=-1)
+        levels: list[set[ConeSet]] = [set() for _ in range(size + 1)]
+        for c in self.maximal:
+            levels[len(c)].add(c)
+        for k in range(size, 0, -1):
+            levels[k - 1].update(c - {i} for c in levels[k] for i in c)
+        self.cones = set().union(*levels)
+        # join the largest ray's tag onto the pushforward of the facet without
+        # it: by associativity that is the join of all the ray tags
+        join, tags = lattice.join, self.ray_face
+        pushforward = {frozenset(): lattice.zero_id} if levels else {}
+        for level in levels[1:]:
+            for c in level:
+                top = max(c)
+                pushforward[c] = join(pushforward[c - {top}], tags[top])
+        self.pushforward = pushforward
 
     def cones_by_dim(self) -> dict[int, list[ConeSet]]:
         out: dict[int, list[ConeSet]] = {}
@@ -150,9 +169,12 @@ def _chain_subdivision(
     Sigma's rays keep their lattice indices; the interior ray of
     ``centred[k]`` gets index ``len(lattice.rays) + k``.  Every centred face
     must have dimension >= 2.  The construction is checked, not trusted:
-    every maximal cone must be simplicial and n-dimensional, so every cone
-    is simplicial, being a face of one; and the fan's derived cones and
-    pushforward must be the chain cones and their chain tops.
+    the maximal cones are the chain cones with n rays, and each must be
+    simplicial and n-dimensional, with no chain cone of more rays, so every
+    cone of the fan is simplicial, being a face of one; every chain cone
+    must lie in one of them, or it would be a maximal cone of fewer rays;
+    and the fan's derived cones and pushforward must be the chain cones and
+    their chain tops.
     """
     n = lattice.rank
     faces = lattice.faces
@@ -190,15 +212,15 @@ def _chain_subdivision(
                 for rs, top in chains_from[fid]:
                     top_of[g.rays | rs] = top
 
-    # the cones are closed under faces, so a cone is maximal unless it is a
-    # facet of another cone
-    cones = set(top_of)
-    covered = {c - {i} for c in cones for i in c}
-    maximal = sorted(cones - covered, key=sorted)
+    maximal = sorted((c for c in top_of if len(c) >= n), key=sorted)
     for c in maximal:
         if len(c) != n or rank_of([rays[i] for i in c]) != n:
             raise NotSimplicialResult(f"{kind} maximal cone {sorted(c)} is not simplicial, {n}-dim")
     sub = SubdivisionMap(lattice=lattice, rays=rays, ray_face=ray_face, maximal=maximal)
+    missing = [c for c in top_of if c not in sub.cones]
+    if missing:
+        cone = min(missing, key=sorted)
+        raise NotSimplicialResult(f"{kind} cone {sorted(cone)} lies in no {n}-ray cone")
     if sub.pushforward != top_of:
         cone = min((c for c, _ in sub.pushforward.items() ^ top_of.items()), key=sorted)
         raise CrossCheckMismatch(
@@ -275,9 +297,17 @@ def validate_subdivision(sub: SubdivisionMap) -> None:
         if expected == 2 and sides[0] == sides[1]:
             message = f"both maximal cones at ridge {sorted(ridge)} lie on one side of it"
             raise InvariantViolation(top, "orientation", message)
+    # a ray lies in a face whatever cone holds it, so each (ray, face) pair
+    # is tested once, at the first cone that brings it
+    tested: dict[int, set[int]] = {}
     for cone, tau in sub.pushforward.items():
+        done = tested.setdefault(tau, set())
+        fresh = cone - done
+        if not fresh:
+            continue
+        done |= fresh
         normals = [lattice.dual_generators[s] for s in lattice.faces[tau].normals]
-        if any(dot(u, sub.rays[i]) for u in normals for i in cone):
+        if any(dot(u, sub.rays[i]) for u in normals for i in fresh):
             raise InvariantViolation(tau, "pushforward", f"cone {sorted(cone)} leaves its face")
     # Cramer's rule: a point lies in a simplicial cone when putting it in
     # place of any one generator never flips the sign of the determinant

@@ -1,4 +1,5 @@
 import itertools
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -83,6 +84,63 @@ def test_term_dims_p1_two_face_degree():
 def test_zero_differential_cohomology():
     cx = ChainComplexQ(dims=[3, 9], mats=[[{} for _ in range(3)]])
     assert cohomology_dims(cx) == [3, 9]
+
+
+def _composites_vanish(mats):
+    """The d o d check by definition, summing Fraction products."""
+    for a, b in zip(mats, mats[1:]):
+        for row in a:
+            composite = {}
+            for k, x in row.items():
+                for j, y in b[k].items():
+                    composite[j] = composite.get(j, 0) + Fraction(x) * y
+            if any(composite.values()):
+                return False
+    return True
+
+
+def _random_scalar(rng):
+    """A nonzero rational, integral about a third of the time."""
+    return canonical(Fraction(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(1, 3)))
+
+
+def _random_entry(rng):
+    return rng.choice((0, _random_scalar(rng)))
+
+
+def test_composite_check_in_int_matches_fraction_composites():
+    # d0 has rows along v, d1 has columns orthogonal to v, d2 has columns in
+    # the kernel of d1, each scaled; then one entry may be perturbed
+    rng = random.Random(7)
+    verdicts = set()
+    for _ in range(80):
+        b, c = rng.randint(2, 5), rng.randint(2, 5)
+        v = [_random_entry(rng) for _ in range(b - 1)]
+        v.append(Fraction(rng.randint(1, 4), rng.randint(1, 4)))
+        scales = [_random_scalar(rng) for _ in range(rng.randint(1, 4))]
+        d0 = [sparse_row([canonical(s * x) for x in v]) for s in scales]
+        columns = []
+        for _ in range(c):
+            w = [_random_entry(rng) for _ in range(b - 1)]
+            columns.append(w + [canonical(-sum(x * y for x, y in zip(v, w)) / v[-1])])
+        d1 = [sparse_row([col[k] for col in columns]) for k in range(b)]
+        kernel, _ = nullspace(d1, c)
+        scales = [_random_scalar(rng) for _ in kernel]
+        kernel = [[canonical(s * x) for x in vec] for s, vec in zip(scales, kernel)] or [[0] * c]
+        d2 = [sparse_row([vec[k] for vec in kernel]) for k in range(c)]
+        mats, widths = [d0, d1, d2], [b, c, len(kernel)]
+        if rng.random() < 0.6:
+            i = rng.randrange(3)
+            rng.choice(mats[i])[rng.randrange(widths[i])] = Fraction(1, rng.randint(1, 5))
+        dims = [len(d0)] + widths
+        expected = _composites_vanish(mats)
+        if expected:
+            ChainComplexQ(dims=dims, mats=mats)
+        else:
+            with pytest.raises(CrossCheckMismatch):
+                ChainComplexQ(dims=dims, mats=mats)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_degree_mismatch():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from icstalks import shelling
 from icstalks.cones import face_lattice
 from icstalks.corpus import CORPUS
 from icstalks.errors import NoShellingFound, NotAShelling, NotPure
@@ -203,6 +204,68 @@ def test_verify_shelling_matches_quadratic_reference(rays):
             assert err.value.index == index
         verdicts.add(index is None)
     assert verdicts == {True, False}
+
+
+def _random_pure_complex(rng):
+    d = rng.randint(2, 4)
+    candidates = [fs(*c) for c in itertools.combinations(range(rng.randint(d + 1, 8)), d)]
+    return rng.sample(candidates, rng.randint(2, min(10, len(candidates))))
+
+
+def test_step_test_matches_subset_reference_on_random_complexes():
+    # random pure complexes of dimension 1..3 on up to 8 vertices, in random
+    # orders and, when the complex shells, in a found shelling and in that
+    # shelling with two facets swapped
+    rng = random.Random(19)
+    verdicts = set()
+    for _ in range(150):
+        cx = SimplicialComplex(facets=_random_pure_complex(rng))
+        orders = []
+        for _ in range(3):
+            order = list(cx.facets)
+            rng.shuffle(order)
+            orders.append(order)
+        try:
+            shelled = find_shelling(cx).order
+        except NoShellingFound:
+            shelled = None
+        if shelled is not None:
+            swapped = list(shelled)
+            i, j = rng.sample(range(len(swapped)), 2)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            orders += [shelled, swapped]
+        for order in orders:
+            index, expected = _reference_verify(order)
+            if index is None:
+                found = verify_shelling(cx, order)
+                assert (found.types, found.restriction) == expected
+            else:
+                with pytest.raises(NotAShelling) as err:
+                    verify_shelling(cx, order)
+                assert err.value.index == index
+            verdicts.add(index is None)
+    assert verdicts == {True, False}
+
+
+def test_verify_shelling_adds_each_face_once(monkeypatch):
+    for rays in (SQUARE, CUBE, SIMPLEX5):
+        lat = face_lattice(rays)
+        sub = barycentric_subdivision(lat)
+        order = lexicographic_shelling(lat, sub).order
+        made = []
+        faces = shelling._faces
+
+        def counting(vertices):
+            out = faces(vertices)
+            made.extend(out)
+            return out
+
+        # the first facet's faces, then at each step the subsets of facet - R,
+        # one for each new face R | rest: every face of the complex once
+        monkeypatch.setattr(shelling, "_faces", counting)
+        verify_shelling(complex_from_fan(sub), order)
+        monkeypatch.setattr(shelling, "_faces", faces)
+        assert len(made) == len(sub.cones)
 
 
 def test_find_shelling_returns_the_first_shelling_permutation():

@@ -1,11 +1,15 @@
+from functools import reduce
+from itertools import combinations
+
 import pytest
 
 from icstalks.cones import dot, face_lattice, vector_sum
 from icstalks.corpus import CORPUS
 from icstalks.decomposition import solve_decomposition
-from icstalks.errors import InvariantViolation
+from icstalks.errors import InvariantViolation, NotSimplicialResult
 from icstalks.subdivision import (
     SubdivisionMap,
+    _chain_subdivision,
     barycentric_subdivision,
     chain_count_oracle,
     interior_ray_subdivision,
@@ -275,3 +279,75 @@ def test_validate_rejects_a_pushforward_leaving_its_face():
     with pytest.raises(InvariantViolation) as info:
         validate_subdivision(sub)
     assert info.value.prop == "pushforward"
+
+
+def _reference_cones(sub):
+    """Cones and pushforward by definition: every subset of every maximal
+    cone, each over the join of all its ray tags."""
+    lat = sub.lattice
+    faces = (combinations(c, k) for c in sub.maximal for k in range(len(c) + 1))
+    cones = {frozenset(f) for fs in faces for f in fs}
+    pushforward = {
+        c: reduce(lat.join, (sub.ray_face[i] for i in c), lat.zero_id) for c in cones
+    }
+    return cones, pushforward
+
+
+def _reference_maximal(cones):
+    """The cones that are no facet of another cone, sorted."""
+    covered = {c - {i} for c in cones for i in c}
+    return sorted(cones - covered, key=sorted)
+
+
+@pytest.mark.parametrize("name, rays, rank", FAN_CONES, ids=[name for name, _, _ in FAN_CONES])
+def test_fan_walk_matches_subset_enumeration(name, rays, rank):
+    lat = face_lattice(rays, rank=rank)
+    for sub in (barycentric_subdivision(lat), interior_ray_subdivision(lat)):
+        cones, pushforward = _reference_cones(sub)
+        assert sub.cones == cones
+        assert sub.pushforward == pushforward
+        assert sub.maximal == _reference_maximal(cones)
+
+
+def test_fan_walk_takes_mixed_size_maximal_cones():
+    # a 3-cone, a 2-cone inside none of the others, a lone ray and a 2-cone
+    # listed though it is a face of the 3-cone: the walk starts each at its
+    # own size and reaches every cone once
+    lat = face_lattice(SQUARE)
+    fan = _fan(lat, [((1, 1, 2), lat.top_id)], [{0, 1, 4}, {2, 4}, {3}, {1, 4}])
+    cones, pushforward = _reference_cones(fan)
+    assert fan.cones == cones
+    assert fan.pushforward == pushforward
+    assert len(cones) == 1 + 5 + 4 + 1
+
+
+def test_fan_walk_joins_once_per_nonzero_cone(monkeypatch):
+    for rays in (SQUARE, CUBE, CUBE5):
+        lat = face_lattice(rays)
+        calls = []
+        join = lat.join
+
+        def counting(a, b):
+            calls.append((a, b))
+            return join(a, b)
+
+        monkeypatch.setattr(lat, "join", counting)
+        for build in (barycentric_subdivision, interior_ray_subdivision):
+            calls.clear()
+            sub = build(lat)
+            assert len(calls) == len(sub.cones) - 1
+
+
+def test_chain_subdivision_rejects_a_cone_with_too_many_rays():
+    # with nothing centred the square cone itself is a chain cone of 4 rays
+    with pytest.raises(NotSimplicialResult):
+        _chain_subdivision(face_lattice(SQUARE), [], "x")
+
+
+def test_chain_subdivision_rejects_a_cone_in_no_full_cone():
+    # centring only the edge {0, 1} of the simplicial 3-cone leaves the chain
+    # cone {0, centre} in no 3-ray chain cone
+    lat = face_lattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    edge = lat.id_of_rayset(frozenset((0, 1)))
+    with pytest.raises(NotSimplicialResult, match=r"cone \[0, 3\]"):
+        _chain_subdivision(lat, [edge], "x")
