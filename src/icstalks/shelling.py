@@ -54,17 +54,6 @@ class SimplicialComplex:
         if len(set(self.facets)) != len(self.facets):
             raise ValueError("duplicate facets")
 
-    @property
-    def facet_size(self) -> int:
-        return len(self.facets[0])
-
-    @property
-    def vertices(self) -> set[int]:
-        out: set[int] = set()
-        for f in self.facets:
-            out |= f
-        return out
-
 
 @dataclass
 class ShellingOrder:
@@ -277,8 +266,11 @@ def lexicographic_shelling(
     Maximal simplices correspond to maximal chains of nonzero faces; they are
     compared at the largest level where they differ, via orders on the facets
     of each face determined chain-prefix by chain-prefix from boundary
-    shellings.  The returned order is verified, and each facet's type is
-    additionally checked against the number of its earlier codim-1 neighbors.
+    shellings.  A walk down from sigma that visits each face's facets in that
+    order reaches the chains already in this lexicographic order, so nothing
+    is sorted.  The returned order is verified, and each facet's type is
+    additionally checked against the number of its earlier codim-1 neighbors,
+    read from the chains' positions in the walk.
     """
     if sub is None:
         sub = barycentric_subdivision(lattice)
@@ -331,15 +323,7 @@ def lexicographic_shelling(
             walk(chain + (nxt,))
 
     walk((lattice.top_id,))
-
-    def key_of(chain: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(
-            facet_order(chain[: i + 1]).index(chain[i + 1])
-            for i in range(len(chain) - 1)
-        )
-
-    keys = {chain: key_of(chain) for chain in chains}
-    chains.sort(key=lambda c: keys[c])
+    position = {chain: i for i, chain in enumerate(chains)}
 
     def simplex_of(chain: tuple[int, ...]) -> frozenset[int]:
         return frozenset(face_ray[fid] for fid in chain)
@@ -359,7 +343,7 @@ def lexicographic_shelling(
                 raise InvariantViolation(hi, "diamond", "intervals of length 2 are diamonds")
             (other,) = middles - {chain[j]}
             swapped = chain[:j] + (other,) + chain[j + 1 :]
-            if keys[swapped] < keys[chain]:
+            if position[swapped] < idx:
                 swaps += 1
         if swaps != result.types[idx]:
             raise ShellingSearchFailed(

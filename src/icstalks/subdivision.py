@@ -27,22 +27,29 @@ from the maximal cones, one ray at a time, each cone once; a cone lies over
 the join of its rays' tags, found with one join per cone from the facet
 without its largest ray.  The multiplicity table d_l(tau) counts
 l-dimensional cones whose minimal containing face of sigma, the join of
-their rays' tags, is tau.
+their rays' tags, is tau.  Each maximal cone's orientation, the sign of
+its determinant, is derived with the cones: one determinant per maximal
+cone, read by both the builder and the validator.
 
-``validate_subdivision`` proves that a fan subdivides sigma from one
-determinant per maximal cone: its maximal cones meet in pairs across every
-interior ridge, from opposite sides, and one point lies in exactly one.
+``validate_subdivision`` proves from those orientations that a fan
+subdivides sigma: its maximal cones meet in pairs across every interior
+ridge, from opposite sides, and one point lies in exactly one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cones import FaceLattice, Vector, dot, primitive, rank_of, vector_sum
+from .cones import FaceLattice, Vector, dot, primitive, vector_sum
 from .errors import CrossCheckMismatch, InvariantViolation, NotSimplicialResult
 from .linalg import determinant, sparse_row
 
 ConeSet = frozenset[int]
+
+
+def _sign(rows) -> int:
+    det = determinant([sparse_row(r) for r in rows])
+    return (det > 0) - (det < 0)
 
 
 @dataclass
@@ -59,7 +66,9 @@ class SubdivisionMap:
     The cones come from a walk down from the maximal cones, which may have
     mixed sizes, dropping one ray at a time; then, in increasing size, each
     cone's face is the join of its facet without its largest ray with that
-    ray's tag, one join per nonzero cone.
+    ray's tag, one join per nonzero cone.  ``orientation`` holds each
+    maximal cone's determinant sign, rays in index order: nonzero exactly
+    when the cone has n independent rays, so is simplicial and n-dimensional.
     """
 
     lattice: FaceLattice
@@ -68,6 +77,7 @@ class SubdivisionMap:
     maximal: list[ConeSet]
     cones: set[ConeSet] = field(init=False)
     pushforward: dict[ConeSet, int] = field(init=False)
+    orientation: dict[ConeSet, int] = field(init=False)
     # the Ishida free columns, pairings, apex complexes and face quotients of
     # this fan, memoized by ``differentials`` alone; not part of the fan's value
     ishida_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -95,6 +105,10 @@ class SubdivisionMap:
                 top = max(c)
                 pushforward[c] = join(pushforward[c - {top}], tags[top])
         self.pushforward = pushforward
+        n, rays = lattice.rank, self.rays
+        self.orientation = {
+            c: _sign([rays[i] for i in sorted(c)]) if len(c) == n else 0 for c in self.maximal
+        }
 
     def cones_by_dim(self) -> dict[int, list[ConeSet]]:
         out: dict[int, list[ConeSet]] = {}
@@ -169,12 +183,12 @@ def _chain_subdivision(
     Sigma's rays keep their lattice indices; the interior ray of
     ``centred[k]`` gets index ``len(lattice.rays) + k``.  Every centred face
     must have dimension >= 2.  The construction is checked, not trusted:
-    the maximal cones are the chain cones with n rays, and each must be
-    simplicial and n-dimensional, with no chain cone of more rays, so every
-    cone of the fan is simplicial, being a face of one; every chain cone
-    must lie in one of them, or it would be a maximal cone of fewer rays;
-    and the fan's derived cones and pushforward must be the chain cones and
-    their chain tops.
+    the maximal cones are the chain cones with n rays, and each must have a
+    nonzero orientation, so it is simplicial and n-dimensional and no chain
+    cone has more rays; then every cone of the fan is simplicial, being a
+    face of one; every chain cone must lie in one of them, or it would be a
+    maximal cone of fewer rays; and the fan's derived cones and pushforward
+    must be the chain cones and their chain tops.
     """
     n = lattice.rank
     faces = lattice.faces
@@ -197,9 +211,8 @@ def _chain_subdivision(
     chains_from: dict[int, list[tuple[ConeSet, int]]] = {}
     for fid in sorted(centred, key=lattice.dim, reverse=True):
         chains = [(frozenset((centre[fid],)), fid)]
-        for hid in centred:
-            if hid != fid and lattice.leq(fid, hid):
-                chains.extend((rs | {centre[fid]}, top) for rs, top in chains_from[hid])
+        for hid in (lattice.up[fid] - {fid}) & centre.keys():
+            chains.extend((rs | {centre[fid]}, top) for rs, top in chains_from[hid])
         chains_from[fid] = chains
 
     top_of: dict[ConeSet, int] = {}
@@ -207,16 +220,15 @@ def _chain_subdivision(
         if g.id in centre:
             continue
         top_of[g.rays] = g.id
-        for fid in centred:
-            if lattice.leq(g.id, fid):
-                for rs, top in chains_from[fid]:
-                    top_of[g.rays | rs] = top
+        for fid in lattice.up[g.id] & centre.keys():
+            for rs, top in chains_from[fid]:
+                top_of[g.rays | rs] = top
 
     maximal = sorted((c for c in top_of if len(c) >= n), key=sorted)
-    for c in maximal:
-        if len(c) != n or rank_of([rays[i] for i in c]) != n:
-            raise NotSimplicialResult(f"{kind} maximal cone {sorted(c)} is not simplicial, {n}-dim")
     sub = SubdivisionMap(lattice=lattice, rays=rays, ray_face=ray_face, maximal=maximal)
+    flat = next((c for c in maximal if not sub.orientation[c]), None)
+    if flat is not None:
+        raise NotSimplicialResult(f"{kind} maximal cone {sorted(flat)} is not simplicial, {n}-dim")
     missing = [c for c in top_of if c not in sub.cones]
     if missing:
         cone = min(missing, key=sorted)
@@ -252,23 +264,19 @@ def chain_count_oracle(lattice: FaceLattice, tau: int, length: int) -> int:
     return lattice.chain_count(lattice.zero_id, tau, length)
 
 
-def _sign(rows) -> int:
-    det = determinant([sparse_row(r) for r in rows])
-    return (det > 0) - (det < 0)
-
-
 def validate_subdivision(sub: SubdivisionMap) -> None:
     """Check that the fan subdivides sigma: one pass over the ridges, one point.
 
-    A maximal cone's determinant, rays in index order, is nonzero exactly
-    when the cone is simplicial and n-dimensional, and its sign orients the
-    cone.  Every cone must lie in its pushforward face.  A ridge (a maximal
-    cone minus one ray) must lie in one maximal cone over the boundary of
-    sigma and in two otherwise, those two on opposite sides of it.  This
-    suffices (De Loera, Rambau and Santos, *Triangulations*, ch. 4): such a
+    A maximal cone's orientation, derived with the fan, is nonzero exactly
+    when the cone is simplicial and n-dimensional, and orients the cone;
+    this check takes no determinant of a maximal cone's own rows.  Every
+    cone must lie in its pushforward face.  A ridge (a maximal cone minus
+    one ray) must lie in one maximal cone over the boundary of sigma and in
+    two otherwise, those two on opposite sides of it.  This suffices (De
+    Loera, Rambau and Santos, *Triangulations*, ch. 4): such a
     pseudomanifold covers sigma with constant degree, since a generic point
-    crossing an interior ridge leaves one cone as it enters the other, and a
-    point inside one cone and in no other fixes that degree at 1.
+    crossing an interior ridge leaves one cone as it enters the other, and
+    a point inside one cone and in no other fixes that degree at 1.
     """
     lattice = sub.lattice
     n = lattice.rank
@@ -277,7 +285,7 @@ def validate_subdivision(sub: SubdivisionMap) -> None:
         raise InvariantViolation(top, "covering", "the fan has no maximal cone")
     oriented: list[tuple[ConeSet, int]] = []
     for c in sub.maximal:
-        sign = _sign([sub.rays[i] for i in sorted(c)]) if len(c) == n else 0
+        sign = sub.orientation[c]
         if not sign:
             message = f"maximal cone {sorted(c)} is not simplicial and {n}-dimensional"
             raise InvariantViolation(top, "simplicial", message)

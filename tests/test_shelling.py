@@ -6,8 +6,9 @@ import pytest
 from icstalks import shelling
 from icstalks.cones import face_lattice
 from icstalks.corpus import CORPUS
-from icstalks.errors import NoShellingFound, NotAShelling, NotPure
+from icstalks.errors import NoShellingFound, NotAShelling, NotPure, ShellingSearchFailed
 from icstalks.shelling import (
+    ShellingOrder,
     SimplicialComplex,
     complex_from_fan,
     find_shelling,
@@ -32,8 +33,8 @@ def test_complex_from_square_barycentric():
     lat = face_lattice(SQUARE)
     cx = complex_from_fan(barycentric_subdivision(lat))
     assert len(cx.facets) == 8
-    assert cx.facet_size == 3
-    assert len(cx.vertices) == 9
+    assert {len(f) for f in cx.facets} == {3}
+    assert len(frozenset().union(*cx.facets)) == 9
 
 
 def test_complex_from_simplicial_3cone():
@@ -309,3 +310,75 @@ def test_cover_adjacency_matches_scans(spec):
                 middles = lat.above[lo.id] & lat.below[hi.id]
                 assert sorted(middles) == lat.strictly_between(lo.id, hi.id)
                 assert len(middles) == 2
+
+
+CUBE5 = [(x, y, z, w, 1) for x in (0, 1) for y in (0, 1) for z in (0, 1) for w in (0, 1)]
+CROSS5 = [tuple(s * (i == j) for j in range(4)) + (1,) for i in range(4) for s in (1, -1)]
+# the rank-0 cone returns before the walk, having no chain of nonzero faces
+LEX_CONES = [(spec.name, list(spec.rays), spec.rank) for spec in CORPUS if spec.rank] + [
+    ("simplex5", SIMPLEX5, 5),
+    ("cube5", CUBE5, 5),
+    ("cross5", CROSS5, 5),
+]
+
+
+def _reference_lexicographic(lat):
+    """The lexicographic order by definition: every maximal chain, found in
+    face-id order, sorted by the positions of its faces in the facet orders."""
+    boundaries = shelling._BoundaryShellings(lat)
+    memo = {}
+
+    def facet_order(chain):
+        if chain not in memo:
+            prefix = frozenset()
+            if len(chain) > 1:
+                parent = facet_order(chain[:-1])
+                pos = parent.index(chain[-1])
+                if pos:
+                    prefix = boundaries._meets_restriction(chain[-1], parent[:pos])
+            memo[chain] = list(boundaries.shelling_with_prefix(chain[-1], prefix))
+        return memo[chain]
+
+    def chains(chain):
+        if lat.dim(chain[-1]) == 1:
+            yield chain
+            return
+        for lo in lat.facets_of(chain[-1]):
+            yield from chains(chain + (lo,))
+
+    def key_of(chain):
+        return tuple(
+            facet_order(chain[: i + 1]).index(chain[i + 1]) for i in range(len(chain) - 1)
+        )
+
+    return sorted(chains((lat.top_id,)), key=key_of)
+
+
+@pytest.mark.parametrize("name, rays, rank", LEX_CONES, ids=[name for name, _, _ in LEX_CONES])
+def test_lexicographic_walk_is_the_sorted_order(name, rays, rank):
+    lat = face_lattice(rays, rank=rank)
+    sub = barycentric_subdivision(lat)
+    face_ray = {fid: ri for ri, fid in enumerate(sub.ray_face)}
+    order = [frozenset(face_ray[fid] for fid in chain) for chain in _reference_lexicographic(lat)]
+    expected = verify_shelling(complex_from_fan(sub), order)
+    found = lexicographic_shelling(lat, sub)
+    assert found.order == expected.order
+    assert found.types == expected.types
+    assert found.restriction == expected.restriction
+
+
+def test_lexicographic_rejects_types_that_miscount_earlier_neighbours(monkeypatch):
+    lat = face_lattice(CUBE)
+    verify = shelling.verify_shelling
+    size = len(lexicographic_shelling(lat).order)
+    for k in (0, 1, size // 2, size - 1):
+
+        def perturbed(complex, order):
+            found = verify(complex, order)
+            types = list(found.types)
+            types[k] += 1
+            return ShellingOrder(order=found.order, types=types, restriction=found.restriction)
+
+        monkeypatch.setattr(shelling, "verify_shelling", perturbed)
+        with pytest.raises(ShellingSearchFailed, match=f"type mismatch at facet {k}:"):
+            lexicographic_shelling(lat)

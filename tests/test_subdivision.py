@@ -3,10 +3,12 @@ from itertools import combinations
 
 import pytest
 
+from icstalks import subdivision
 from icstalks.cones import dot, face_lattice, vector_sum
 from icstalks.corpus import CORPUS
 from icstalks.decomposition import solve_decomposition
 from icstalks.errors import InvariantViolation, NotSimplicialResult
+from icstalks.linalg import determinant, sparse_row
 from icstalks.subdivision import (
     SubdivisionMap,
     _chain_subdivision,
@@ -351,3 +353,57 @@ def test_chain_subdivision_rejects_a_cone_in_no_full_cone():
     edge = lat.id_of_rayset(frozenset((0, 1)))
     with pytest.raises(NotSimplicialResult, match=r"cone \[0, 3\]"):
         _chain_subdivision(lat, [edge], "x")
+
+
+def _determinant_sign(sub, cone):
+    det = determinant([sparse_row(sub.rays[i]) for i in sorted(cone)])
+    return (det > 0) - (det < 0)
+
+
+@pytest.mark.parametrize("name, rays, rank", FAN_CONES, ids=[name for name, _, _ in FAN_CONES])
+def test_orientation_is_the_determinant_sign(name, rays, rank):
+    lat = face_lattice(rays, rank=rank)
+    for sub in (barycentric_subdivision(lat), interior_ray_subdivision(lat)):
+        assert sub.orientation.keys() == set(sub.maximal)
+        for c in sub.maximal:
+            assert sub.orientation[c] == _determinant_sign(sub, c) != 0
+
+
+def test_orientation_is_zero_on_degenerate_maximal_cones():
+    # a flat 3-ray cone, a 4-ray cone in rank 3, and short cones among full ones
+    orthant = face_lattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    edge = orthant.id_of_rayset(frozenset((0, 1)))
+    flat = _fan(orthant, [((1, 1, 0), edge)], [{0, 1, 3}, {0, 2, 3}, {1, 2, 3}])
+    square = face_lattice(SQUARE)
+    wide = _fan(square, [], [{0, 1, 2, 3}])
+    mixed = _fan(square, [((1, 1, 2), square.top_id)], [{0, 1, 4}, {2, 4}, {3}, {1, 4}])
+    assert flat.orientation[frozenset((0, 1, 3))] == 0
+    assert flat.orientation[frozenset((0, 2, 3))] != 0
+    assert wide.orientation == {frozenset((0, 1, 2, 3)): 0}
+    assert [mixed.orientation[c] for c in mixed.maximal[1:]] == [0, 0, 0]
+    assert mixed.orientation[mixed.maximal[0]] == _determinant_sign(mixed, mixed.maximal[0]) != 0
+    for fan in (flat, wide, mixed):
+        with pytest.raises(InvariantViolation) as info:
+            validate_subdivision(fan)
+        assert info.value.prop == "simplicial"
+
+
+def test_validate_takes_no_determinant_of_a_maximal_cone(monkeypatch):
+    fans = []
+    for rays in (SQUARE, CUBE, CROSS5):
+        lat = face_lattice(rays)
+        fans += [barycentric_subdivision(lat), interior_ray_subdivision(lat)]
+    calls = []
+    sign = subdivision._sign
+
+    def recording(rows):
+        calls.append([tuple(r) for r in rows])
+        return sign(rows)
+
+    monkeypatch.setattr(subdivision, "_sign", recording)
+    for sub in fans:
+        calls.clear()
+        validate_subdivision(sub)
+        own = [[tuple(sub.rays[i]) for i in sorted(c)] for c in sub.maximal]
+        assert calls
+        assert not any(rows in own for rows in calls)
