@@ -20,9 +20,6 @@ class ConeSpec:
     def lattice(self) -> FaceLattice:
         return face_lattice(list(self.rays), rank=self.rank)
 
-    def to_json_obj(self) -> dict:
-        return {"name": self.name, "rank": self.rank, "rays": [list(r) for r in self.rays]}
-
 
 def orthant(n: int) -> ConeSpec:
     rays = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))

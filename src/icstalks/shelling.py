@@ -19,7 +19,9 @@ vertex sets; coordinates are never consulted):
   * ``lexicographic_shelling`` builds the recursive lexicographic order on
     the maximal chains of a face lattice, the barycentric analogue of a line
     shelling: chains are compared at the largest level where they differ,
-    using per-chain-prefix shellings of polytope boundary complexes.
+    using shellings of polytope boundary complexes keyed by (face, prefix);
+    the search that shells a face's boundary hands each facet the prefix
+    that leads the facet's own boundary shelling.
 
 The polytope boundary complexes needed by the lexicographic construction are
 not simplicial (e.g. the square facets of a cube), so a small recursive
@@ -127,7 +129,7 @@ def verify_shelling(
     under subsets, and each step adds the faces the new facet brings, so F
     facets of size d cost O(F * d) lookups plus one insertion per face.
     """
-    if sorted(order, key=sorted) != sorted(complex.facets, key=sorted):
+    if len(order) != len(complex.facets) or set(order) != set(complex.facets):
         raise ValueError("order is not a permutation of the facets")
     types = [0]
     restriction: list[frozenset[int]] = [frozenset()]
@@ -182,6 +184,10 @@ def find_shelling(complex: SimplicialComplex) -> ShellingOrder:
 # ---------------------------------------------------------------------------
 
 
+# a face's facets in boundary-shelling order, each with its own prefix
+_FacetOrder = tuple[tuple[int, frozenset[int]], ...]
+
+
 class _BoundaryShellings:
     """Shellings of C(boundary of a face), with a prescribed leading set.
 
@@ -189,12 +195,13 @@ class _BoundaryShellings:
     by F.  A shelling step is valid when the intersection with the earlier
     facets is a nonempty union of codimension-1 faces that itself starts some
     shelling of the new facet's boundary (checked recursively; dimension-0
-    boundaries accept every order).
+    boundaries accept every order).  That intersection, the facet's prefix,
+    is returned with the facet, and orders are memoized by (face, prefix).
     """
 
     def __init__(self, lattice: FaceLattice):
         self.lattice = lattice
-        self._memo: dict[tuple[int, frozenset[int]], tuple[int, ...] | None] = {}
+        self._memo: dict[tuple[int, frozenset[int]], _FacetOrder | None] = {}
 
     def _meets_restriction(
         self, new_facet: int, earlier: list[int]
@@ -213,16 +220,15 @@ class _BoundaryShellings:
             return None
         return frozenset(maximal)
 
-    def step_ok(self, new_facet: int, earlier: list[int]) -> bool:
-        prefix = self._meets_restriction(new_facet, earlier)
-        if prefix is None:
-            return False
-        return self.shelling_with_prefix(new_facet, prefix) is not None
-
     def shelling_with_prefix(
         self, fid: int, prefix: frozenset[int]
-    ) -> tuple[int, ...] | None:
-        """A shelling of C(boundary of fid) whose leading set is ``prefix``."""
+    ) -> _FacetOrder | None:
+        """A shelling of C(boundary of fid) whose leading set is ``prefix``.
+
+        Each facet comes paired with its own prefix, the maximal meets with
+        the facets before it (empty for the first), which leads its boundary
+        shelling in turn.
+        """
         lat = self.lattice
         key = (fid, prefix)
         if key in self._memo:
@@ -232,21 +238,28 @@ class _BoundaryShellings:
             raise ShellingSearchFailed("boundary shelling of a ray is undefined")
         if lat.dim(fid) == 2:
             # boundary is two points: every order works
-            order = tuple(sorted(prefix)) + tuple(sorted(set(facets) - prefix))
+            rays = sorted(prefix) + sorted(set(facets) - prefix)
+            order = tuple((ray, frozenset()) for ray in rays)
             self._memo[key] = order
             return order
 
-        def extend(order: list[int], used: frozenset[int]) -> tuple[int, ...] | None:
+        def extend(
+            order: list[tuple[int, frozenset[int]]], used: frozenset[int]
+        ) -> _FacetOrder | None:
             if len(order) == len(facets):
                 return tuple(order)
+            earlier = [f for f, _ in order]
             for cand in facets:
                 if cand in used:
                     continue
                 if len(order) < len(prefix) and cand not in prefix:
                     continue
-                if order and not self.step_ok(cand, order):
-                    continue
-                order.append(cand)
+                own: frozenset[int] | None = frozenset()
+                if order:
+                    own = self._meets_restriction(cand, earlier)
+                    if own is None or self.shelling_with_prefix(cand, own) is None:
+                        continue
+                order.append((cand, own))
                 found = extend(order, used | {cand})
                 if found is not None:
                     return found
@@ -264,13 +277,14 @@ def lexicographic_shelling(
     """The recursive lexicographic shelling of the barycentric complex.
 
     Maximal simplices correspond to maximal chains of nonzero faces; they are
-    compared at the largest level where they differ, via orders on the facets
-    of each face determined chain-prefix by chain-prefix from boundary
-    shellings.  A walk down from sigma that visits each face's facets in that
-    order reaches the chains already in this lexicographic order, so nothing
-    is sorted.  The returned order is verified, and each facet's type is
-    additionally checked against the number of its earlier codim-1 neighbors,
-    read from the chains' positions in the walk.
+    compared at the largest level where they differ, via a boundary shelling
+    of each face led by the prefix that its parent's shelling paired it
+    with; chains reaching a face with the same prefix share one order, keyed
+    by (face, prefix).  A walk down from sigma that visits each face's
+    facets in that order reaches the chains already in this lexicographic
+    order, so nothing is sorted.  The returned order is verified, and each
+    facet's type is additionally checked against the number of its earlier
+    codim-1 neighbors, read from the chains' positions in the walk.
     """
     if sub is None:
         sub = barycentric_subdivision(lattice)
@@ -287,42 +301,19 @@ def lexicographic_shelling(
                 "needs the barycentric fan, with one ray per nonzero face"
             )
     boundaries = _BoundaryShellings(lattice)
-    order_memo: dict[tuple[int, ...], list[int]] = {}
-
-    def facet_order(chain: tuple[int, ...]) -> list[int]:
-        """Shelling order on the facets of chain[-1], given the chain above it."""
-        if chain in order_memo:
-            return order_memo[chain]
-        fid = chain[-1]
-        if len(chain) == 1:
-            prefix: frozenset[int] = frozenset()
-        else:
-            parent = facet_order(chain[:-1])
-            pos = parent.index(fid)
-            if pos == 0:
-                prefix = frozenset()
-            else:
-                prefix = boundaries._meets_restriction(fid, parent[:pos])
-                if prefix is None:
-                    raise ShellingSearchFailed(
-                        f"parent order is not a shelling at face {fid}"
-                    )
-        found = boundaries.shelling_with_prefix(fid, prefix)
-        if found is None:
-            raise ShellingSearchFailed(f"no boundary shelling for face {fid}")
-        order_memo[chain] = list(found)
-        return order_memo[chain]
-
     chains: list[tuple[int, ...]] = []
 
-    def walk(chain: tuple[int, ...]):
+    def walk(chain: tuple[int, ...], prefix: frozenset[int]):
         if lattice.dim(chain[-1]) == 1:
             chains.append(chain)
             return
-        for nxt in facet_order(chain):
-            walk(chain + (nxt,))
+        found = boundaries.shelling_with_prefix(chain[-1], prefix)
+        if found is None:
+            raise ShellingSearchFailed(f"no boundary shelling for face {chain[-1]}")
+        for nxt, own in found:
+            walk(chain + (nxt,), own)
 
-    walk((lattice.top_id,))
+    walk((lattice.top_id,), frozenset())
     position = {chain: i for i, chain in enumerate(chains)}
 
     def simplex_of(chain: tuple[int, ...]) -> frozenset[int]:

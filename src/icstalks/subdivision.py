@@ -183,9 +183,10 @@ def _chain_subdivision(
     Sigma's rays keep their lattice indices; the interior ray of
     ``centred[k]`` gets index ``len(lattice.rays) + k``.  Every centred face
     must have dimension >= 2.  The construction is checked, not trusted:
-    the maximal cones are the chain cones with n rays, and each must have a
-    nonzero orientation, so it is simplicial and n-dimensional and no chain
-    cone has more rays; then every cone of the fan is simplicial, being a
+    no chain cone may have more than n rays, which is counted before the
+    fan is built; the maximal cones are the chain cones with n rays, and
+    each must have a nonzero orientation, so it is simplicial and
+    n-dimensional; then every cone of the fan is simplicial, being a
     face of one; every chain cone must lie in one of them, or it would be a
     maximal cone of fewer rays; and the fan's derived cones and pushforward
     must be the chain cones and their chain tops.
@@ -225,6 +226,9 @@ def _chain_subdivision(
                 top_of[g.rays | rs] = top
 
     maximal = sorted((c for c in top_of if len(c) >= n), key=sorted)
+    long = next((c for c in maximal if len(c) > n), None)
+    if long is not None:
+        raise NotSimplicialResult(f"{kind} maximal cone {sorted(long)} is not simplicial, {n}-dim")
     sub = SubdivisionMap(lattice=lattice, rays=rays, ray_face=ray_face, maximal=maximal)
     flat = next((c for c in maximal if not sub.orientation[c]), None)
     if flat is not None:

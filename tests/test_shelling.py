@@ -61,6 +61,21 @@ def test_single_facet_shelling():
     assert order.restriction == [frozenset()]
 
 
+@pytest.mark.parametrize(
+    "order",
+    [
+        [fs(0, 1), fs(1, 2)],
+        [fs(0, 1), fs(1, 2), fs(2, 3), fs(3, 4)],
+        [fs(0, 1), fs(1, 2), fs(1, 2)],
+    ],
+    ids=["missing", "extra", "repeated"],
+)
+def test_verify_shelling_rejects_an_order_that_is_not_a_permutation(order):
+    cx = SimplicialComplex(facets=[fs(0, 1), fs(1, 2), fs(2, 3)])
+    with pytest.raises(ValueError, match="order is not a permutation of the facets"):
+        verify_shelling(cx, order)
+
+
 def test_two_triangles_sharing_vertex_rejected():
     cx = SimplicialComplex(facets=[fs(0, 1, 2), fs(2, 3, 4)])
     with pytest.raises(NotAShelling) as err:
@@ -336,7 +351,7 @@ def _reference_lexicographic(lat):
                 pos = parent.index(chain[-1])
                 if pos:
                     prefix = boundaries._meets_restriction(chain[-1], parent[:pos])
-            memo[chain] = list(boundaries.shelling_with_prefix(chain[-1], prefix))
+            memo[chain] = [f for f, _ in boundaries.shelling_with_prefix(chain[-1], prefix)]
         return memo[chain]
 
     def chains(chain):
@@ -365,6 +380,63 @@ def test_lexicographic_walk_is_the_sorted_order(name, rays, rank):
     assert found.order == expected.order
     assert found.types == expected.types
     assert found.restriction == expected.restriction
+
+
+@pytest.mark.parametrize("name, rays, rank", LEX_CONES, ids=[name for name, _, _ in LEX_CONES])
+def test_boundary_search_pairs_each_facet_with_its_own_prefix(monkeypatch, name, rays, rank):
+    made = []
+
+    class Recording(shelling._BoundaryShellings):
+        def __init__(self, lattice):
+            super().__init__(lattice)
+            made.append(self)
+
+    monkeypatch.setattr(shelling, "_BoundaryShellings", Recording)
+    lat = face_lattice(rays, rank=rank)
+    lexicographic_shelling(lat)
+    (boundaries,) = made
+    for (fid, prefix), found in boundaries._memo.items():
+        if found is None:
+            continue
+        facets = [f for f, _ in found]
+        assert sorted(facets) == lat.facets_of(fid)
+        assert set(facets[: len(prefix)]) == prefix
+        assert found[0][1] == frozenset()
+        for i in range(1, len(found)):
+            if lat.dim(fid) == 2:
+                # a ray's boundary is empty, so a 2-face pairs its rays with no prefix
+                assert found[i][1] == frozenset()
+            else:
+                assert found[i][1] == boundaries._meets_restriction(facets[i], facets[:i])
+
+
+def test_lexicographic_walk_computes_no_prefix_itself(monkeypatch):
+    depth = 0
+    outside = []
+    calls = []
+    search = shelling._BoundaryShellings.shelling_with_prefix
+    meets = shelling._BoundaryShellings._meets_restriction
+
+    def counted_search(self, fid, prefix):
+        nonlocal depth
+        depth += 1
+        try:
+            return search(self, fid, prefix)
+        finally:
+            depth -= 1
+
+    def watched_meets(self, new_facet, earlier):
+        calls.append(new_facet)
+        if depth == 0:
+            outside.append(new_facet)
+        return meets(self, new_facet, earlier)
+
+    monkeypatch.setattr(shelling._BoundaryShellings, "shelling_with_prefix", counted_search)
+    monkeypatch.setattr(shelling._BoundaryShellings, "_meets_restriction", watched_meets)
+    for rays, rank in ((CUBE, 4), (CROSS5, 5)):
+        lexicographic_shelling(face_lattice(rays, rank=rank))
+    assert calls
+    assert outside == []
 
 
 def test_lexicographic_rejects_types_that_miscount_earlier_neighbours(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from icstalks import subdivision
 from icstalks.cones import dot, face_lattice, vector_sum
-from icstalks.corpus import CORPUS
+from icstalks.corpus import CORPUS, polygon_cone
 from icstalks.decomposition import solve_decomposition
 from icstalks.errors import InvariantViolation, NotSimplicialResult
 from icstalks.linalg import determinant, sparse_row
@@ -344,6 +344,16 @@ def test_chain_subdivision_rejects_a_cone_with_too_many_rays():
     # with nothing centred the square cone itself is a chain cone of 4 rays
     with pytest.raises(NotSimplicialResult):
         _chain_subdivision(face_lattice(SQUARE), [], "x")
+
+
+def test_chain_subdivision_rejects_a_long_cone_before_building_the_fan(monkeypatch):
+    # the fan's walk would visit all 2^16 subsets of the 16-ray chain cone
+    def refuse(*args, **kwargs):
+        pytest.fail("SubdivisionMap built for a chain cone with more than n rays")
+
+    monkeypatch.setattr(subdivision, "SubdivisionMap", refuse)
+    with pytest.raises(NotSimplicialResult, match=r"x maximal cone \[0, 1, .*, 15\] is not"):
+        _chain_subdivision(polygon_cone(16).lattice(), [], "x")
 
 
 def test_chain_subdivision_rejects_a_cone_in_no_full_cone():
