@@ -213,11 +213,10 @@ def cmd_icdr(args) -> int:
 def cmd_shelling(args) -> int:
     spec = _read_spec(args)
     lattice = spec.lattice()
+    sub = _subdivide(lattice, args.subdivision)
     if args.subdivision == "barycentric":
-        sub = barycentric_subdivision(lattice)
         order = lexicographic_shelling(lattice, sub)
     else:
-        sub = _subdivide(lattice, args.subdivision)
         order = find_shelling(complex_from_fan(sub))
     payload = order.to_json_obj()
     lines = [
@@ -238,19 +237,12 @@ def cmd_verify(args) -> int:
         report = run_cone(corpus_by_name(args.name))
     else:
         report = run_corpus(CORPUS)
-    payload = report.to_json_obj()
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for c in report.checks:
-            print(c.line())
-        total = len(report.checks)
-        failed = len(report.failures())
-        print(f"{total - failed}/{total} checks passed")
-        print(
-            f"total time {sum(c.seconds for c in report.checks):.1f}s",
-            file=sys.stderr,
-        )
+    total = len(report.checks)
+    passed = total - len(report.failures())
+    lines = [c.line() for c in report.checks] + [f"{passed}/{total} checks passed"]
+    _emit(args, report.to_json_obj(), "\n".join(lines))
+    if args.format == "text":
+        print(f"total time {sum(c.seconds for c in report.checks):.1f}s", file=sys.stderr)
     return 0 if report.passed else 1
 
 
@@ -346,24 +338,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ToricError as exc:
-        print(
-            json.dumps(
-                {"error": {"type": type(exc).__name__, "message": str(exc)}},
-                sort_keys=True,
-            )
-        )
+    except (ToricError, ValueError, KeyError) as exc:
+        computational = isinstance(exc, ToricError)
+        kind = type(exc).__name__ if computational else "MalformedInput"
+        print(json.dumps({"error": {"type": kind, "message": str(exc)}}, sort_keys=True))
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
-        print(
-            json.dumps(
-                {"error": {"type": "MalformedInput", "message": str(exc)}},
-                sort_keys=True,
-            )
-        )
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if computational else 2
 
 
 if __name__ == "__main__":

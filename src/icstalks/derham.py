@@ -1,14 +1,17 @@
 """Graded de Rham generating functions from stalk polynomials.
 
-The table entry for a nested pair of faces mu <= tau is
+One map, ``stalk_formula``, carries a one-variable series h of a pair of
+faces mu <= tau to (K, L):
 
-    dR_{mu,tau}(K, L) = Ht_{mu,tau}(K^{-1/2} L) * K^{(d_mu - d_tau)/2}
-                        * (K^{-1} + L^{-1})^{n - d_tau},
+    h -> h(K^{-1/2} L) * K^{(d_mu - d_tau)/2} * (K^{-1} + L^{-1})^{n - d_tau}.
 
-an exact evaluation with half-integer K-exponents cancelling because the
-stalk polynomial's support has the parity of d_tau - d_mu.  The independent
-route solves for the same quantity by upper-triangular elimination over the
-face poset: subtracting from the higher-direct-image generating function
+The table entry for a nested pair is its image of the stalk polynomial,
+dR_{mu,tau} = stalk_formula(Ht_{mu,tau}), an exact evaluation with
+half-integer K-exponents cancelling because the stalk polynomial's support
+has the parity of d_tau - d_mu.  Both closed forms of the higher-direct-image
+series Omega_tau in ``differentials`` are the same map at mu = 0, applied to
+q^{-d_tau} times a series in q^2.  The independent route solves for dR_{0,tau}
+by upper-triangular elimination over the face poset: subtracting from
 Omega_tau the contributions of all nonzero faces,
 
     dR_{0,tau} = Omega_tau - sum_{0 != mu <= tau}
@@ -19,6 +22,8 @@ by the chain-complex computation, is the package's main executable theorem.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .decomposition import DecompositionResult
 from .errors import CrossCheckMismatch, NonIntegralExponent
@@ -31,20 +36,25 @@ from .polynomials import (
 )
 
 
-def stalk_formula(
-    h: LaurentPolynomial, d_mu: int, d_tau: int, cofactor: BiLaurentPolynomial
-) -> BiLaurentPolynomial:
-    """h(K^{-1/2} L) K^{(d_mu - d_tau)/2} cofactor, with cofactor (K^{-1} + L^{-1})^{n - d_tau}."""
+@cache
+def _cofactor(m: int) -> BiLaurentPolynomial:
+    """(K^{-1} + L^{-1})^m, raised once per m."""
+    return K_INV_PLUS_L_INV**m
+
+
+def stalk_formula(h: LaurentPolynomial, d_mu: int, d_tau: int, n: int) -> BiLaurentPolynomial:
+    """h(K^{-1/2} L) K^{(d_mu - d_tau)/2} (K^{-1} + L^{-1})^{n - d_tau}, integral or raising."""
     shift = BiLaurentPolynomial.monomial(d_mu - d_tau, 0)
-    return (h.substitute(L_K_INV_HALF) * shift * cofactor).assert_integral()
+    return (h.substitute(L_K_INV_HALF) * shift * _cofactor(n - d_tau)).assert_integral()
 
 
-def _derham_pair(
-    dec: DecompositionResult, mu: int, tau: int, cofactor: BiLaurentPolynomial
-) -> BiLaurentPolynomial:
+def derham_from_stalks(dec: DecompositionResult, mu: int, tau: int) -> BiLaurentPolynomial:
+    """dR_{mu,tau} evaluated from the stalk polynomial; integral by parity."""
     lattice = dec.lattice
     try:
-        return stalk_formula(dec.htilde(mu, tau), lattice.dim(mu), lattice.dim(tau), cofactor)
+        return stalk_formula(
+            dec.htilde(mu, tau), lattice.dim(mu), lattice.dim(tau), lattice.rank
+        )
     except NonIntegralExponent as exc:
         raise NonIntegralExponent(
             f"dR for faces ({mu}, {tau}) has half-integer exponents; "
@@ -52,21 +62,14 @@ def _derham_pair(
         ) from exc
 
 
-def derham_from_stalks(dec: DecompositionResult, mu: int, tau: int) -> BiLaurentPolynomial:
-    """dR_{mu,tau} evaluated from the stalk polynomial; integral by parity."""
-    lattice = dec.lattice
-    return _derham_pair(dec, mu, tau, K_INV_PLUS_L_INV ** (lattice.rank - lattice.dim(tau)))
-
-
 def derham_table(dec: DecompositionResult) -> dict[tuple[int, int], BiLaurentPolynomial]:
     """All dR_{mu,tau} for nested pairs of faces."""
     lattice = dec.lattice
-    out = {}
-    for f in lattice.faces:
-        cofactor = K_INV_PLUS_L_INV ** (lattice.rank - f.dim)
-        for mu in sorted(lattice.down[f.id]):
-            out[(mu, f.id)] = _derham_pair(dec, mu, f.id, cofactor)
-    return out
+    return {
+        (mu, f.id): derham_from_stalks(dec, mu, f.id)
+        for f in lattice.faces
+        for mu in sorted(lattice.down[f.id])
+    }
 
 
 def derham_by_elimination(
@@ -79,14 +82,13 @@ def derham_by_elimination(
     for the pair (0, tau).
     """
     lattice = dec.lattice
-    cofactor = K_INV_PLUS_L_INV ** (lattice.rank - lattice.dim(tau))
     out = omega
     for mu in sorted(lattice.down[tau]):
         if mu == lattice.zero_id:
             continue
         d_mu = lattice.dim(mu)
         term = (
-            _derham_pair(dec, mu, tau, cofactor)
+            derham_from_stalks(dec, mu, tau)
             * dec.D[mu].substitute(L_INV_K_HALF)
             * BiLaurentPolynomial.monomial(-d_mu, 0)
         )

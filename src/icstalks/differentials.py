@@ -33,13 +33,17 @@ Every differential is a list of sparse rows, placed block by block at the
 blocks' offsets.  Cohomology dimensions are exact: dim ker - dim im, with
 ranks from the one sparse elimination of ``linalg``.  Summing them over all
 form degrees p at a fixed u gives the generating function of
-higher-direct-image dimensions of reflexive differentials; the closed form in
-terms of the multiplicity table is
+higher-direct-image dimensions of reflexive differentials.  Its two closed
+forms, from the multiplicity table and from the fiber Poincare polynomial
+F_tau, are L^-n (1 + K^-1 L)^(n - d_tau) P(K^-1 L^2) for a polynomial P with
 
-    L^-n (1 + K^-1 L)^(n - d_tau) *
-        sum_{mu <= tau} sum_j d_j(mu) (1 - K^-1 L^2)^(d_tau - j) (K^-1 L^2)^j
+    P(q^2) = sum_{mu <= tau} sum_j d_j(mu) (1 - q^2)^(d_tau - j) q^(2j)
+    P(q^2) = F_tau(q).
 
-and the fiber-cohomology form is L^-n (1+K^-1 L)^(n-d_tau) F_tau(L K^-1/2).
+Since L^-n (1 + K^-1 L)^(n - d_tau) = L^-d_tau (K^-1 + L^-1)^(n - d_tau), and
+q^-d P(q^2) at q = L K^-1/2, times K^-d/2, is L^-d P(K^-1 L^2), each form is
+``derham.stalk_formula`` of the one-variable series q^-d_tau P(q^2) for the
+pair (0, tau).
 """
 
 from __future__ import annotations
@@ -51,15 +55,10 @@ from functools import cache
 from math import comb, lcm
 
 from .cones import DegreeVector, pick_degree, second_degree, validate_degree
+from .derham import stalk_formula
 from .errors import CrossCheckMismatch, DegreeMismatch, InvariantViolation
 from .linalg import SparseRow, canonical, integer_rank, integral_row
-from .polynomials import (
-    BiLaurentPolynomial,
-    K_INV,
-    L_K_INV_HALF,
-    LaurentPolynomial,
-    L_VAR,
-)
+from .polynomials import BiLaurentPolynomial, LaurentPolynomial
 from .subdivision import ConeSet, MultiplicityTable, SubdivisionMap
 
 
@@ -392,28 +391,19 @@ def _omega_at_degree(
 def omega_closed_form(d: MultiplicityTable, tau: int) -> BiLaurentPolynomial:
     """Closed form of the generating function from the multiplicity table."""
     lattice = d.lattice
-    n = lattice.rank
     d_tau = lattice.face(tau).dim
-    one = BiLaurentPolynomial.one()
-    kl2 = BiLaurentPolynomial.monomial(-2, 2)  # K^{-1} L^2
-    inner = BiLaurentPolynomial.zero()
+    one, q2 = LaurentPolynomial.one(), LaurentPolynomial.term(2)
+    inner = LaurentPolynomial.zero()
     for j in range(d_tau + 1):
         # by linearity, one product per j for all the faces below tau
         count = sum(d.get(j, f) for f in lattice.down[tau])
         if count:
-            inner = inner + count * (one - kl2) ** (d_tau - j) * kl2**j
-    return BiLaurentPolynomial.monomial(0, -n) * (one + K_INV * L_VAR) ** (
-        n - d_tau
-    ) * inner
+            inner = inner + count * (one - q2) ** (d_tau - j) * q2**j
+    return stalk_formula(inner.shift(-d_tau), 0, d_tau, lattice.rank)
 
 
 def omega_from_fiber_poincare(
     fiber: LaurentPolynomial, n: int, d_tau: int
 ) -> BiLaurentPolynomial:
     """L^{-n} (1 + K^{-1}L)^{n-d_tau} with q -> L K^{-1/2} in the fiber series."""
-    one = BiLaurentPolynomial.one()
-    return (
-        BiLaurentPolynomial.monomial(0, -n)
-        * (one + K_INV * L_VAR) ** (n - d_tau)
-        * fiber.substitute(L_K_INV_HALF)
-    )
+    return stalk_formula(fiber.shift(-d_tau), 0, d_tau, n)

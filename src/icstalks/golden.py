@@ -23,7 +23,7 @@ from __future__ import annotations
 from .cones import FaceLattice
 from .decomposition import fiber_poincare
 from .derham import stalk_formula
-from .polynomials import K_INV_PLUS_L_INV, BiLaurentPolynomial, LaurentPolynomial
+from .polynomials import BiLaurentPolynomial, LaurentPolynomial
 from .subdivision import MultiplicityTable
 
 L = LaurentPolynomial
@@ -65,8 +65,7 @@ def local_h(lattice: FaceLattice, d: MultiplicityTable, dual_g: Table) -> dict[i
 
 def golden_derham(lattice: FaceLattice, g: Table) -> dict[int, BiLaurentPolynomial]:
     """dR_{0,tau} for every face: the stalk formula on Ht_{0,tau} of ``g``."""
-    n = lattice.rank
     return {
-        f.id: stalk_formula(g[lattice.zero_id, f.id], 0, f.dim, K_INV_PLUS_L_INV ** (n - f.dim))
+        f.id: stalk_formula(g[lattice.zero_id, f.id], 0, f.dim, lattice.rank)
         for f in lattice.faces
     }

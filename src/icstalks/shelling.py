@@ -35,9 +35,7 @@ import itertools
 from dataclasses import dataclass
 
 from .cones import FaceLattice
-from .errors import (
-    InvariantViolation, NoShellingFound, NotAShelling, NotPure, ShellingSearchFailed
-)
+from .errors import NoShellingFound, NotAShelling, NotPure, ShellingSearchFailed
 from .subdivision import SubdivisionMap, barycentric_subdivision
 
 
@@ -329,10 +327,8 @@ def lexicographic_shelling(
         for j in range(1, len(chain)):
             hi = chain[j - 1]
             lo = lattice.zero_id if j == len(chain) - 1 else chain[j + 1]
-            middles = lattice.above[lo] & lattice.below[hi]
-            if len(middles) != 2:
-                raise InvariantViolation(hi, "diamond", "intervals of length 2 are diamonds")
-            (other,) = middles - {chain[j]}
+            # the lattice's own validation made every length-2 interval a diamond
+            (other,) = (lattice.above[lo] & lattice.below[hi]) - {chain[j]}
             swapped = chain[:j] + (other,) + chain[j + 1 :]
             if position[swapped] < idx:
                 swaps += 1

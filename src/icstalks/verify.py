@@ -152,26 +152,18 @@ class ConeContext:
 def _run(report: Report, name: str, spec_name: str, fn) -> None:
     start = time.perf_counter()
     try:
-        detail = fn()
-        report.checks.append(
-            CheckResult(
-                name=name,
-                cone=spec_name,
-                passed=True,
-                detail=detail or "",
-                seconds=time.perf_counter() - start,
-            )
-        )
+        passed, detail = True, fn() or ""
     except Exception as exc:  # noqa: BLE001 - a failed check must not abort the suite
-        report.checks.append(
-            CheckResult(
-                name=name,
-                cone=spec_name,
-                passed=False,
-                detail=f"{type(exc).__name__}: {exc}",
-                seconds=time.perf_counter() - start,
-            )
+        passed, detail = False, f"{type(exc).__name__}: {exc}"
+    report.checks.append(
+        CheckResult(
+            name=name,
+            cone=spec_name,
+            passed=passed,
+            detail=detail,
+            seconds=time.perf_counter() - start,
         )
+    )
 
 
 def _require(ok: bool, message: str) -> None:

@@ -150,6 +150,32 @@ def test_shelling_square(capsys, square_file):
     assert payload["type_histogram"]["0"] == 1
 
 
+def test_fibers_square(capsys, square_file):
+    code, out = run_cli(capsys, "fibers", "--cone", square_file, "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["F"]) == 10
+
+
+@pytest.mark.parametrize(
+    "spec, facets, histogram",
+    [
+        (SQUARE_SPEC, 4, {"0": 1, "1": 2, "2": 1}),
+        (CUBE_SPEC, 24, {"0": 1, "1": 11, "2": 11, "3": 1}),
+    ],
+    ids=["square", "cube"],
+)
+def test_shelling_appendix_subdivision(capsys, tmp_path, spec, facets, histogram):
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(
+        capsys, "shelling", "--cone", str(path), "--subdivision", "appendix", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["order"]) == facets
+    assert payload["type_histogram"] == histogram
+
+
 def test_malformed_input_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"rank": 2}')

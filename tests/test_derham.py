@@ -1,5 +1,6 @@
 import pytest
 
+from icstalks import derham
 from icstalks.cones import face_lattice
 from icstalks.decomposition import solve_decomposition
 from icstalks.derham import (
@@ -9,16 +10,21 @@ from icstalks.derham import (
     derham_table,
     stalk_chi_y,
 )
-from icstalks.differentials import omega_closed_form, omega_oracle
-from icstalks.errors import CrossCheckMismatch
+from icstalks.differentials import omega_closed_form, omega_from_fiber_poincare, omega_oracle
+from icstalks.errors import CrossCheckMismatch, NonIntegralExponent
+from icstalks.golden import golden_derham
 from icstalks.polynomials import (
-    BiLaurentPolynomial,
+    K_INV,
     K_INV_PLUS_L_INV,
+    L_K_INV_HALF,
+    L_VAR,
+    BiLaurentPolynomial,
     LaurentPolynomial,
     bipoly_from_triples,
     poly_from_pairs,
 )
 from icstalks.subdivision import barycentric_subdivision, multiplicity_table
+from test_golden import CONES, FANS, _g, _lattice, _pipeline
 
 SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
 CUBE = [(x, y, z, 1) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
@@ -152,3 +158,63 @@ def test_interval_consistency_against_quotient_geometry():
         assert derham_from_stalks(dec_octa, ray, octa.top_id) == derham_from_stalks(
             dec_square, 0, square.top_id
         )
+
+
+def _reference_derham(h, d_mu, d_tau, n):
+    """h(K^{-1/2} L) K^{(d_mu - d_tau)/2} (K^{-1} + L^{-1})^{n - d_tau}, spelled out."""
+    shift = BiLaurentPolynomial.monomial(d_mu - d_tau, 0)
+    return h.substitute(L_K_INV_HALF) * shift * K_INV_PLUS_L_INV ** (n - d_tau)
+
+
+def _reference_fiber_omega(fiber, n, d_tau):
+    """L^{-n} (1 + K^{-1} L)^{n - d_tau} F(L K^{-1/2}), spelled out."""
+    one = BiLaurentPolynomial.one()
+    return (
+        BiLaurentPolynomial.monomial(0, -n)
+        * (one + K_INV * L_VAR) ** (n - d_tau)
+        * fiber.substitute(L_K_INV_HALF)
+    )
+
+
+@pytest.mark.parametrize("name", CONES)
+def test_stalk_map_matches_the_spelled_out_forms(name):
+    # dR, the fiber form of Omega and golden dR all go through one map; each
+    # equals its own (K, L) spelling on every pair and face of both fans
+    lat = _lattice(name)
+    n = lat.rank
+    for fan in FANS:
+        _, dec = _pipeline(name, fan)
+        table = derham_table(dec)
+        for (mu, tau), got in table.items():
+            expected = _reference_derham(dec.htilde(mu, tau), lat.dim(mu), lat.dim(tau), n)
+            assert got == expected
+            assert got.to_json_obj() == expected.to_json_obj()
+        for f in lat.faces:
+            got = omega_from_fiber_poincare(dec.F[f.id], n, f.dim)
+            expected = _reference_fiber_omega(dec.F[f.id], n, f.dim)
+            assert got == expected
+            assert got.to_json_obj() == expected.to_json_obj()
+    g = _g(name)
+    golden = golden_derham(lat, g)
+    for f in lat.faces:
+        assert golden[f.id] == _reference_derham(g[lat.zero_id, f.id], 0, f.dim, n)
+
+
+def test_derham_names_the_pair_on_a_parity_violation():
+    lat, _, _, dec = solved(SQUARE)
+    dec.Htilde[(lat.zero_id, lat.top_id)] = LaurentPolynomial.term(-2)
+    with pytest.raises(NonIntegralExponent, match=rf"faces \({lat.zero_id}, {lat.top_id}\)"):
+        derham_from_stalks(dec, lat.zero_id, lat.top_id)
+    with pytest.raises(NonIntegralExponent):
+        derham_table(dec)
+
+
+def test_fiber_form_of_odd_support_raises():
+    with pytest.raises(NonIntegralExponent):
+        omega_from_fiber_poincare(poly_from_pairs([(1, 1)]), 3, 3)
+
+
+def test_cofactor_is_raised_once_per_power():
+    for m in range(8):
+        assert derham._cofactor(m) is derham._cofactor(m)
+        assert derham._cofactor(m) == K_INV_PLUS_L_INV**m

@@ -39,6 +39,7 @@ from icstalks.subdivision import (
     interior_ray_subdivision,
     multiplicity_table,
 )
+from test_golden import CROSS5, CUBE5
 from test_linalg import dense_gauss_rank
 
 SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
@@ -49,6 +50,7 @@ SIMPLEX5 = [(0, 0, 0, 0, 1)] + [
 CORPUS_AND_SIMPLEX5 = [(spec.name, list(spec.rays), spec.rank) for spec in CORPUS] + [
     ("simplex5", SIMPLEX5, 5)
 ]
+CORPUS_AND_RANK5 = CORPUS_AND_SIMPLEX5 + [("cube5", CUBE5, 5), ("cross5", CROSS5, 5)]
 
 
 def square_setup():
@@ -547,7 +549,7 @@ def _per_face_closed_form(d, tau):
 
 
 @pytest.mark.parametrize(
-    "name, rays, rank", CORPUS_AND_SIMPLEX5, ids=[c[0] for c in CORPUS_AND_SIMPLEX5]
+    "name, rays, rank", CORPUS_AND_RANK5, ids=[c[0] for c in CORPUS_AND_RANK5]
 )
 def test_closed_form_matches_the_per_face_sum(name, rays, rank):
     lat = face_lattice(rays, rank)

@@ -454,3 +454,24 @@ def test_lexicographic_rejects_types_that_miscount_earlier_neighbours(monkeypatc
         monkeypatch.setattr(shelling, "verify_shelling", perturbed)
         with pytest.raises(ShellingSearchFailed, match=f"type mismatch at facet {k}:"):
             lexicographic_shelling(lat)
+
+
+@pytest.mark.parametrize("name, shelled", [("octahedron", 12), ("cube", 12)])
+def test_boundary_search_rejects_and_backtracks_on_a_forced_prefix(name, shelled):
+    # a pair of facets of sigma leads a boundary shelling exactly when the two
+    # meet in a 2-face: a pair meeting in a ray or only in the zero face is
+    # rejected at the second step, and the search backtracks to nothing
+    lat = next(spec for spec in CORPUS if spec.name == name).lattice()
+    top = lat.top_id
+    facets = lat.facets_of(top)
+    found = 0
+    for a, b in itertools.combinations(facets, 2):
+        order = shelling._BoundaryShellings(lat).shelling_with_prefix(top, fs(a, b))
+        if lat.dim(lat.meet(a, b)) == 2:
+            assert order is not None
+            assert sorted(f for f, _ in order) == sorted(facets)
+            assert {f for f, _ in order[:2]} == {a, b}
+            found += 1
+        else:
+            assert order is None
+    assert found == shelled
