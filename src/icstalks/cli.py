@@ -41,7 +41,8 @@ def _read_spec(args) -> ConeSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # json raises RecursionError on nesting deeper than the recursion limit
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"cannot read cone spec {path}: {exc}") from exc
     return load_cone_spec(obj)
 

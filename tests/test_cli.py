@@ -184,6 +184,17 @@ def test_malformed_input_exit_2(capsys, tmp_path):
     assert json.loads(out)["error"]["type"] == "MalformedInput"
 
 
+def test_deeply_nested_input_exit_2(capsys, tmp_path):
+    # deeper than the JSON decoder's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out = run_cli(capsys, "faces", "--cone", str(deep))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "MalformedInput"
+    assert str(deep) in error["message"]
+
+
 @pytest.mark.parametrize(
     "spec",
     [

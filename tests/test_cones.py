@@ -155,13 +155,13 @@ def _outcome(route, rays, rank):
 
 
 @st.composite
-def _cones(draw, pointed):
-    """Rank 2-5 and rank to 10 distinct nonzero rays.
+def _cones(draw, pointed, ranks=(2, 5)):
+    """Rank in ``ranks`` (2-5 by default) and rank to 10 distinct nonzero rays.
 
     A pointed cone has every last coordinate positive; otherwise one ray is
     followed by its negative, so the cone contains a line.
     """
-    rank = draw(st.integers(2, 5))
+    rank = draw(st.integers(*ranks))
     last = st.integers(1, 3) if pointed else st.integers(-3, 3)
     ray = st.tuples(*[st.integers(-3, 3)] * (rank - 1), last).filter(any)
     rays = draw(st.lists(ray, min_size=rank, max_size=10 if rank < 5 else 8, unique=True))

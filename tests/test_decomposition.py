@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from icstalks import decomposition
 from icstalks.cones import face_lattice
 from icstalks.corpus import CORPUS
 from icstalks.decomposition import (
@@ -89,6 +90,27 @@ def test_fiber_series_matches_product_form(rays, rank):
                 lat.chain_count(lo, f.id, l) for l in range(f.dim - lat.dim(lo) + 1)
             ]
             assert _fiber_series(counts) == _fiber_series_by_products(counts)
+
+
+def test_solver_expands_each_chain_count_tuple_once(monkeypatch):
+    lat = face_lattice(CUBE5, rank=5)
+    d = multiplicity_table(barycentric_subdivision(lat))
+    tuples = {
+        tuple(lat.chain_count(lo, f.id, l) for l in range(f.dim - lat.dim(lo) + 1))
+        for f in lat.faces
+        for lo in lat.down[f.id] - {lat.zero_id, f.id}
+    }
+    calls = []
+
+    def counted(counts):
+        calls.append(counts)
+        return _fiber_series(counts)
+
+    monkeypatch.setattr(decomposition, "_fiber_series", counted)
+    solve_decomposition(lat, d)
+    # one call per face through fiber_poincare, one per distinct tuple
+    assert len(tuples) == 4
+    assert len(calls) == len(lat.faces) + len(tuples)
 
 
 def test_fiber_poincare_zero_face():

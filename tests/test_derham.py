@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings
 
 from icstalks import derham
-from icstalks.cones import face_lattice
+from icstalks.cones import dot, dual_cone, face_lattice, primitive, rank_of
 from icstalks.decomposition import solve_decomposition
 from icstalks.derham import (
     check_main_identity,
@@ -9,10 +10,11 @@ from icstalks.derham import (
     derham_from_stalks,
     derham_table,
     stalk_chi_y,
+    stalk_formula,
 )
 from icstalks.differentials import omega_closed_form, omega_from_fiber_poincare, omega_oracle
-from icstalks.errors import CrossCheckMismatch, NonIntegralExponent
-from icstalks.golden import golden_derham
+from icstalks.errors import CrossCheckMismatch, NonIntegralExponent, NotFullDimensional
+from icstalks.golden import golden_derham, toric_g
 from icstalks.polynomials import (
     K_INV,
     K_INV_PLUS_L_INV,
@@ -24,6 +26,7 @@ from icstalks.polynomials import (
     poly_from_pairs,
 )
 from icstalks.subdivision import barycentric_subdivision, multiplicity_table
+from test_cones import _cones
 from test_golden import CONES, FANS, _g, _lattice, _pipeline
 
 SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
@@ -205,8 +208,57 @@ def test_derham_names_the_pair_on_a_parity_violation():
     dec.Htilde[(lat.zero_id, lat.top_id)] = LaurentPolynomial.term(-2)
     with pytest.raises(NonIntegralExponent, match=rf"faces \({lat.zero_id}, {lat.top_id}\)"):
         derham_from_stalks(dec, lat.zero_id, lat.top_id)
-    with pytest.raises(NonIntegralExponent):
+    with pytest.raises(NonIntegralExponent, match=rf"faces \({lat.zero_id}, {lat.top_id}\)"):
         derham_table(dec)
+
+
+def test_derham_table_maps_each_distinct_key_once(monkeypatch):
+    lat = _lattice("cube5")
+    _, dec = _pipeline("cube5", "barycentric")
+    keys = {(h, lat.dim(mu), lat.dim(tau)) for (mu, tau), h in dec.Htilde.items()}
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return stalk_formula(*args)
+
+    monkeypatch.setattr(derham, "stalk_formula", counted)
+    table = derham_table(dec)
+    assert (len(table), len(keys), len(calls)) == (707, 21, 21)
+
+
+def _extreme_rays(rays, rank):
+    """The primitive generators of the extreme rays among ``rays``, in order."""
+    normals = dual_cone(rays, rank)
+    out = []
+    for r in rays:
+        p = primitive(r)
+        if p not in out and rank_of([u for u in normals if dot(u, r) == 0]) == rank - 1:
+            out.append(p)
+    return out
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(_cones(pointed=True, ranks=(3, 4)))
+def test_random_cones_match_golden_and_the_spelled_out_forms(cone):
+    # a random cone has few symmetries, so the pairs that share a memo key
+    # mostly do so by accident, not by an automorphism of the cone
+    rays, rank = cone
+    try:
+        rays = _extreme_rays(rays, rank)
+    except NotFullDimensional:
+        return
+    lat = face_lattice(rays, rank)
+    g = toric_g(lat)
+    for subdivide in FANS.values():
+        d = multiplicity_table(subdivide(lat))
+        dec = solve_decomposition(lat, d)
+        assert dec.Htilde == g
+        for (mu, tau), got in derham_table(dec).items():
+            assert got == _reference_derham(g[mu, tau], lat.dim(mu), lat.dim(tau), rank)
+        for f in lat.faces:
+            fiber_form = omega_from_fiber_poincare(dec.F[f.id], rank, f.dim)
+            assert omega_closed_form(d, f.id) == fiber_form
 
 
 def test_fiber_form_of_odd_support_raises():

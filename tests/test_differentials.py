@@ -26,11 +26,13 @@ from icstalks.errors import (
     InvariantViolation,
     NotComparable,
 )
+from icstalks.derham import stalk_formula
 from icstalks.linalg import canonical, integer_rank, nullspace, sparse_row
 from icstalks.polynomials import (
     K_INV,
     L_VAR,
     BiLaurentPolynomial,
+    LaurentPolynomial,
     bipoly_from_triples,
     poly_from_pairs,
 )
@@ -39,7 +41,7 @@ from icstalks.subdivision import (
     interior_ray_subdivision,
     multiplicity_table,
 )
-from test_golden import CROSS5, CUBE5
+from test_golden import CONES, CROSS5, CUBE5, FANS, _lattice, _pipeline
 from test_linalg import dense_gauss_rank
 
 SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
@@ -557,6 +559,31 @@ def test_closed_form_matches_the_per_face_sum(name, rays, rank):
         d = multiplicity_table(sub)
         for f in lat.faces:
             expected = _per_face_closed_form(d, f.id)
+            got = omega_closed_form(d, f.id)
+            assert got == expected
+            assert got.to_json_obj() == expected.to_json_obj()
+
+
+def _reference_closed_form(d, tau):
+    """The closed form with one power product per j, as a reference."""
+    lattice = d.lattice
+    d_tau = lattice.face(tau).dim
+    one, q2 = LaurentPolynomial.one(), LaurentPolynomial.term(2)
+    inner = LaurentPolynomial.zero()
+    for j in range(d_tau + 1):
+        count = sum(d.get(j, f) for f in lattice.down[tau])
+        if count:
+            inner = inner + count * (one - q2) ** (d_tau - j) * q2**j
+    return stalk_formula(inner.shift(-d_tau), 0, d_tau, lattice.rank)
+
+
+@pytest.mark.parametrize("name", CONES)
+def test_closed_form_matches_the_power_expansion(name):
+    lat = _lattice(name)
+    for fan in FANS:
+        d, _ = _pipeline(name, fan)
+        for f in lat.faces:
+            expected = _reference_closed_form(d, f.id)
             got = omega_closed_form(d, f.id)
             assert got == expected
             assert got.to_json_obj() == expected.to_json_obj()
