@@ -44,11 +44,7 @@ from .decomposition import (
     solve_decomposition,
     split_palindromic_negative,
 )
-from .derham import (
-    derham_by_elimination,
-    derham_from_stalks,
-    derham_table,
-)
+from .derham import derham_by_elimination, derham_table
 
 __all__ = [
     "BiLaurentPolynomial",
@@ -75,7 +71,6 @@ __all__ = [
     "split_palindromic_negative",
     "solve_decomposition",
     "DecompositionResult",
-    "derham_from_stalks",
     "derham_by_elimination",
     "derham_table",
 ]

@@ -130,10 +130,12 @@ def cmd_omega(args) -> int:
     spec = _read_spec(args)
     lattice = spec.lattice()
     _check_face_id(lattice, "--tau", args.tau)
+    mode = args.mode or "both"
+    if args.check and mode == "closed-form":
+        raise ValueError("--check recomputes the oracle route, which --closed-form leaves out")
     sub = barycentric_subdivision(lattice)
     d = multiplicity_table(sub)
     taus = [args.tau] if args.tau is not None else [f.id for f in lattice.faces]
-    mode = args.mode or "both"
     rows = []
     for tau in taus:
         row: dict = {"tau": tau}
@@ -174,17 +176,17 @@ def cmd_icdr(args) -> int:
     sub = barycentric_subdivision(lattice)
     d = multiplicity_table(sub)
     dec = solve_decomposition(lattice, d)
+    table = derham_table(dec)
     if args.verify:
         for f in lattice.faces:
-            check_main_identity(dec, omega_oracle(sub, f.id), f.id)
-    table = derham_table(dec)
+            check_main_identity(dec, table, omega_oracle(sub, f.id), f.id)
     pairs = sorted(table)
     if args.mu is not None:
         pairs = [p for p in pairs if p[0] == args.mu]
     if args.tau is not None:
         pairs = [p for p in pairs if p[1] == args.tau]
-    if not pairs:
-        raise ToricError("no nested face pair matches --mu/--tau")
+    if not pairs:  # only a given --mu above a given --tau leaves none
+        raise ValueError(f"--mu {args.mu} is not a face of --tau {args.tau}")
     rows = []
     for (mu, tau) in pairs:
         poly = table[(mu, tau)]
@@ -232,6 +234,8 @@ def cmd_shelling(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.cone is not None and args.name is not None:
+        raise ValueError("give --cone or --name, not both")
     if args.cone is not None:
         report = run_cone(_read_spec(args))
     elif args.name is not None:

@@ -10,12 +10,13 @@ dR_{mu,tau} = stalk_formula(Ht_{mu,tau}), an exact evaluation with
 half-integer K-exponents cancelling because the stalk polynomial's support
 has the parity of d_tau - d_mu.  The image depends on the key
 (Ht_{mu,tau}, d_mu, d_tau) alone and a lattice has few distinct keys, so
-``derham_table`` maps each key once.  Its memo is local to the call, so no
-image outlives the table it was made for.  Both closed forms of the higher-direct-image
-series Omega_tau in ``differentials`` are the same map at mu = 0, applied to
-q^{-d_tau} times a series in q^2.  The independent route solves for dR_{0,tau}
-by upper-triangular elimination over the face poset: subtracting from
-Omega_tau the contributions of all nonzero faces,
+``derham_table``, the one way into the stalk route, maps each key once.  Its
+memo is local to the call, so no image outlives the table it was made for.
+Both closed forms of the higher-direct-image series Omega_tau in
+``differentials`` are the same map at mu = 0, applied to q^{-d_tau} times a
+series in q^2.  The independent route solves for dR_{0,tau} by
+upper-triangular elimination over the face poset: subtracting from Omega_tau
+the contributions of all nonzero faces, with dR_{mu,tau} read from the table,
 
     dR_{0,tau} = Omega_tau - sum_{0 != mu <= tau}
                      dR_{mu,tau} * D_mu(L^{-1} K^{1/2}) * K^{-d_mu/2}.
@@ -51,29 +52,16 @@ def stalk_formula(h: LaurentPolynomial, d_mu: int, d_tau: int, n: int) -> BiLaur
     return (h.substitute(L_K_INV_HALF) * shift * _cofactor(n - d_tau)).assert_integral()
 
 
-def derham_from_stalks(dec: DecompositionResult, mu: int, tau: int) -> BiLaurentPolynomial:
-    """dR_{mu,tau} evaluated from the stalk polynomial; integral by parity."""
-    lattice = dec.lattice
-    try:
-        return stalk_formula(
-            dec.htilde(mu, tau), lattice.dim(mu), lattice.dim(tau), lattice.rank
-        )
-    except NonIntegralExponent as exc:
-        raise NonIntegralExponent(
-            f"dR for faces ({mu}, {tau}) has half-integer exponents; "
-            f"a parity violation upstream: {exc}"
-        ) from exc
-
-
 def derham_table(dec: DecompositionResult) -> dict[tuple[int, int], BiLaurentPolynomial]:
     """All dR_{mu,tau} for nested pairs of faces, one image per distinct key.
 
-    dR_{mu,tau} depends on (Ht_{mu,tau}, d_mu, d_tau) alone, and a lattice has
-    few distinct keys (cube5: 707 pairs, 21 keys), so ``derham_from_stalks``
-    runs once per key and every pair reads its key's image.  The memo lives
-    in the call: nothing carries from one table, cone or pass to the next.
-    Pairs are visited in the order of the table, so a parity violation names
-    the first offending pair.
+    This is the one way into the stalk route.  dR_{mu,tau} depends on
+    (Ht_{mu,tau}, d_mu, d_tau) alone, and a lattice has few distinct keys
+    (cube5: 707 pairs, 21 keys), so ``stalk_formula`` runs once per key and
+    every pair reads its key's image.  The memo lives in the call: nothing
+    carries from one table, cone or pass to the next.  Pairs are visited in
+    the order of the table, so a parity violation names the first offending
+    pair.
     """
     lattice = dec.lattice
     images: dict[tuple[LaurentPolynomial, int, int], BiLaurentPolynomial] = {}
@@ -82,19 +70,28 @@ def derham_table(dec: DecompositionResult) -> dict[tuple[int, int], BiLaurentPol
         for mu in sorted(lattice.down[f.id]):
             key = (dec.htilde(mu, f.id), lattice.dim(mu), f.dim)
             if key not in images:
-                images[key] = derham_from_stalks(dec, mu, f.id)
+                try:
+                    images[key] = stalk_formula(*key, lattice.rank)
+                except NonIntegralExponent as exc:
+                    raise NonIntegralExponent(
+                        f"dR for faces ({mu}, {f.id}) has half-integer exponents; "
+                        f"a parity violation upstream: {exc}"
+                    ) from exc
             table[mu, f.id] = images[key]
     return table
 
 
 def derham_by_elimination(
-    dec: DecompositionResult, omega: BiLaurentPolynomial, tau: int
+    dec: DecompositionResult,
+    table: dict[tuple[int, int], BiLaurentPolynomial],
+    omega: BiLaurentPolynomial,
+    tau: int,
 ) -> BiLaurentPolynomial:
     """Solve for dR_{0,tau} from Omega_tau by subtracting the known faces.
 
-    The subtracted terms use dR_{mu,tau} from the stalk route and the solved
-    multiplicities; the caller compares the result against the stalk route
-    for the pair (0, tau).
+    The subtracted terms read dR_{mu,tau} from ``table``, the stalk route's
+    ``derham_table(dec)``, and the solved multiplicities; the caller compares
+    the result against the table's entry for the pair (0, tau).
     """
     lattice = dec.lattice
     out = omega
@@ -103,7 +100,7 @@ def derham_by_elimination(
             continue
         d_mu = lattice.dim(mu)
         term = (
-            derham_from_stalks(dec, mu, tau)
+            table[mu, tau]
             * dec.D[mu].substitute(L_INV_K_HALF)
             * BiLaurentPolynomial.monomial(-d_mu, 0)
         )
@@ -112,11 +109,14 @@ def derham_by_elimination(
 
 
 def check_main_identity(
-    dec: DecompositionResult, omega: BiLaurentPolynomial, tau: int
+    dec: DecompositionResult,
+    table: dict[tuple[int, int], BiLaurentPolynomial],
+    omega: BiLaurentPolynomial,
+    tau: int,
 ) -> BiLaurentPolynomial:
     """Require the two routes to dR_{0,tau} to agree coefficientwise."""
-    eliminated = derham_by_elimination(dec, omega, tau)
-    direct = derham_from_stalks(dec, dec.lattice.zero_id, tau)
+    eliminated = derham_by_elimination(dec, table, omega, tau)
+    direct = table[dec.lattice.zero_id, tau]
     if eliminated != direct:
         diff = eliminated - direct
         raise CrossCheckMismatch(

@@ -27,11 +27,7 @@ from .decomposition import (
     lowest_degree_normalized,
     solve_decomposition,
 )
-from .derham import (
-    check_main_identity,
-    derham_from_stalks,
-    stalk_chi_y,
-)
+from .derham import check_main_identity, derham_table, stalk_chi_y
 from .differentials import (
     check_second_degree,
     omega_closed_form,
@@ -133,6 +129,10 @@ class ConeContext:
     @cached_property
     def dec_interior(self) -> DecompositionResult:
         return solve_decomposition(self.lattice, self.d_interior)
+
+    @cached_property
+    def dr_barycentric(self) -> dict[tuple[int, int], BiLaurentPolynomial]:
+        return derham_table(self.dec_barycentric)
 
     @cached_property
     def g(self) -> dict[tuple[int, int], LaurentPolynomial]:
@@ -305,11 +305,11 @@ def check_center_multiplicity_independence(ctx: ConeContext) -> str:
 def check_main_closure(ctx: ConeContext) -> str:
     # the identity is linear in Omega, so the closed form closes it exactly
     # when it equals the oracle
-    dec = ctx.dec_barycentric
+    dec, dr = ctx.dec_barycentric, ctx.dr_barycentric
     oracle = ctx.omega_oracle_map
     closed = ctx.omega_closed_map
     for f in ctx.lattice.faces:
-        check_main_identity(dec, oracle[f.id], f.id)
+        check_main_identity(dec, dr, oracle[f.id], f.id)
         _require(closed[f.id] == oracle[f.id], f"face {f.id}: closed-form Omega")
     return f"{len(ctx.lattice.faces)} faces, oracle and closed form"
 
@@ -318,8 +318,7 @@ def check_chi_y(ctx: ConeContext) -> str:
     dec = ctx.dec_barycentric
     lat = ctx.lattice
     for f in lat.faces:
-        dr = derham_from_stalks(dec, lat.zero_id, f.id)
-        lhs = dr.chi_y()
+        lhs = ctx.dr_barycentric[lat.zero_id, f.id].chi_y()
         rhs = stalk_chi_y(dec.htilde(lat.zero_id, f.id), f.dim, lat.rank)
         _require(lhs == rhs, f"face {f.id}")
     return f"{len(lat.faces)} faces"
@@ -341,9 +340,8 @@ def check_golden_stalks(ctx: ConeContext) -> str:
 def check_golden_derham(ctx: ConeContext) -> str:
     lat = ctx.lattice
     expected = golden_derham(lat, ctx.g)
-    dec = ctx.dec_barycentric
     for fid, poly in expected.items():
-        got = derham_from_stalks(dec, lat.zero_id, fid)
+        got = ctx.dr_barycentric[lat.zero_id, fid]
         if got != poly:
             raise CrossCheckMismatch(f"face {fid}: {got.to_text()}, expected {poly.to_text()}")
         _require(

@@ -17,9 +17,10 @@ the stalk polynomials themselves (criterion 7d) holds everywhere.
 
 import pytest
 
+from icstalks import derham, verify
 from icstalks.corpus import CORPUS, corpus_by_name
 from icstalks.decomposition import solve_decomposition
-from icstalks.derham import derham_from_stalks
+from icstalks.derham import derham_table
 from icstalks.errors import NotAShelling
 from icstalks.polynomials import (
     K_INV_PLUS_L_INV,
@@ -37,8 +38,29 @@ from icstalks.verify import run_corpus
 
 
 @pytest.fixture(scope="module")
-def report():
-    return run_corpus(CORPUS)
+def corpus_run():
+    """One corpus run, its ``stalk_formula`` calls and the decompositions it tabled."""
+    calls, decs = [], []
+    formula, table = derham.stalk_formula, verify.derham_table
+
+    def counted(*args):
+        calls.append(args)
+        return formula(*args)
+
+    def recorded(dec):
+        decs.append(dec)
+        return table(dec)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(derham, "stalk_formula", counted)
+        mp.setattr(verify, "derham_table", recorded)
+        report = run_corpus(CORPUS)
+    return report, calls, decs
+
+
+@pytest.fixture(scope="module")
+def report(corpus_run):
+    return corpus_run[0]
 
 
 def _require(report, name, line):
@@ -77,16 +99,28 @@ def test_criterion_1_golden_stalk_and_multiplicity_values(report):
 def test_criterion_2_golden_derham_values(report):
     lat = corpus_by_name("polygon-6").lattice()
     dec = solve_decomposition(lat, multiplicity_table(barycentric_subdivision(lat)))
-    assert derham_from_stalks(dec, 0, lat.top_id) == bipoly_from_triples(
+    assert derham_table(dec)[0, lat.top_id] == bipoly_from_triples(
         [(0, -3, 1), (-2, -1, 3)]
     )
     cube = corpus_by_name("cube").lattice()
-    dec4 = solve_decomposition(cube, multiplicity_table(barycentric_subdivision(cube)))
+    dr4 = derham_table(solve_decomposition(cube, multiplicity_table(barycentric_subdivision(cube))))
     for fid in cube.faces_of_dim(3):
         expected = K_INV_PLUS_L_INV * bipoly_from_triples([(0, -3, 1), (-2, -1, 1)])
-        assert derham_from_stalks(dec4, 0, fid) == expected
-    assert derham_from_stalks(dec4, 0, cube.zero_id) == K_INV_PLUS_L_INV**4
+        assert dr4[0, fid] == expected
+    assert dr4[0, cube.zero_id] == K_INV_PLUS_L_INV**4
     _require(report, "golden-derham", "criterion 2 (golden de Rham values)")
+
+
+def test_corpus_maps_each_distinct_stalk_once_per_cone(corpus_run):
+    # one table per cone serves main-theorem-closure, chi-y-identity and
+    # golden-derham, mapping each distinct (Ht, d_mu, d_tau) once
+    _, calls, decs = corpus_run
+    assert len(decs) == len(CORPUS)
+    keys = [
+        {(h, dec.lattice.dim(mu), dec.lattice.dim(tau)) for (mu, tau), h in dec.Htilde.items()}
+        for dec in decs
+    ]
+    assert len(calls) == sum(map(len, keys)) == 125
 
 
 def test_criterion_3_main_theorem_closure(report):

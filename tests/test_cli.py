@@ -272,6 +272,24 @@ def test_face_id_outside_lattice_exit_2(capsys, square_file, argv):
     assert "0..9" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["omega", "--closed-form", "--check"], "--check"),
+        (["icdr", "--mu", "3", "--tau", "1"], "--mu 3 is not a face of --tau 1"),
+        (["verify", "--name", "cube"], "--cone or --name"),
+    ],
+    ids=["omega-check-without-oracle", "icdr-pair-not-nested", "verify-cone-and-name"],
+)
+def test_contradictory_options_exit_2(capsys, square_file, argv, message):
+    # square faces 1 and 3 are distinct rays, so neither lies in the other
+    code, out = run_cli(capsys, *argv, "--cone", square_file)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "MalformedInput"
+    assert message in error["message"]
+
+
 def test_non_pointed_cone_exit_1(capsys, tmp_path):
     spec = {"name": "line", "rank": 2, "rays": [[1, 0], [-1, 0], [0, 1]]}
     path = tmp_path / "line.json"

@@ -7,14 +7,13 @@ from icstalks.decomposition import solve_decomposition
 from icstalks.derham import (
     check_main_identity,
     derham_by_elimination,
-    derham_from_stalks,
     derham_table,
     stalk_chi_y,
     stalk_formula,
 )
 from icstalks.differentials import omega_closed_form, omega_from_fiber_poincare, omega_oracle
 from icstalks.errors import CrossCheckMismatch, NonIntegralExponent, NotFullDimensional
-from icstalks.golden import golden_derham, toric_g
+from icstalks.golden import golden_derham, local_h, toric_g
 from icstalks.polynomials import (
     K_INV,
     K_INV_PLUS_L_INV,
@@ -43,12 +42,12 @@ def solved(rays, rank=None):
 def test_derham_zero_zero_is_binomial_power():
     for rays, rank, n in (([], 0, 0), ([(1,)], None, 1), (SQUARE, None, 3), (CUBE, None, 4)):
         lat, _, _, dec = solved(rays, rank)
-        assert derham_from_stalks(dec, 0, lat.zero_id) == K_INV_PLUS_L_INV**n
+        assert derham_table(dec)[0, lat.zero_id] == K_INV_PLUS_L_INV**n
 
 
 def test_derham_square_cone_sigma():
     lat, _, _, dec = solved(SQUARE)
-    assert derham_from_stalks(dec, 0, lat.top_id) == bipoly_from_triples(
+    assert derham_table(dec)[0, lat.top_id] == bipoly_from_triples(
         [(0, -3, 1), (-2, -1, 1)]
     )
 
@@ -56,59 +55,64 @@ def test_derham_square_cone_sigma():
 def test_derham_two_face_of_cube():
     lat, _, _, dec = solved(CUBE)
     expected = K_INV_PLUS_L_INV**2 * BiLaurentPolynomial.monomial(0, -2)
+    table = derham_table(dec)
     for fid in lat.faces_of_dim(2):
-        assert derham_from_stalks(dec, 0, fid) == expected
+        assert table[0, fid] == expected
 
 
 def test_derham_diagonal():
     # on the diagonal the stalk is q^0, leaving the smooth-point factor
     # (K^{-1}+L^{-1})^{n-d}; for the full cone that is K^0 L^0
     lat, _, _, dec = solved(SQUARE)
+    table = derham_table(dec)
     for f in lat.faces:
         expected = K_INV_PLUS_L_INV ** (lat.rank - f.dim)
-        assert derham_from_stalks(dec, f.id, f.id) == expected
-    assert derham_from_stalks(dec, lat.top_id, lat.top_id) == BiLaurentPolynomial.one()
+        assert table[f.id, f.id] == expected
+    assert table[lat.top_id, lat.top_id] == BiLaurentPolynomial.one()
 
 
 def test_derham_simplicial_face_formula():
     # for a simplicial face the stalk is q^{-d}, so the table entry is
     # L^{-d} (K^{-1}+L^{-1})^{n-d}
     lat, _, _, dec = solved(CUBE)
+    table = derham_table(dec)
     for f in lat.faces:
         if f.dim and len(f.rays) == f.dim:
             expected = (
                 BiLaurentPolynomial.monomial(0, -f.dim)
                 * K_INV_PLUS_L_INV ** (lat.rank - f.dim)
             )
-            assert derham_from_stalks(dec, 0, f.id) == expected
+            assert table[0, f.id] == expected
 
 
 def test_elimination_empty_sum_at_zero_face():
     lat, sub, d, dec = solved(SQUARE)
     om = omega_closed_form(d, lat.zero_id)
-    assert derham_by_elimination(dec, om, lat.zero_id) == K_INV_PLUS_L_INV**3
+    assert derham_by_elimination(dec, derham_table(dec), om, lat.zero_id) == K_INV_PLUS_L_INV**3
 
 
 def test_elimination_square_cone_sigma():
     lat, sub, d, dec = solved(SQUARE)
     om = omega_oracle(sub, lat.top_id)
-    got = derham_by_elimination(dec, om, lat.top_id)
+    table = derham_table(dec)
+    got = derham_by_elimination(dec, table, om, lat.top_id)
     assert got == bipoly_from_triples([(0, -3, 1), (-2, -1, 1)])
-    assert got == derham_from_stalks(dec, 0, lat.top_id)
+    assert got == table[0, lat.top_id]
 
 
 def test_main_identity_all_faces_square():
     lat, sub, d, dec = solved(SQUARE)
+    table = derham_table(dec)
     for f in lat.faces:
-        check_main_identity(dec, omega_oracle(sub, f.id), f.id)
-        check_main_identity(dec, omega_closed_form(d, f.id), f.id)
+        check_main_identity(dec, table, omega_oracle(sub, f.id), f.id)
+        check_main_identity(dec, table, omega_closed_form(d, f.id), f.id)
 
 
 def test_main_identity_detects_corruption():
     lat, sub, d, dec = solved(SQUARE)
     om = omega_oracle(sub, lat.top_id) + BiLaurentPolynomial.monomial(0, 0)
     with pytest.raises(CrossCheckMismatch):
-        check_main_identity(dec, om, lat.top_id)
+        check_main_identity(dec, derham_table(dec), om, lat.top_id)
 
 
 def test_derham_table_covers_nested_pairs():
@@ -124,13 +128,13 @@ def test_derham_table_covers_nested_pairs():
 
 def test_chi_y_simplicial_full_cone():
     lat, _, _, dec = solved([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    dr = derham_from_stalks(dec, 0, lat.top_id)  # L^{-3}
+    dr = derham_table(dec)[0, lat.top_id]  # L^{-3}
     assert dr.chi_y() == LaurentPolynomial({0: -1})
 
 
 def test_chi_y_square_cone():
     lat, _, _, dec = solved(SQUARE)
-    dr = derham_from_stalks(dec, 0, lat.top_id)
+    dr = derham_table(dec)[0, lat.top_id]
     # L^{-3} + K^{-1}L^{-1} evaluates to -1 + y at K = (-y)^{-1}, L = -1,
     # matching the stalk-side product (1 + q^2)|_{q^2=-y} * (-1)^3
     assert dr.chi_y() == poly_from_pairs([(0, -1), (1, 1)])
@@ -139,9 +143,9 @@ def test_chi_y_square_cone():
 
 def test_chi_y_identity_all_faces_cube():
     lat, _, _, dec = solved(CUBE)
+    table = derham_table(dec)
     for f in lat.faces:
-        dr = derham_from_stalks(dec, 0, f.id)
-        assert dr.chi_y() == stalk_chi_y(dec.htilde(0, f.id), f.dim, 4)
+        assert table[0, f.id].chi_y() == stalk_chi_y(dec.htilde(0, f.id), f.dim, 4)
 
 
 def test_interval_consistency_against_quotient_geometry():
@@ -149,18 +153,16 @@ def test_interval_consistency_against_quotient_geometry():
     # entry of the actual 3-dim cone over the vertex figure
     cube, _, _, dec_cube = solved(CUBE)
     tri, _, _, dec_tri = solved([(0, 0, 1), (1, 0, 1), (0, 1, 1)])
+    table, expected = derham_table(dec_cube), derham_table(dec_tri)[0, tri.top_id]
     for ray in cube.faces_of_dim(1):
-        assert derham_from_stalks(dec_cube, ray, cube.top_id) == derham_from_stalks(
-            dec_tri, 0, tri.top_id
-        )
+        assert table[ray, cube.top_id] == expected
     octa, _, _, dec_octa = solved(
         [(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1), (0, 0, 1, 1), (0, 0, -1, 1)]
     )
     square, _, _, dec_square = solved(SQUARE)
+    table, expected = derham_table(dec_octa), derham_table(dec_square)[0, square.top_id]
     for ray in octa.faces_of_dim(1):
-        assert derham_from_stalks(dec_octa, ray, octa.top_id) == derham_from_stalks(
-            dec_square, 0, square.top_id
-        )
+        assert table[ray, octa.top_id] == expected
 
 
 def _reference_derham(h, d_mu, d_tau, n):
@@ -207,8 +209,6 @@ def test_derham_names_the_pair_on_a_parity_violation():
     lat, _, _, dec = solved(SQUARE)
     dec.Htilde[(lat.zero_id, lat.top_id)] = LaurentPolynomial.term(-2)
     with pytest.raises(NonIntegralExponent, match=rf"faces \({lat.zero_id}, {lat.top_id}\)"):
-        derham_from_stalks(dec, lat.zero_id, lat.top_id)
-    with pytest.raises(NonIntegralExponent, match=rf"faces \({lat.zero_id}, {lat.top_id}\)"):
         derham_table(dec)
 
 
@@ -249,16 +249,22 @@ def test_random_cones_match_golden_and_the_spelled_out_forms(cone):
     except NotFullDimensional:
         return
     lat = face_lattice(rays, rank)
-    g = toric_g(lat)
-    for subdivide in FANS.values():
-        d = multiplicity_table(subdivide(lat))
+    g, dual_g = toric_g(lat), toric_g(lat, dual=True)
+    for fan, subdivide in FANS.items():
+        sub = subdivide(lat)
+        d = multiplicity_table(sub)
         dec = solve_decomposition(lat, d)
         assert dec.Htilde == g
-        for (mu, tau), got in derham_table(dec).items():
+        assert dec.D == local_h(lat, d, dual_g)
+        table = derham_table(dec)
+        for (mu, tau), got in table.items():
             assert got == _reference_derham(g[mu, tau], lat.dim(mu), lat.dim(tau), rank)
         for f in lat.faces:
             fiber_form = omega_from_fiber_poincare(dec.F[f.id], rank, f.dim)
             assert omega_closed_form(d, f.id) == fiber_form
+            # verify closes the barycentric fan; only this test closes the other
+            if fan == "interior-ray":
+                check_main_identity(dec, table, omega_oracle(sub, f.id), f.id)
 
 
 def test_fiber_form_of_odd_support_raises():

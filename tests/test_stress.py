@@ -2,7 +2,7 @@
 
 from icstalks.cones import face_lattice
 from icstalks.decomposition import solve_decomposition
-from icstalks.derham import check_main_identity, derham_from_stalks
+from icstalks.derham import check_main_identity, derham_table
 from icstalks.differentials import omega_closed_form, omega_oracle
 from icstalks.polynomials import LaurentPolynomial, bipoly_from_triples, poly_from_pairs
 from icstalks.shelling import lexicographic_shelling
@@ -49,7 +49,7 @@ def test_square_pyramid_mixed_facets():
         assert dec_i.htilde(0, fid) == poly_from_pairs([(-3, 1), (-1, nk - 3)])
         assert dec_i.D[fid] == poly_from_pairs([(1, 1), (-1, 1)])
     assert dec_b.Htilde == dec_i.Htilde
-    assert derham_from_stalks(dec_b, 0, sigma) == bipoly_from_triples(
+    assert derham_table(dec_b)[0, sigma] == bipoly_from_triples(
         [(0, -4, 1), (-2, -2, 1)]
     )
 
@@ -57,10 +57,11 @@ def test_square_pyramid_mixed_facets():
 def test_square_pyramid_closure_and_shelling():
     lat, bary, dec_b, _ = full_pipeline(PYRAMID)
     d = multiplicity_table(bary)
+    table = derham_table(dec_b)
     for f in lat.faces:
         om = omega_oracle(bary, f.id)
         assert om == omega_closed_form(d, f.id)
-        check_main_identity(dec_b, om, f.id)
+        check_main_identity(dec_b, table, om, f.id)
     order = lexicographic_shelling(lat, bary)
     assert order.type_histogram()[0] == 1
 
@@ -75,9 +76,10 @@ def test_triangular_prism():
     facet_rays = sorted(len(lat.faces[fid].rays) for fid in lat.faces_of_dim(3))
     assert facet_rays == [3, 3, 4, 4, 4]
     assert dec_b.Htilde == dec_i.Htilde
+    table = derham_table(dec_b)
     for f in lat.faces:
         om = omega_oracle(bary, f.id)
-        check_main_identity(dec_b, om, f.id)
+        check_main_identity(dec_b, table, om, f.id)
 
 
 def shear(rays, matrix):
@@ -110,7 +112,7 @@ def test_unimodular_invariance_cube_cone():
     assert a[2].D == b[2].D
     sigma = a[0].top_id
     assert omega_oracle(a[1], sigma) == omega_oracle(b[1], sigma)
-    assert derham_from_stalks(a[2], 0, sigma) == derham_from_stalks(b[2], 0, sigma)
+    assert derham_table(a[2])[0, sigma] == derham_table(b[2])[0, sigma]
 
 
 def test_stalks_depend_only_on_poset_not_geometry():
