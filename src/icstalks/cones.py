@@ -169,7 +169,8 @@ class FaceLattice:
             if frozenset((i,)) not in self._by_rayset:
                 raise ValueError(f"ray {i} = {list(r)} is not an extreme ray of the cone")
         self._validate()
-        self._chain_counts: dict[tuple[int, int, int], int] = {}
+        # lo -> hi -> chain counts of [lo, hi] by length, filled by chain_counts
+        self._chain_counts: dict[int, dict[int, tuple[int, ...]]] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -283,21 +284,37 @@ class FaceLattice:
         """Faces f with lo < f < hi, in id order; empty unless lo <= hi."""
         return sorted((self.down[hi] & self.up[lo]) - {lo, hi})
 
+    def chain_counts(self, lo: int, hi: int) -> tuple[int, ...]:
+        """Chains lo < v_1 < ... < v_l = hi of faces counted by length l (memoized).
+
+        The tuple has one entry per l = 0 .. dim hi − dim lo, and is empty
+        unless lo <= hi.  Every face above lo is counted in one pass from lo
+        upward, with counts(lo, lo) = (1,) and, for hi > lo, counts(lo, hi)
+        the sum over lo <= mid < hi of counts(lo, mid) shifted one length
+        up: the chain's last face below hi is mid.  Ids grow with dimension,
+        so walking mid in id order finishes each tuple before it is pushed.
+        """
+        if lo not in self._chain_counts:
+            lo_dim = self.faces[lo].dim
+            counts = {f: [0] * (self.faces[f].dim - lo_dim + 1) for f in self.up[lo]}
+            counts[lo][0] = 1
+            for mid in sorted(self.up[lo]):
+                below = counts[mid]
+                for f in self.up[mid] - {mid}:
+                    above = counts[f]
+                    for l, x in enumerate(below):
+                        above[l + 1] += x
+            self._chain_counts[lo] = {f: tuple(c) for f, c in counts.items()}
+        return self._chain_counts[lo].get(hi, ())
+
     def chain_count(self, lo: int, hi: int, length: int) -> int:
-        """Number of chains lo < v_1 < ... < v_length = hi of faces (memoized)."""
-        if hi == lo:
-            return 1 if length == 0 else 0
-        if length <= 0:
-            return 0
-        if length == 1:
-            return 1 if self.leq(lo, hi) else 0
-        key = (lo, hi, length)
-        if key not in self._chain_counts:
-            self._chain_counts[key] = sum(
-                self.chain_count(lo, mid, length - 1)
-                for mid in self.strictly_between(lo, hi)
-            )
-        return self._chain_counts[key]
+        """Number of chains lo < v_1 < ... < v_length = hi of faces.
+
+        Read off ``chain_counts(lo, hi)``: 0 when lo is not below hi and when
+        no chain has that length.
+        """
+        counts = self.chain_counts(lo, hi)
+        return counts[length] if 0 <= length < len(counts) else 0
 
     def face_of_point(self, point: Vector) -> int:
         """The face whose relative interior contains a point of sigma."""

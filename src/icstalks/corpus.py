@@ -93,24 +93,44 @@ def corpus_by_name(name: str) -> ConeSpec:
     raise KeyError(f"no corpus cone named {name!r}")
 
 
+def _json_type(x) -> str:
+    """The JSON type of a decoded value, named without printing the value."""
+    names = {bool: "boolean", int: "integer", float: "number", str: "string", list: "array"}
+    return "null" if x is None else names.get(type(x), "object")
+
+
 def _json_int(x) -> int:
     # bool is an int in Python, but not a JSON integer
     if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"expected a JSON integer, got {x!r}")
+        raise ValueError(f"expected a JSON integer, got a JSON {_json_type(x)}")
+    return x
+
+
+def _json_list(x) -> list:
+    if not isinstance(x, list):
+        raise ValueError(f"expected a JSON array, got a JSON {_json_type(x)}")
     return x
 
 
 def load_cone_spec(obj: dict) -> ConeSpec:
-    """Parse the CLI input format {"name", "rank", "rays"}; numbers must be JSON integers."""
+    """Parse the CLI input format {"name", "rank", "rays"}.
+
+    ``rank`` and every number in ``rays`` and ``expected_face_counts`` must be
+    a JSON integer, ``rays`` an array of arrays, ``expected_face_counts`` an
+    array and ``name`` a string (``"cone"`` when absent); anything else
+    raises ``ValueError``.
+    """
     if not isinstance(obj, dict):
         raise ValueError("cone spec must be a JSON object")
     try:
         rank = _json_int(obj["rank"])
-        rays = tuple(tuple(map(_json_int, r)) for r in obj["rays"])
-        expected = tuple(map(_json_int, obj.get("expected_face_counts", ())))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed cone spec: {exc}") from exc
+        rays = tuple(tuple(map(_json_int, _json_list(r))) for r in _json_list(obj["rays"]))
+        expected = tuple(map(_json_int, _json_list(obj.get("expected_face_counts", []))))
+    except KeyError as exc:
+        raise ValueError(f"malformed cone spec: missing key {exc}") from exc
     if any(len(r) != rank for r in rays):
         raise ValueError("every ray must have exactly `rank` entries")
-    name = str(obj.get("name", "cone"))
+    name = obj.get("name", "cone")
+    if not isinstance(name, str):
+        raise ValueError(f"cone name must be a JSON string, got a JSON {_json_type(name)}")
     return ConeSpec(name=name, rank=rank, rays=rays, expected_face_counts=expected)

@@ -130,9 +130,11 @@ def solve_decomposition(
     Face ids increase with dimension, so walking hi in id order and lo in
     reverse id order reaches every interval after the shorter ones it needs.
     The normalized fiber of an interval with lo != 0 depends on its
-    chain-count tuple alone, and a lattice has few distinct tuples (cube5:
-    544 intervals, 4 tuples), so each is expanded once.  That memo lives in
-    the call: nothing carries from one lattice or pass to the next.
+    chain-count tuple alone, ``FaceLattice.chain_counts(lo, hi)``, and a
+    lattice has few distinct tuples (cube5: 544 intervals, 4 tuples), so
+    each is expanded once.  That memo lives in the call: nothing carries
+    from one lattice or pass to the next.  Each interval's middles are
+    listed once, for the sum of the known terms.
     """
     result = DecompositionResult(lattice=lattice)
     htilde = result.Htilde
@@ -150,7 +152,7 @@ def solve_decomposition(
             if lo == zero:
                 fiber = result.F[hi].shift(-length)
             else:
-                counts = tuple(lattice.chain_count(lo, hi, l) for l in range(length + 1))
+                counts = lattice.chain_counts(lo, hi)
                 if counts not in fibers:
                     fibers[counts] = _fiber_series(counts).shift(-length)
                 fiber = fibers[counts]

@@ -1,10 +1,13 @@
-"""Exact linear algebra over the rationals on sparse rows.
+"""Exact linear algebra over the rationals: sparse rows, and one dense determinant kernel.
 
 A row is a dict from column index to its nonzero entry, a ``Fraction`` or an
 ``int``; a matrix is a list of rows.  The Ishida differentials are more than
 98% zeros, so only the nonzero entries are stored and touched.  One exact
-elimination, ``_eliminate``, gives every rank, determinant and nullspace;
-there is no modular or floating-point shortcut.
+sparse elimination, ``_eliminate``, gives every rank, every nullspace and
+the determinant of one matrix; there is no modular or floating-point
+shortcut.  ``determinants`` is the one dense kernel: the determinants of
+many square matrices drawn from one list of integer vectors, where matrices
+with the same leading rows share those rows' elimination.
 
 The elimination is fraction-free (Bareiss 1968, without his exact
 division): a row holding a ``Fraction`` is cleared of its denominators
@@ -18,6 +21,10 @@ nullspace; ``determinant`` divides their product back out.
 the value is integral and a ``Fraction`` only where it is not (the rule of
 ``canonical``, which the polynomial coefficients follow too).  Integral
 bases keep every later pairing in ``int`` arithmetic.
+
+``determinants`` takes dense integer vectors and is Bareiss's
+Gauss-Jordan with his exact division: every entry it keeps is a minor of
+the rows so far, so it never leaves ``int`` and never scales a row.
 """
 
 from __future__ import annotations
@@ -162,3 +169,110 @@ def nullspace(rows, n_cols: int) -> tuple[list[list[int | Fraction]], list[int]]
                 v[c] = canonical(Fraction(-s) / row[c])
         basis.append([v.get(j, 0) for j in range(n_cols)])
     return basis, free_cols
+
+
+def _reduce(prefix, v) -> tuple[list[int], int] | None:
+    """``v`` reduced by a prefix's Gauss-Jordan form, and its first nonzero column.
+
+    A prefix of k independent integer rows A is ``(D, columns, rows, sign)``:
+    its pivot columns C in pivot order, D = det(A[:, C]), the rows of
+    G = adj(A[:, C])·A, so that G[:, C] = D·I and every other entry of G is
+    a k × k minor of A (Cramer), and the sign of the permutation sorting C.
+    The reduced row ``w = D·v − Σ_r v[C_r]·G_r`` holds at column j the
+    (k + 1)-minor of A and v on the columns C, j in that order (a Schur
+    complement), so it is zero exactly when v depends on A; then, or when
+    the prefix is ``None`` (dependent already), the result is ``None``.
+    """
+    if prefix is None:
+        return None
+    d, columns, rows, _ = prefix
+    w = [d * x for x in v]
+    for c, g in zip(columns, rows):
+        a = v[c]
+        if a:
+            w = [x - a * y for x, y in zip(w, g)]
+    p = next((j for j, x in enumerate(w) if x), None)
+    return None if p is None else (w, p)
+
+
+def _extend(prefix, v):
+    """The prefix's form with the row ``v`` added; ``None`` once rows depend.
+
+    The reduced row w's first nonzero column p is the new pivot, D' = w[p],
+    and each old row becomes ``(D'·G_r − G_r[p]·w) / D``, an exact division
+    (Sylvester's identity; Bareiss 1968), so every entry stays a minor.
+    """
+    reduced = _reduce(prefix, v)
+    if reduced is None:
+        return None
+    (w, p), (d, columns, rows, sign) = reduced, prefix
+    e = w[p]
+    rows = [[(e * x - g[p] * y) // d for x, y in zip(g, w)] for g in rows]
+    if sum(c > p for c in columns) % 2:
+        sign = -sign
+    return e, columns + (p,), rows + [w], sign
+
+
+def _cofactors(prefix, v, n: int) -> list[int] | None:
+    """The cofactor vector u of the prefix's n − 2 rows and v: det(…, x) = <u, x>.
+
+    This is ``_extend`` computing only the one column j it leaves free:
+    u[j] is the new pivot D' = w[p], u[p] = −w[j], and at the pivot column
+    of an old row u is minus that row's updated entry at j.  The sign is
+    that of the permutation sorting the columns C, p, j.
+    """
+    reduced = _reduce(prefix, v)
+    if reduced is None:
+        return None
+    (w, p), (d, columns, rows, sign) = reduced, prefix
+    e = w[p]
+    (last,) = set(range(n)) - set(columns) - {p}
+    u = [0] * n
+    u[last] = e
+    u[p] = -w[last]
+    for c, g in zip(columns, rows):
+        u[c] = (g[p] * w[last] - e * g[last]) // d
+    if (sum(c > p for c in columns) + sum(c > last for c in columns) + (p > last)) % 2:
+        sign = -sign
+    return u if sign > 0 else [-x for x in u]
+
+
+def determinants(vectors, keys) -> dict[tuple[int, ...], int]:
+    """The determinant of every key's rows of n integer ``vectors`` of length n.
+
+    A key is a tuple of n indices into ``vectors``; its matrix has those
+    rows in key order.  The keys are walked sorted, so keys with the same
+    leading indices share the fraction-free Gauss-Jordan form of those rows
+    (``_extend``), each prefix extended by one row from its parent's form.
+    A prefix of n − 1 rows gives its cofactor vector (``_cofactors``), so a
+    key's last row costs one dot product.  Every entry is a minor, so
+    everything stays in ``int``; a key whose prefix has dependent rows gets
+    0 without a product.
+    """
+    keys = sorted(set(keys))
+    if not keys:
+        return {}
+    n = len(keys[0])
+    if n == 0:
+        return {(): 1}
+    # prefixes[k] is the form of the current key's first k rows, k < n - 1
+    prefixes: list = [(1, (), [], 1)]
+    out: dict[tuple[int, ...], int] = {}
+    previous = None
+    for key in keys:
+        shared = 0
+        if previous is not None:
+            while shared < n - 1 and previous[shared] == key[shared]:
+                shared += 1
+        if previous is None or shared < n - 1:
+            del prefixes[shared + 1 :]
+            for k in range(shared, n - 2):
+                prefixes.append(_extend(prefixes[k], vectors[key[k]]))
+            if n == 1:
+                normal = [1]
+            else:
+                normal = _cofactors(prefixes[n - 2], vectors[key[n - 2]], n)
+        last = vectors[key[-1]]
+        out[key] = 0 if normal is None else sum(a * b for a, b in zip(normal, last))
+        previous = key
+    return out

@@ -28,8 +28,13 @@ the join of its rays' tags, found with one join per cone from the facet
 without its largest ray.  The multiplicity table d_l(tau) counts
 l-dimensional cones whose minimal containing face of sigma, the join of
 their rays' tags, is tau.  Each maximal cone's orientation, the sign of
-its determinant, is derived with the cones: one determinant per maximal
-cone, read by both the builder and the validator.
+its determinant, is derived with the cones and read by both
+``_chain_subdivision`` and the validator.  All orientations come from one call of
+``linalg.determinants``, each cone's rays in decreasing index order.  In
+the barycentric fan an interior ray's index grows with its face's id, so
+the rows run down the flag from sigma's centre, and the flags through the
+same faces share the elimination of those rows (cube5: 384 maximal cones,
+1/8/48/192 shared prefixes of 1 to 4 rows).
 
 ``validate_subdivision`` proves from those orientations that a fan
 subdivides sigma: its maximal cones meet in pairs across every interior
@@ -42,7 +47,7 @@ from dataclasses import dataclass, field
 
 from .cones import FaceLattice, Vector, dot, primitive, vector_sum
 from .errors import CrossCheckMismatch, InvariantViolation, NotSimplicialResult
-from .linalg import determinant, sparse_row
+from .linalg import determinant, determinants, sparse_row
 
 ConeSet = frozenset[int]
 
@@ -69,6 +74,9 @@ class SubdivisionMap:
     ray's tag, one join per nonzero cone.  ``orientation`` holds each
     maximal cone's determinant sign, rays in index order: nonzero exactly
     when the cone has n independent rays, so is simplicial and n-dimensional.
+    It is read off the determinant of the rays in decreasing index order,
+    from one ``determinants`` walk over all maximal cones, times the sign
+    (-1)^(n(n-1)/2) of reversing n rows; a cone without n rays gets 0.
     """
 
     lattice: FaceLattice
@@ -105,10 +113,15 @@ class SubdivisionMap:
                 top = max(c)
                 pushforward[c] = join(pushforward[c - {top}], tags[top])
         self.pushforward = pushforward
-        n, rays = lattice.rank, self.rays
-        self.orientation = {
-            c: _sign([rays[i] for i in sorted(c)]) if len(c) == n else 0 for c in self.maximal
-        }
+        # reversing n rows multiplies the determinant by (-1)^(n(n-1)/2)
+        n = lattice.rank
+        keys = {c: tuple(sorted(c, reverse=True)) for c in self.maximal if len(c) == n}
+        dets = determinants(self.rays, keys.values())
+        flip = -1 if n * (n - 1) // 2 % 2 else 1
+        self.orientation = {}
+        for c in self.maximal:
+            det = dets[keys[c]] if c in keys else 0
+            self.orientation[c] = flip * ((det > 0) - (det < 0))
 
     def cones_by_dim(self) -> dict[int, list[ConeSet]]:
         out: dict[int, list[ConeSet]] = {}

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -288,6 +289,104 @@ def test_contradictory_options_exit_2(capsys, square_file, argv, message):
     error = json.loads(out)["error"]
     assert error["type"] == "MalformedInput"
     assert message in error["message"]
+
+
+@pytest.mark.parametrize(
+    "name", [None, [1, 2], 3, True, {"a": 1}], ids=["null", "array", "number", "bool", "object"]
+)
+def test_non_string_name_exit_2(capsys, tmp_path, name):
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(dict(SQUARE_SPEC, name=name)))
+    code, out = run_cli(capsys, "verify", "--cone", str(path))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "MalformedInput"
+    assert "name must be a JSON string" in error["message"]
+
+
+def test_absent_name_is_cone(capsys, tmp_path):
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"rank": 3, "rays": SQUARE_SPEC["rays"]}))
+    code, out = run_cli(capsys, "faces", "--cone", str(path))
+    assert code == 0
+    assert out.startswith("10 faces of cone (rank 3)")
+
+
+JSON_KINDS = ("null", "boolean", "integer", "number", "string", "array", "object")
+
+
+def _json_value(rng, kind, depth=0):
+    """A random JSON value of the given kind; containers nest at most three deep."""
+    inner = JSON_KINDS if depth < 3 else JSON_KINDS[:5]
+    if kind == "array":
+        return [_json_value(rng, rng.choice(inner), depth + 1) for _ in range(rng.randint(0, 3))]
+    if kind == "object":
+        return {
+            rng.choice("abxyz"): _json_value(rng, rng.choice(inner), depth + 1)
+            for _ in range(rng.randint(0, 3))
+        }
+    return {
+        "null": None,
+        "boolean": rng.choice((True, False)),
+        "integer": rng.randint(-5, 5),
+        "number": rng.randint(-50, 50) / 4,
+        "string": "".join(rng.choice("01[]{} ,abc") for _ in range(rng.randint(0, 4))),
+    }[kind]
+
+
+def _placed(spec, place, value):
+    """A copy of ``spec`` with ``value`` at the key path ``place``."""
+    spec = json.loads(json.dumps(spec))
+    *path, last = place
+    target = spec
+    for step in path:
+        target = target[step]
+    target[last] = value
+    return spec
+
+
+def _malformed_specs(seed):
+    """Seeded malformed cone spec texts, each labelled with what is wrong."""
+    rng = random.Random(seed)
+    valid = dict(SQUARE_SPEC, expected_face_counts=[1, 4, 4, 1])
+    # every place that holds a value, with the JSON kind it must have
+    places = {("name",): "string", ("rank",): "integer", ("rays",): "array"}
+    places[("expected_face_counts",)] = "array"
+    for i, ray in enumerate(valid["rays"]):
+        places[("rays", i)] = "array"
+        places.update({("rays", i, j): "integer" for j in range(len(ray))})
+    places.update({("expected_face_counts", i): "integer" for i in range(4)})
+    for place, kind in places.items():
+        for wrong in JSON_KINDS:
+            if wrong != kind:
+                value = _json_value(rng, wrong)
+                yield f"{place} {wrong}", json.dumps(_placed(valid, place, value))
+        # nesting within the decoder's limit is a wrong type, beyond it unreadable
+        for depth in (20, 5_000):
+            text = json.dumps(_placed(valid, place, "nest"))
+            yield f"{place} nested {depth}", text.replace('"nest"', "[" * depth + "]" * depth)
+    for missing in (("rank",), ("rays",), ("rank", "rays"), ("name", "rays")):
+        yield f"missing {missing}", json.dumps({k: v for k, v in valid.items() if k not in missing})
+    for kind in JSON_KINDS[:-1]:
+        yield f"top-level {kind}", json.dumps(_json_value(rng, kind))
+    text = json.dumps(valid)
+    for cut in [0] + sorted(rng.sample(range(1, len(text)), 20)):
+        yield f"truncated at {cut}", text[:cut]
+    yield "unclosed nesting", "[" * 100_000
+    yield "nested object", '{"rays": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+def test_malformed_specs_exit_2_with_a_structured_error(capsys, tmp_path):
+    path = tmp_path / "cone.json"
+    cases = list(_malformed_specs(seed=0))
+    assert len(cases) > 200
+    for label, text in cases:
+        path.write_text(text)
+        code = main(["faces", "--cone", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2, label
+        assert json.loads(captured.out)["error"]["type"] == "MalformedInput", label
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err, label
 
 
 def test_non_pointed_cone_exit_1(capsys, tmp_path):

@@ -126,6 +126,17 @@ def _sheared(rays, seed):
     return out
 
 
+def _sheared_and_permuted(rays, seed):
+    """The rays sheared as in ``_sheared`` (from rank 2) and listed in a seeded order.
+
+    Returns the new rays and ``order``, with ``order[k]`` the old index of
+    new ray k.
+    """
+    rays = _sheared(rays, seed) if rays and len(rays[0]) >= 2 else list(rays)
+    order = random.Random(seed).sample(range(len(rays)), len(rays))
+    return [rays[k] for k in order], order
+
+
 DUAL_CONES = (
     [(spec.name, list(spec.rays), spec.rank) for spec in CORPUS]
     + [("pyramid", PYRAMID, 4), ("prism", PRISM, 4)]

@@ -25,7 +25,7 @@ from icstalks.polynomials import (
     poly_from_pairs,
 )
 from icstalks.subdivision import barycentric_subdivision, multiplicity_table
-from test_cones import _cones
+from test_cones import _cones, _sheared_and_permuted
 from test_golden import CONES, FANS, _g, _lattice, _pipeline
 
 SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
@@ -238,33 +238,65 @@ def _extreme_rays(rays, rank):
     return out
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
-@given(_cones(pointed=True, ranks=(3, 4)))
-def test_random_cones_match_golden_and_the_spelled_out_forms(cone):
-    # a random cone has few symmetries, so the pairs that share a memo key
-    # mostly do so by accident, not by an automorphism of the cone
+def _face_map(lat, moved, order):
+    """Each face id of ``lat`` to its id in ``moved``, whose ray k is ray order[k]."""
+    new = {old: k for k, old in enumerate(order)}
+    return {f.id: moved.id_of_rayset(frozenset(new[i] for i in f.rays)) for f in lat.faces}
+
+
+def _check_random_cone(cone):
+    """Golden, spelled-out and closure checks, and invariance under a shear.
+
+    The shear is seeded by the cone: a signed permutation of coordinates, a
+    transvection and a new ray order, so every face id may change.
+    """
     rays, rank = cone
     try:
         rays = _extreme_rays(rays, rank)
     except NotFullDimensional:
         return
     lat = face_lattice(rays, rank)
+    moved_rays, order = _sheared_and_permuted(rays, repr(cone))
+    moved = face_lattice(moved_rays, rank)
+    phi = _face_map(lat, moved, order)
     g, dual_g = toric_g(lat), toric_g(lat, dual=True)
     for fan, subdivide in FANS.items():
         sub = subdivide(lat)
         d = multiplicity_table(sub)
         dec = solve_decomposition(lat, d)
+        d_moved = multiplicity_table(subdivide(moved))
+        dec_moved = solve_decomposition(moved, d_moved)
         assert dec.Htilde == g
+        assert dec_moved.Htilde == {(phi[mu], phi[tau]): h for (mu, tau), h in g.items()}
         assert dec.D == local_h(lat, d, dual_g)
+        assert dec_moved.D == {phi[tau]: h for tau, h in dec.D.items()}
         table = derham_table(dec)
         for (mu, tau), got in table.items():
             assert got == _reference_derham(g[mu, tau], lat.dim(mu), lat.dim(tau), rank)
+        assert derham_table(dec_moved) == {(phi[m], phi[t]): dr for (m, t), dr in table.items()}
         for f in lat.faces:
             fiber_form = omega_from_fiber_poincare(dec.F[f.id], rank, f.dim)
             assert omega_closed_form(d, f.id) == fiber_form
+            moved_fiber = omega_from_fiber_poincare(dec_moved.F[phi[f.id]], rank, f.dim)
+            assert omega_closed_form(d_moved, phi[f.id]) == moved_fiber == fiber_form
             # verify closes the barycentric fan; only this test closes the other
             if fan == "interior-ray":
                 check_main_identity(dec, table, omega_oracle(sub, f.id), f.id)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(_cones(pointed=True, ranks=(3, 4)))
+def test_random_cones_match_golden_and_the_spelled_out_forms(cone):
+    # a random cone has few symmetries, so the pairs that share a memo key
+    # mostly do so by accident, not by an automorphism of the cone
+    _check_random_cone(cone)
+
+
+@pytest.mark.slow
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(_cones(pointed=True, ranks=(5, 5)))
+def test_random_rank5_cones_match_golden_and_the_spelled_out_forms(cone):
+    _check_random_cone(cone)
 
 
 def test_fiber_form_of_odd_support_raises():

@@ -10,6 +10,7 @@ from icstalks.errors import CrossCheckMismatch
 from icstalks.linalg import (
     _eliminate,
     determinant,
+    determinants,
     integer_rank,
     nullspace,
     sparse_row,
@@ -248,3 +249,45 @@ def test_pivot_is_the_shortest_row():
     # a shorter row with pivot 2 beats a longer row with pivot 1
     short = {0: 2, 1: 1}
     assert _eliminate([{0: 1, 1: 1, 2: 1}, short])[0][0] == (0, short)
+
+
+# -- the prefix-sharing kernel, against Leibniz ------------------------------
+
+
+def test_determinants_match_leibniz_randomized():
+    rng = random.Random(29)
+    for n in range(1, 6):
+        for _ in range(12):
+            vectors = random_matrix(rng, n + 4, n, -4, 4)
+            if rng.random() < 0.5:
+                # a row that depends on two others: every key holding all
+                # three is singular, wherever they sit in it
+                vectors[-1] = [a - 2 * b for a, b in zip(vectors[0], vectors[1])]
+            # keys drawn from a few prefixes, so many share their leading rows
+            heads = [tuple(rng.sample(range(n + 4), n)) for _ in range(3)]
+            keys = [head[: rng.randint(0, n)] for head in heads for _ in range(6)]
+            keys = [k + tuple(rng.sample([i for i in range(n + 4) if i not in k], n - len(k)))
+                    for k in keys]
+            got = determinants(vectors, keys)
+            assert got.keys() == set(keys)
+            for key in keys:
+                expected = leibniz_det([vectors[i] for i in key])
+                assert got[key] == expected and type(got[key]) is int, (vectors, key)
+
+
+def test_determinants_of_a_dependent_prefix_are_zero():
+    # rows 0 and 1 are parallel: every key starting with them is singular,
+    # and the keys that leave the prefix are not
+    vectors = [(1, 2, 3), (2, 4, 6), (0, 1, 0), (0, 0, 1), (1, 0, 0)]
+    keys = [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (1, 3, 2), (2, 3, 4)]
+    got = determinants(vectors, keys)
+    assert got == {key: leibniz_det([vectors[i] for i in key]) for key in keys}
+    assert [got[k] for k in keys[:3]] == [0, 0, 0] and all(got[k] for k in keys[3:])
+    # a repeated row is a dependent prefix too
+    assert determinants(vectors, [(2, 2, 3), (2, 3, 3)]) == {(2, 2, 3): 0, (2, 3, 3): 0}
+
+
+def test_determinants_of_sizes_zero_and_one():
+    assert determinants([], [()]) == {(): 1}
+    assert determinants([(5,)], []) == {}
+    assert determinants([(3,), (-2,), (0,)], [(0,), (1,), (2,)]) == {(0,): 3, (1,): -2, (2,): 0}

@@ -1,9 +1,10 @@
+import random
 from functools import reduce
 from itertools import combinations
 
 import pytest
 
-from icstalks import subdivision
+from icstalks import linalg, subdivision
 from icstalks.cones import dot, face_lattice, vector_sum
 from icstalks.corpus import CORPUS, polygon_cone
 from icstalks.decomposition import solve_decomposition
@@ -18,6 +19,7 @@ from icstalks.subdivision import (
     multiplicity_table,
     validate_subdivision,
 )
+from test_cones import _sheared_and_permuted
 
 SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
 TRIANGLE = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
@@ -130,6 +132,47 @@ def test_chain_count_recursion():
                 for mid in lat.strictly_between(lat.zero_id, f.id)
             )
             assert chain_count_oracle(lat, f.id, j) == total
+
+
+def _enumerated_chain_counts(lat, lo, hi):
+    """Chains lo < v_1 < ... < v_l = hi counted by l, each chain listed once.
+
+    Order is ray-set containment, not the lattice's ``down``/``up`` sets.
+    """
+    rays = [f.rays for f in lat.faces]
+    if not rays[lo] <= rays[hi]:
+        return ()
+    counts = [0] * (lat.dim(hi) - lat.dim(lo) + 1)
+    if lo == hi:
+        counts[0] = 1
+        return tuple(counts)
+    between = [f for f in range(len(rays)) if rays[lo] < rays[f]]
+    chains = [(hi, 1)]  # (v_1, l) of every chain found so far
+    while chains:
+        bottom, l = chains.pop()
+        counts[l] += 1
+        chains.extend((f, l + 1) for f in between if rays[f] < rays[bottom])
+    return tuple(counts)
+
+
+@pytest.mark.parametrize(
+    "name, rays, rank",
+    FAN_CONES[:-3] + [("cube5", CUBE5, 5)],
+    ids=[name for name, _, _ in FAN_CONES[:-3]] + ["cube5"],
+)
+def test_chain_counts_match_enumerated_chains(name, rays, rank):
+    lat = face_lattice(rays, rank=rank)
+    pairs = [(lo, hi) for lo in range(len(lat.faces)) for hi in range(len(lat.faces))]
+    # a seeded order, so the first query of each lo asks for an arbitrary hi
+    random.Random(name).shuffle(pairs)
+    for lo, hi in pairs:
+        expected = _enumerated_chain_counts(lat, lo, hi)
+        assert lat.chain_counts(lo, hi) == expected, (lo, hi)
+        # incomparable pairs and out-of-range lengths count 0
+        assert (expected == ()) == (not lat.leq(lo, hi))
+        for length in range(-1, rank + 2):
+            in_range = 0 <= length < len(expected)
+            assert lat.chain_count(lo, hi, length) == (expected[length] if in_range else 0)
 
 
 def test_stellar_3dim_counts():
@@ -377,6 +420,36 @@ def test_orientation_is_the_determinant_sign(name, rays, rank):
         assert sub.orientation.keys() == set(sub.maximal)
         for c in sub.maximal:
             assert sub.orientation[c] == _determinant_sign(sub, c) != 0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name, rays, rank", FAN_CONES, ids=[name for name, _, _ in FAN_CONES])
+def test_orientation_is_the_determinant_sign_after_a_shear(name, rays, rank, seed):
+    # new coordinates and a new ray order change every key of the prefix walk
+    rays, _ = _sheared_and_permuted(rays, seed)
+    lat = face_lattice(rays, rank=rank)
+    for sub in (barycentric_subdivision(lat), interior_ray_subdivision(lat)):
+        for c in sub.maximal:
+            assert sub.orientation[c] == _determinant_sign(sub, c) != 0
+
+
+def test_subdivision_map_takes_no_determinant(monkeypatch):
+    fans = []
+    for rays in (SQUARE, CUBE, CUBE5, CROSS5):
+        lat = face_lattice(rays)
+        fans += [barycentric_subdivision(lat), interior_ray_subdivision(lat)]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return determinant(*args)
+
+    monkeypatch.setattr(subdivision, "determinant", counted)
+    monkeypatch.setattr(linalg, "determinant", counted)
+    for fan in fans:
+        again = SubdivisionMap(fan.lattice, fan.rays, fan.ray_face, fan.maximal)
+        assert again.orientation == fan.orientation
+    assert calls == []
 
 
 def test_orientation_is_zero_on_degenerate_maximal_cones():
