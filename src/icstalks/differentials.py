@@ -20,12 +20,17 @@ by the one elimination step that the basis would take.
 
 The block V_mu^p -> V_nu^p depends on (mu, nu, p) alone, not on u.  So each
 fan builds one *apex* complex per p, in degree u = 0 where every cone with at
-most p rays survives, by walking each cone's facets.  Consecutive
-differentials anticommute with no extra sign, which the apex checks rather
-than trusts: a nonzero composite raises ``CrossCheckMismatch``.  The complex
-at (tau, u) keeps the cones whose pushforward lies in tau, a downward-closed
-set; it is the quotient of the apex by the upward-closed rest, read off as
-the apex's rows and columns of the kept cones, renumbered.  The kept cones
+most p rays survives.  One walk over the pairs (mu, nu = mu + {rho}) builds
+the apexes of every p: each pair's pairings, pivot index and nesting check
+are computed once, and its block rows for each p are written straight into
+that p's apex rows.  Consecutive differentials anticommute with no extra
+sign, which each apex checks rather than trusts: a nonzero composite raises
+``CrossCheckMismatch``.  The complex at (tau, u) keeps the cones whose
+pushforward lies in tau, a downward-closed set; it is the quotient of the
+apex by the upward-closed rest, read off as the apex's rows and columns of
+the kept cones, renumbered.  Each layer's cones are grouped by pushforward
+face once per fan, so tau's kept cones are the sorted union of the groups of
+the faces below tau, found without a scan of the cones.  The kept cones
 depend on tau alone, so the quotient is memoized per (tau, p) beside the
 apex, and every valid degree of tau reads that one complex.
 
@@ -218,7 +223,7 @@ def _block_layout(m: int, k: int, e: int) -> tuple[tuple[tuple[int, int], ...], 
     """Per row of a block from m basis vectors in wedge degree k, its (column, i).
 
     The row's entry at that column is ``(t + -t)[i]``: t_s at i = s and -t_s
-    at i = m + s.  ``_block`` explains the signs.
+    at i = m + s.  ``_contraction`` explains the signs.
     """
     dst_labels = itertools.combinations(range(m - 1), k - 1)
     dst_index = {lab: i for i, lab in enumerate(dst_labels)}
@@ -233,14 +238,17 @@ def _block_layout(m: int, k: int, e: int) -> tuple[tuple[tuple[int, int], ...], 
     return tuple(layout)
 
 
-def _block(sub: SubdivisionMap, mu: ConeSet, nu: ConeSet, p: int) -> list[SparseRow]:
-    """Sparse rows of the differential component V_mu^p -> V_nu^p (row convention).
+def _contraction(sub: SubdivisionMap, mu: ConeSet, nu: ConeSet) -> tuple[list, int]:
+    """The signed pairings of the contraction V_mu -> V_nu, and its pivot index e.
 
-    The component is the contraction with the ray rho of nu not in mu.  Let
-    t_i = <b_i, rho> on mu's basis, e the first index with t_e != 0.  The
-    left-to-right elimination makes mu's free column e nu's one new pivot, so
+    The contraction is with the ray rho of nu not in mu.  Let t_i = <b_i, rho>
+    on mu's basis, e the first index with t_e != 0.  The left-to-right
+    elimination makes mu's free column e nu's one new pivot, so
     b_s - (t_s / t_e) b_e has nu-coordinates the unit vector at s - (s > e) and
-    is 0 at s = e: row S has (-1)^(k-1-j) t_{s_j} at S - {s_j}, reindexed.
+    is 0 at s = e: in wedge degree k, row S of the block V_mu^p -> V_nu^p has
+    (-1)^(k-1-j) t_{s_j} at S - {s_j}, reindexed, which ``_block_layout``
+    places.  The list returned is t + -t, the entries the layout indexes.
+    That nu's free columns are mu's without column e is checked, not trusted.
     """
     (rho,) = nu - mu
     src_cols = _free_columns(sub, mu)
@@ -250,48 +258,92 @@ def _block(sub: SubdivisionMap, mu: ConeSet, nu: ConeSet, p: int) -> list[Sparse
         raise InvariantViolation(
             None, "ishida", f"free columns {dst_cols} do not nest in {src_cols}"
         )
-    signed = t + [-x for x in t]
-    return [
-        {col: signed[i] for col, i in entries if signed[i]}
-        for entries in _block_layout(len(src_cols), p - len(mu), e)
-    ]
+    return t + [-x for x in t], e
+
+
+def _layers(sub: SubdivisionMap):
+    """The fan's cones by ray count, sorted, and each layer's positions by face.
+
+    ``groups[l][f]`` lists, in increasing order, the positions in layer l of
+    the cones whose pushforward is the face f.  Built once per fan.
+    """
+    memo = sub.ishida_memo
+    if "layers" not in memo:
+        by_dim = sub.cones_by_dim()
+        layers = [by_dim.get(l, []) for l in range(sub.lattice.rank + 1)]
+        groups: list[dict[int, list[int]]] = []
+        for layer in layers:
+            group: dict[int, list[int]] = {}
+            for c, cone in enumerate(layer):
+                group.setdefault(sub.pushforward[cone], []).append(c)
+            groups.append(group)
+        memo["layers"] = layers, groups
+    return memo["layers"]
 
 
 def _apex(sub: SubdivisionMap, p: int):
-    """The p-form complex in degree 0 and its cones by position, once per fan and p.
+    """The p-form complex in degree 0 and its cones by position; one walk per fan.
 
     Position l holds every l-ray cone, sorted, each with a summand of
     dimension comb(n - l, p - l).  Each cone nu receives one block from each
-    of its facets nu - {rho}.  ``ChainComplexQ`` checks the composites.
+    of its facets mu = nu - {rho}.  One walk over these pairs builds the
+    complexes of every p at once: a pair's ``_contraction`` is computed
+    once, and its block for each p >= |nu| is written into that p's rows
+    through ``_block_layout(n - |mu|, p - |mu|, e)``.  ``ChainComplexQ``
+    checks the composites of each p's complex.
     """
     memo = sub.ishida_memo
     if p not in memo:
         n = sub.lattice.rank
-        layers: list[list[ConeSet]] = [[] for _ in range(p + 1)]
-        for cone in sub.cones:
-            if len(cone) <= p:
-                layers[len(cone)].append(cone)
-        sizes = [comb(n - l, p - l) for l in range(p + 1)]
-        offsets: list[dict[ConeSet, int]] = []
-        for layer, size in zip(layers, sizes):
-            layer.sort(key=sorted)
-            offsets.append({cone: c * size for c, cone in enumerate(layer)})
-        dims = [len(layer) * size for layer, size in zip(layers, sizes)]
-        mats = []
-        for l in range(p):
-            rows: list[SparseRow] = [{} for _ in range(dims[l])]
-            for nu in layers[l + 1]:
-                c0 = offsets[l + 1][nu]
+        layers, _ = _layers(sub)
+        position = [{cone: c for c, cone in enumerate(layer)} for layer in layers[:-1]]
+        dims = [
+            [len(layers[l]) * comb(n - l, q - l) for l in range(q + 1)] for q in range(n + 1)
+        ]
+        # mats[q][l]: the rows of the q-form apex differential from position l
+        mats = [[[{} for _ in range(dims[q][l])] for l in range(q)] for q in range(n + 1)]
+        for l in range(n):
+            m = n - l
+            # per wedge degree k: the apex rows of p = l + k, and the block shape
+            shapes = [
+                (k, mats[l + k][l], comb(m, k), comb(m - 1, k - 1)) for k in range(1, m + 1)
+            ]
+            for c_nu, nu in enumerate(layers[l + 1]):
                 for rho in nu:
                     mu = nu - {rho}
-                    r0 = offsets[l][mu]
-                    for i, block_row in enumerate(_block(sub, mu, nu, p)):
-                        target = rows[r0 + i]
-                        for j, x in block_row.items():
-                            target[c0 + j] = x
-            mats.append(rows)
-        memo[p] = layers, ChainComplexQ(dims=dims, mats=mats)
+                    c_mu = position[l][mu]
+                    signed, e = _contraction(sub, mu, nu)
+                    for k, rows, height, width in shapes:
+                        c0 = c_nu * width
+                        for r, entries in enumerate(_block_layout(m, k, e), c_mu * height):
+                            target = rows[r]
+                            for col, i in entries:
+                                x = signed[i]
+                                if x:
+                                    target[c0 + col] = x
+        complexes = [ChainComplexQ(dims=dims[q], mats=mats[q]) for q in range(n + 1)]
+        for q, complex in enumerate(complexes):
+            memo[q] = layers[: q + 1], complex
     return memo[p]
+
+
+def _kept_rows(sub: SubdivisionMap, p: int, face: int) -> list[list[int]]:
+    """Per position of the p-form apex, the rows of the cones lying over ``face``.
+
+    A cone lies over a face below ``face`` exactly when its pushforward is in
+    ``down[face]``, so its position is in one of those faces' groups; the
+    groups are disjoint, and their union, sorted, keeps the apex order.
+    """
+    n = sub.lattice.rank
+    below = sub.lattice.down[face]
+    _, groups = _layers(sub)
+    kept = []
+    for l in range(p + 1):
+        size = comb(n - l, p - l)
+        group = groups[l]
+        positions = sorted(c for f in below if f in group for c in group[f])
+        kept.append([c * size + i for c in positions for i in range(size)])
+    return kept
 
 
 def build_degree_complex(
@@ -300,51 +352,55 @@ def build_degree_complex(
     """The pushforward Ishida complex for p-forms in lattice degree u.
 
     A cone's summand survives in degree u exactly when u pairs to zero with
-    every ray of the cone.  ``validate_degree`` has just shown that u
-    vanishes on sigma exactly on tau's rays, so these are the cones whose
-    pushforward lies in tau.  Position 0 holds the wedge^p of the whole
-    dual space (the zero cone); position l collects the surviving l-ray cones.
-    The blocks do not depend on u, so this is the apex complex with only the
-    rows and columns of the surviving cones, renumbered in order.  Which
-    cones survive depends on the face alone, so the quotient is memoized per
-    (face, p) beside the apex, and every valid degree of a face reads the
-    same complex.
+    every ray of the cone.  ``validate_degree`` has shown that u vanishes on
+    sigma exactly on tau's rays, so these are the cones whose pushforward
+    lies in tau; its verdict is memoized per (face, u), so each degree is
+    paired with the rays once for all p.  Position 0 holds the wedge^p of
+    the whole dual space (the zero cone); position l collects the surviving
+    l-ray cones.  The blocks do not depend on u, so this is the apex complex
+    with only the rows and columns of the surviving cones (``_kept_rows``),
+    renumbered in order.  Which cones survive depends on the face alone, so
+    the quotient is memoized per (face, p) beside the apex, and every valid
+    degree of a face reads the same complex.
     """
     lattice = sub.lattice
     n = lattice.rank
     if not (0 <= p <= n):
         raise ValueError(f"form degree {p} out of range 0..{n}")
-    if not 0 <= degree.face <= lattice.top_id or not validate_degree(
-        lattice, degree.face, degree.u
-    ):
-        raise DegreeMismatch(f"degree {degree.u} is not valid for face {degree.face}")
-
-    layers, apex = _apex(sub, p)
-    if degree.face == lattice.top_id:
-        return apex
     memo = sub.ishida_memo
-    key = (degree.face, p)
+    face = degree.face
+    checked = (face, tuple(degree.u))
+    if 0 <= face <= lattice.top_id and checked not in memo:
+        memo[checked] = validate_degree(lattice, face, degree.u)
+    if not memo.get(checked):
+        raise DegreeMismatch(f"degree {degree.u} is not valid for face {face}")
+
+    _, apex = _apex(sub, p)
+    if face == lattice.top_id:
+        return apex
+    key = (face, p)
     if key in memo:
         return memo[key]
-    below = lattice.down[degree.face]
-    kept: list[list[int]] = []  # the apex rows kept at each position, in order
-    for l, layer in enumerate(layers):
-        size = comb(n - l, p - l)
-        kept.append(
-            [
-                c * size + i
-                for c, cone in enumerate(layer)
-                if sub.pushforward[cone] in below
-                for i in range(size)
-            ]
-        )
+    kept = _kept_rows(sub, p, face)
     mats = []
     for l, rows in enumerate(apex.mats):
-        index = {j: new for new, j in enumerate(kept[l + 1])}
+        # each apex column's kept position, or -1
+        index = [-1] * apex.dims[l + 1]
+        for new, j in enumerate(kept[l + 1]):
+            index[j] = new
         mats.append(
-            [{index[j]: x for j, x in rows[r].items() if j in index} for r in kept[l]]
+            [{index[j]: x for j, x in rows[r].items() if index[j] >= 0} for r in kept[l]]
         )
     memo[key] = ChainComplexQ._composing_to_zero([len(k) for k in kept], mats)
+    return memo[key]
+
+
+def _first_degree(sub: SubdivisionMap, tau: int) -> DegreeVector:
+    """``pick_degree(sub.lattice, tau)``, picked once per fan and face."""
+    memo = sub.ishida_memo
+    key = ("degree", tau)
+    if key not in memo:
+        memo[key] = pick_degree(sub.lattice, tau)
     return memo[key]
 
 
@@ -355,7 +411,7 @@ def omega_oracle(sub: SubdivisionMap, tau: int) -> BiLaurentPolynomial:
     validated degree u = ``pick_degree(sub.lattice, tau)``, interior to the
     dual face of tau.
     """
-    return _omega_at_degree(sub, pick_degree(sub.lattice, tau))
+    return _omega_at_degree(sub, _first_degree(sub, tau))
 
 
 def check_second_degree(sub: SubdivisionMap, tau: int, omega: BiLaurentPolynomial) -> None:
@@ -366,11 +422,11 @@ def check_second_degree(sub: SubdivisionMap, tau: int, omega: BiLaurentPolynomia
     ``CrossCheckMismatch``.  Sigma itself has only the degree 0, so there is
     nothing to compare.
     """
-    deg = pick_degree(sub.lattice, tau)
+    deg = _first_degree(sub, tau)
     other = second_degree(sub.lattice, deg)
     if other is None:
         return
-    again = _omega_at_degree(sub, other, _dual_cohomology_dims)
+    again = _omega_at_degree(sub, other, dual=True)
     if again != omega:
         raise CrossCheckMismatch(
             f"degree {deg.u} and {other.u} disagree on face {tau}: "
@@ -379,8 +435,11 @@ def check_second_degree(sub: SubdivisionMap, tau: int, omega: BiLaurentPolynomia
 
 
 def _omega_at_degree(
-    sub: SubdivisionMap, deg: DegreeVector, cohomology=cohomology_dims
+    sub: SubdivisionMap, deg: DegreeVector, dual: bool = False
 ) -> BiLaurentPolynomial:
+    # the cohomology function is looked up at each call, not bound once, so
+    # a wrapper on the module attribute sees every call
+    cohomology = _dual_cohomology_dims if dual else cohomology_dims
     n = sub.lattice.rank
     terms = {}
     for p in range(n + 1):

@@ -47,14 +47,9 @@ from dataclasses import dataclass, field
 
 from .cones import FaceLattice, Vector, dot, primitive, vector_sum
 from .errors import CrossCheckMismatch, InvariantViolation, NotSimplicialResult
-from .linalg import determinant, determinants, sparse_row
+from .linalg import determinants
 
 ConeSet = frozenset[int]
-
-
-def _sign(rows) -> int:
-    det = determinant([sparse_row(r) for r in rows])
-    return (det > 0) - (det < 0)
 
 
 @dataclass
@@ -86,8 +81,11 @@ class SubdivisionMap:
     cones: set[ConeSet] = field(init=False)
     pushforward: dict[ConeSet, int] = field(init=False)
     orientation: dict[ConeSet, int] = field(init=False)
-    # the Ishida free columns, pairings, apex complexes and face quotients of
-    # this fan, memoized by ``differentials`` alone; not part of the fan's value
+    # memoized by ``differentials`` alone, not part of the fan's value: the
+    # Ishida free columns per cone, pairings per (cone, ray), the cone layers
+    # with their positions grouped by face ("layers"), the apex complexes per
+    # form degree p (one walk builds all of them), the quotients per (face,
+    # p), each degree's verdict per (face, u) and the first degree per face
     ishida_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -335,11 +333,17 @@ def validate_subdivision(sub: SubdivisionMap) -> None:
         if any(dot(u, sub.rays[i]) for u in normals for i in fresh):
             raise InvariantViolation(tau, "pushforward", f"cone {sorted(cone)} leaves its face")
     # Cramer's rule: a point lies in a simplicial cone when putting it in
-    # place of any one generator never flips the sign of the determinant
-    first = sub.maximal[0]
-    point = vector_sum([sub.rays[i] for i in first], n)
+    # place of any one generator never flips the sign of the determinant;
+    # the point is row ``len(sub.rays)``, and one walk takes every such
+    # determinant, none of them a maximal cone's own
+    first, point = sub.maximal[0], len(sub.rays)
+    vectors = [*sub.rays, vector_sum([sub.rays[i] for i in first], n)]
+    replaced: dict[ConeSet, list[tuple[int, ...]]] = {}
+    for c, _ in oriented[1:]:
+        rows = sorted(c)
+        replaced[c] = [(*rows[:k], point, *rows[k + 1 :]) for k in range(n)]
+    dets = determinants(vectors, (key for keys in replaced.values() for key in keys))
     for c, sign in oriented[1:]:
-        rows = [sub.rays[i] for i in sorted(c)]
-        if all(_sign(rows[:k] + [point] + rows[k + 1 :]) in (0, sign) for k in range(n)):
+        if all(sign * dets[key] >= 0 for key in replaced[c]):
             message = f"maximal cones {sorted(first)} and {sorted(c)} overlap"
             raise InvariantViolation(top, "degree", message)
