@@ -181,7 +181,7 @@ class FaceLattice:
         face F are the maximal sets among the proper intersections F & Z_s,
         so the walk visits only faces and meets each cover once, from above.
         """
-        zero_sets = [
+        self._zero_sets = zero_sets = [
             frozenset(i for i, r in enumerate(self.rays) if dot(u, r) == 0)
             for u in self.dual_generators
         ]
@@ -221,10 +221,12 @@ class FaceLattice:
         self.down, self.up = down, up
 
     def _validate(self):
-        # closed under intersection, diamonds, two rays per 2-face
+        """Closed under intersection, diamonds, two rays per 2-face.  Every face the
+        walk yields is an intersection of facet ray sets Z_s, so F & G is reached by
+        meeting F with G's facets one at a time: checking each F & Z_s suffices."""
         for a in self.faces:
-            for b in self.faces:
-                if a.rays & b.rays not in self._by_rayset:
+            for z in self._zero_sets:
+                if a.rays & z not in self._by_rayset:
                     raise InvariantViolation(a.id, "lattice", "face set not intersection-closed")
         # every interval of length 2 has exactly two middle faces
         middles: dict[tuple[int, int], int] = {}

@@ -18,14 +18,15 @@ supported in strictly negative degrees (Ht_{lo,hi}) plus a palindromic part
 (D_{lo,hi}).  The fiber of [0, tau] is F_tau, so D_tau = D_{0,tau}.
 Off-diagonal stalks Ht_{mu,tau} depend only on [mu, tau] as a graded poset;
 the fiber of an interval with lo != 0 is its chain-count series, the
-barycentric fiber of the quotient cone of hi by lo.
+barycentric fiber of the quotient cone of hi by lo.  The recursion runs on
+term maps: each left side is one dict, split in one pass into Ht and D.
 
 Every D is palindromic and every off-diagonal Ht strictly negative by the
-split itself.  The rest is validated after the fact: nonnegative integer
-coefficients, unimodal D, degree supports matching the parity of the
-relevant face dimensions, and closure of the stalk identity itself, which at
-the zero face requires F_0 = 1.  Violations surface as errors rather than
-steering the computation.
+split itself.  The rest is validated after the fact, in one pass over each
+polynomial's terms: nonnegative integer coefficients, unimodal D, degree
+supports matching the parity of the relevant face dimensions, and then
+closure of the stalk identity itself, which at the zero face requires
+F_0 = 1.  Violations surface as errors rather than steering the computation.
 """
 
 from __future__ import annotations
@@ -77,15 +78,23 @@ def split_palindromic_negative(
     remainder is supported in degrees < 0.  The splitting always exists and
     is unique; downstream nonnegativity checks are the solver's concern.
     """
-    pal_terms = {}
-    for e in p.support():
-        if e == 0:
-            pal_terms[0] = p.coefficient(0)
-        elif e > 0:
-            pal_terms[e] = p.coefficient(e)
-            pal_terms[-e] = p.coefficient(e)
-    palindromic = LaurentPolynomial(pal_terms)
-    return p - palindromic, palindromic
+    return _split(dict(p.items()))
+
+
+def _split(terms: dict) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+    """``split_palindromic_negative`` of a term map that may hold zeros, in one
+    pass; values come in canonical, so only a difference is made canonical."""
+    neg, pal = {}, {}
+    for e, c in terms.items():
+        if e < 0:
+            c -= terms.get(-e, 0)
+            if c:
+                neg[e] = c if type(c) is int or c.denominator != 1 else c.numerator
+        elif c:
+            pal[e] = pal[-e] = c
+            if e and -e not in terms:
+                neg[-e] = -c
+    return LaurentPolynomial._new(neg), LaurentPolynomial._new(pal)
 
 
 @dataclass
@@ -101,30 +110,17 @@ class DecompositionResult:
         return self.Htilde[(mu, tau)]
 
     def to_json_obj(self) -> dict:
+        def entry(poly: LaurentPolynomial, **key) -> dict:
+            return {**key, "poly": poly.to_json_obj(), "text": poly.to_text()}
+
         return {
-            "F": [
-                {"tau": t, "poly": self.F[t].to_json_obj(), "text": self.F[t].to_text()}
-                for t in sorted(self.F)
-            ],
-            "Htilde": [
-                {
-                    "mu": m,
-                    "tau": t,
-                    "poly": self.Htilde[(m, t)].to_json_obj(),
-                    "text": self.Htilde[(m, t)].to_text(),
-                }
-                for (m, t) in sorted(self.Htilde)
-            ],
-            "D": [
-                {"tau": t, "poly": self.D[t].to_json_obj(), "text": self.D[t].to_text()}
-                for t in sorted(self.D)
-            ],
+            "F": [entry(self.F[t], tau=t) for t in sorted(self.F)],
+            "Htilde": [entry(self.Htilde[m, t], mu=m, tau=t) for m, t in sorted(self.Htilde)],
+            "D": [entry(self.D[t], tau=t) for t in sorted(self.D)],
         }
 
 
-def solve_decomposition(
-    lattice: FaceLattice, d: MultiplicityTable
-) -> DecompositionResult:
+def solve_decomposition(lattice: FaceLattice, d: MultiplicityTable) -> DecompositionResult:
     """Solve for every Ht_{mu,tau} and D_tau from the multiplicity table.
 
     Face ids increase with dimension, so walking hi in id order and lo in
@@ -133,63 +129,81 @@ def solve_decomposition(
     chain-count tuple alone, ``FaceLattice.chain_counts(lo, hi)``, and a
     lattice has few distinct tuples (cube5: 544 intervals, 4 tuples), so
     each is expanded once.  That memo lives in the call: nothing carries
-    from one lattice or pass to the next.  Each interval's middles are
-    listed once, for the sum of the known terms.
+    from one lattice or pass to the next.  Each interval's left side is one
+    term map, the shifted fiber minus Ht_{mid,hi} * D_{lo,mid} over the
+    middles ``up[lo] & down[hi]``, unsorted because the sums are exact.  Only
+    nonzero D_{lo,mid} with lo < mid are kept, so lo, hi and the zero D of
+    every cover drop out with one lookup.
     """
     result = DecompositionResult(lattice=lattice)
     htilde = result.Htilde
     dpal: dict[tuple[int, int], LaurentPolynomial] = {}
-    fibers: dict[tuple[int, ...], LaurentPolynomial] = {}
-    zero = lattice.zero_id
-    for f in lattice.faces:
+    fibers: dict[tuple[int, ...], dict] = {}
+    zero, up, faces = lattice.zero_id, lattice.up, lattice.faces
+    for f in faces:
         hi = f.id
         result.F[hi] = fiber_poincare(d, hi)
-        for lo in sorted(lattice.down[hi], reverse=True):
-            if lo == hi:
-                htilde[(lo, hi)] = dpal[(lo, hi)] = LaurentPolynomial.one()
-                continue
-            length = f.dim - lattice.dim(lo)
+        # lo walks down to the zero face last, which leaves D_{0,hi} in pal
+        htilde[hi, hi] = pal = LaurentPolynomial.one()
+        for lo in sorted(lattice.down[hi] - {hi}, reverse=True):
+            length = f.dim - faces[lo].dim
             if lo == zero:
-                fiber = result.F[hi].shift(-length)
+                terms = {e - length: c for e, c in result.F[hi].items()}
             else:
                 counts = lattice.chain_counts(lo, hi)
                 if counts not in fibers:
-                    fibers[counts] = _fiber_series(counts).shift(-length)
-                fiber = fibers[counts]
-            lhs = fiber - LaurentPolynomial.sum_of_products(
-                (htilde[(mid, hi)], dpal[(lo, mid)])
-                for mid in lattice.strictly_between(lo, hi)
-            )
-            htilde[(lo, hi)], dpal[(lo, hi)] = split_palindromic_negative(lhs)
-        result.D[hi] = dpal[(zero, hi)]
+                    fibers[counts] = {e - length: c for e, c in _fiber_series(counts).items()}
+                terms = dict(fibers[counts])
+            get = terms.get
+            for mid in up[lo] & lattice.down[hi]:
+                dm = dpal.get((lo, mid))
+                if dm is None:
+                    continue
+                for e1, c1 in htilde[mid, hi].items():
+                    for e2, c2 in dm.items():
+                        terms[e1 + e2] = get(e1 + e2, 0) - c1 * c2
+            htilde[lo, hi], pal = _split(terms)
+            if pal:
+                dpal[lo, hi] = pal
+        result.D[hi] = pal
     _validate(result)
     return result
 
 
+def _check_terms(poly, parity: int, tau: int, value_error: str, parity_error: str) -> int:
+    """Lowest degree (at most 0) of ``poly``, whose coefficients must be positive
+    ints and its degrees of the parity; a failure is rescanned to name values first."""
+    low = 0
+    for e, c in poly.items():
+        if c <= 0 or c.denominator != 1 or (e - parity) % 2:
+            values_ok = poly.is_integer() and poly.is_nonnegative()
+            raise InvariantViolation(tau, parity_error if values_ok else value_error)
+        low = min(low, e)
+    return low
+
+
 def _validate(result: DecompositionResult) -> None:
     lattice = result.lattice
+    dims = [f.dim for f in lattice.faces]
     for tau, poly in result.D.items():
-        if not (poly.is_integer() and poly.is_nonnegative()):
-            raise InvariantViolation(tau, "negative or fractional multiplicity")
-        if any(e % 2 != lattice.dim(tau) % 2 for e in poly.support()):
-            raise InvariantViolation(tau, "multiplicity parity")
-        rising = [poly.coefficient(e) for e in range(min(poly.support(), default=0), 1, 2)]
+        low = _check_terms(
+            poly, dims[tau], tau, "negative or fractional multiplicity", "multiplicity parity"
+        )
+        rising = [poly.coefficient(e) for e in range(low, 1, 2)]
         if any(a > b for a, b in zip(rising, rising[1:])):
             raise InvariantViolation(tau, "multiplicity unimodality")
     for (mu, tau), poly in result.Htilde.items():
-        if not (poly.is_integer() and poly.is_nonnegative()):
-            raise InvariantViolation(tau, "negative or fractional stalk coefficient")
-        gap = lattice.dim(tau) - lattice.dim(mu)
-        if any((e - gap) % 2 for e in poly.support()):
-            raise InvariantViolation(tau, "stalk parity")
-    # closure of the stalk identity
+        gap = dims[tau] - dims[mu]
+        _check_terms(poly, gap, tau, "negative or fractional stalk coefficient", "stalk parity")
+    # closure of the stalk identity: Ft_tau minus every Ht_{mu,tau} * D_mu is 0
     for f in lattice.faces:
-        tau = f.id
-        total = LaurentPolynomial.sum_of_products(
-            (result.Htilde[(mu, tau)], result.D[mu]) for mu in sorted(lattice.down[tau])
-        )
-        if total != result.F[tau].shift(-f.dim):
-            raise InvariantViolation(tau, "stalk identity does not close")
+        rest = {e - f.dim: c for e, c in result.F[f.id].items()}
+        for mu in lattice.down[f.id]:
+            for e2, c2 in result.D[mu].items():
+                for e1, c1 in result.Htilde[mu, f.id].items():
+                    rest[e1 + e2] = rest.get(e1 + e2, 0) - c1 * c2
+        if any(rest.values()):
+            raise InvariantViolation(f.id, "stalk identity does not close")
 
 
 def lowest_degree_normalized(result: DecompositionResult) -> list[int]:
@@ -198,12 +212,9 @@ def lowest_degree_normalized(result: DecompositionResult) -> list[int]:
     The solver does not require it; ``verify``'s decomposition-invariants
     check does.
     """
-    bad = []
     zero = result.lattice.zero_id
-    for f in result.lattice.faces:
-        if f.id == zero:
-            continue
-        h = result.Htilde[(zero, f.id)]
-        if h.coefficient(-f.dim) != 1:
-            bad.append(f.id)
-    return bad
+    return [
+        f.id
+        for f in result.lattice.faces
+        if f.id != zero and result.Htilde[zero, f.id].coefficient(-f.dim) != 1
+    ]

@@ -6,9 +6,9 @@ faces mu <= tau to (K, L):
     h -> h(K^{-1/2} L) * K^{(d_mu - d_tau)/2} * (K^{-1} + L^{-1})^{n - d_tau}.
 
 The table entry for a nested pair is its image of the stalk polynomial,
-dR_{mu,tau} = stalk_formula(Ht_{mu,tau}), an exact evaluation with
-half-integer K-exponents cancelling because the stalk polynomial's support
-has the parity of d_tau - d_mu.  The image depends on the key
+dR_{mu,tau} = stalk_formula(Ht_{mu,tau}), written term by term with integer
+K-exponents because the stalk polynomial's support has the parity of
+d_tau - d_mu.  The image depends on the key
 (Ht_{mu,tau}, d_mu, d_tau) alone and a lattice has few distinct keys, so
 ``derham_table``, the one way into the stalk route, maps each key once.  Its
 memo is local to the call, so no image outlives the table it was made for.
@@ -27,29 +27,31 @@ by the chain-complex computation, is the package's main executable theorem.
 
 from __future__ import annotations
 
-from functools import cache
+from math import comb
 
 from .decomposition import DecompositionResult
 from .errors import CrossCheckMismatch, NonIntegralExponent
-from .polynomials import (
-    BiLaurentPolynomial,
-    K_INV_PLUS_L_INV,
-    L_INV_K_HALF,
-    L_K_INV_HALF,
-    LaurentPolynomial,
-)
-
-
-@cache
-def _cofactor(m: int) -> BiLaurentPolynomial:
-    """(K^{-1} + L^{-1})^m, raised once per m."""
-    return K_INV_PLUS_L_INV**m
+from .polynomials import L_INV_K_HALF, BiLaurentPolynomial, LaurentPolynomial, _canonical_terms
 
 
 def stalk_formula(h: LaurentPolynomial, d_mu: int, d_tau: int, n: int) -> BiLaurentPolynomial:
-    """h(K^{-1/2} L) K^{(d_mu - d_tau)/2} (K^{-1} + L^{-1})^{n - d_tau}, integral or raising."""
-    shift = BiLaurentPolynomial.monomial(d_mu - d_tau, 0)
-    return (h.substitute(L_K_INV_HALF) * shift * _cofactor(n - d_tau)).assert_integral()
+    """h(K^{-1/2} L) K^{(d_mu - d_tau)/2} (K^{-1} + L^{-1})^{n - d_tau}, integral or raising.
+
+    Written term by term with m = n - d_tau: c_j q^j times the i-th term
+    C(m, i) K^{-i} L^{-(m - i)} of the binomial is c_j C(m, i) at doubled
+    K-exponent d_mu - d_tau - j - 2i and L-exponent j + i - m.  Two pairs
+    (j, i) with the same monomial have the same j + i and the same j + 2i,
+    so they are the same pair: nothing accumulates, and no term cancels.
+    """
+    m = n - d_tau
+    if m < 0:
+        raise ValueError(f"face dimension {d_tau} exceeds the rank {n}")
+    binomials = [comb(m, i) for i in range(m + 1)]
+    terms = {
+        (d_mu - d_tau - j - 2 * i, j + i - m): c * b
+        for j, c in h.items() for i, b in enumerate(binomials)
+    }
+    return BiLaurentPolynomial._new(_canonical_terms(terms)).assert_integral()
 
 
 def derham_table(dec: DecompositionResult) -> dict[tuple[int, int], BiLaurentPolynomial]:
@@ -95,16 +97,9 @@ def derham_by_elimination(
     """
     lattice = dec.lattice
     out = omega
-    for mu in sorted(lattice.down[tau]):
-        if mu == lattice.zero_id:
-            continue
-        d_mu = lattice.dim(mu)
-        term = (
-            table[mu, tau]
-            * dec.D[mu].substitute(L_INV_K_HALF)
-            * BiLaurentPolynomial.monomial(-d_mu, 0)
-        )
-        out = out - term
+    for mu in sorted(lattice.down[tau] - {lattice.zero_id}):
+        shift = BiLaurentPolynomial.monomial(-lattice.dim(mu), 0)
+        out = out - table[mu, tau] * dec.D[mu].substitute(L_INV_K_HALF) * shift
     return out
 
 
@@ -126,9 +121,7 @@ def check_main_identity(
     return direct
 
 
-def stalk_chi_y(
-    htilde: LaurentPolynomial, d_tau: int, n: int
-) -> LaurentPolynomial:
+def stalk_chi_y(htilde: LaurentPolynomial, d_tau: int, n: int) -> LaurentPolynomial:
     """The stalk-side prediction for the specialization of dR_{0,tau}.
 
     Ht_{0,tau}(q) q^{d_tau} has even support by parity; substituting
@@ -141,12 +134,6 @@ def stalk_chi_y(
             raise NonIntegralExponent(
                 f"stalk polynomial support has odd degree {e} after shifting by {d_tau}"
             )
-        k = e // 2
-        sign = -1 if k % 2 else 1
-        terms[k] = sign * shifted.coefficient(e)
-    base = LaurentPolynomial(terms)
-    one_plus_y = LaurentPolynomial({0: 1, 1: 1})
-    result = base * one_plus_y ** (n - d_tau)
-    if n % 2:
-        result = -result
-    return result
+        terms[e // 2] = (-1) ** (e // 2 % 2) * shifted.coefficient(e)
+    result = LaurentPolynomial(terms) * LaurentPolynomial({0: 1, 1: 1}) ** (n - d_tau)
+    return -result if n % 2 else result

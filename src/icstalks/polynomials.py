@@ -374,7 +374,7 @@ K_INV = BiLaurentPolynomial.monomial(-2, 0)   # K^{-1}
 L_VAR = BiLaurentPolynomial.monomial(0, 1)    # L
 L_INV = BiLaurentPolynomial.monomial(0, -1)   # L^{-1}
 K_INV_PLUS_L_INV = K_INV + L_INV
-# q -> L*K^{-1/2}, the substitution used by every stalk-to-deRham conversion.
+# q -> L*K^{-1/2}, the substitution of the stalk-to-deRham map.
 L_K_INV_HALF = BiLaurentPolynomial.monomial(-1, 1)
 # q -> L^{-1}*K^{1/2}, its mirror image.
 L_INV_K_HALF = BiLaurentPolynomial.monomial(1, -1)

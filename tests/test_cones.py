@@ -303,6 +303,18 @@ def test_validate_rejects_a_missing_cover(dropped):
         lat._validate()
 
 
+@pytest.mark.parametrize("dim", [1, 2], ids=["ray", "edge"])
+@pytest.mark.parametrize("rays", [CUBE, CUBE5], ids=["cube", "cube5"])
+def test_validate_rejects_a_face_set_missing_an_intersection(rays, dim):
+    # a ray and an edge are each an intersection of facets, so deleting one
+    # leaves the face set without some intersection of two of its faces
+    lat = face_lattice(rays)
+    missing = lat.faces[lat.faces_of_dim(dim)[0]].rays
+    del lat._by_rayset[missing]
+    with pytest.raises(InvariantViolation, match="not intersection-closed"):
+        lat._validate()
+
+
 INTERVAL_LATTICES = [(spec.name, list(spec.rays), spec.rank) for spec in CORPUS] + [
     ("cube5", CUBE5, 5),
     ("cross5", CROSS5, 5),

@@ -1,10 +1,13 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from icstalks import decomposition
 from icstalks.cones import face_lattice
-from icstalks.corpus import CORPUS
+from icstalks.corpus import CORPUS, polygon_cone
 from icstalks.decomposition import (
     DecompositionResult,
     _fiber_series,
@@ -14,7 +17,7 @@ from icstalks.decomposition import (
     solve_decomposition,
     split_palindromic_negative,
 )
-from icstalks.errors import InvariantViolation, NegativeCoefficient
+from icstalks.errors import InvariantViolation, NegativeCoefficient, NotFullDimensional
 from icstalks.polynomials import LaurentPolynomial, poly_from_pairs
 from icstalks.subdivision import (
     MultiplicityTable,
@@ -22,6 +25,9 @@ from icstalks.subdivision import (
     interior_ray_subdivision,
     multiplicity_table,
 )
+from test_cones import _cones
+from test_derham import _extreme_rays
+from test_golden import CONES, FANS, _lattice, _pipeline
 
 L = LaurentPolynomial
 SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
@@ -143,8 +149,6 @@ def test_split_examples():
 
 
 def test_split_is_exact_decomposition():
-    import random
-
     rng = random.Random(3)
     for _ in range(50):
         p = L({rng.randint(-5, 5): rng.randint(-3, 3) for _ in range(4)})
@@ -152,6 +156,106 @@ def test_split_is_exact_decomposition():
         assert neg + pal == p
         assert pal.is_palindromic()
         assert all(e < 0 for e in neg.support())
+
+
+def _reference_split(p):
+    """The palindromic part mirrored from degrees >= 0, and p minus it."""
+    pal_terms = {}
+    for e in p.support():
+        if e == 0:
+            pal_terms[0] = p.coefficient(0)
+        elif e > 0:
+            pal_terms[e] = p.coefficient(e)
+            pal_terms[-e] = p.coefficient(e)
+    palindromic = L(pal_terms)
+    return p - palindromic, palindromic
+
+
+def _same(a, b):
+    """Equal polynomials with equal JSON and the same coefficient types."""
+    assert a == b
+    assert a.to_json_obj() == b.to_json_obj()
+    assert sorted((e, type(c)) for e, c in a.items()) == sorted(
+        (e, type(c)) for e, c in b.items()
+    )
+
+
+def test_split_matches_the_reference_split():
+    # Fraction coefficients, and mirrored pairs that cancel in the negative
+    # part or leave an integral Fraction there
+    rng = random.Random(29)
+    values = [1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]
+    for _ in range(300):
+        terms = {rng.randint(-5, 5): rng.choice(values) for _ in range(rng.randint(0, 6))}
+        for e in list(terms):
+            if e > 0 and rng.random() < 0.5:
+                terms[-e] = terms[e] + rng.choice([0, 0, 1, Fraction(1, 2)])
+        p = L(terms)
+        got, expected = split_palindromic_negative(p), _reference_split(p)
+        _same(got[0], expected[0])
+        _same(got[1], expected[1])
+
+
+def _reference_solve(lattice, d):
+    """The stalk recursion on polynomial objects: middles in id order."""
+    result = DecompositionResult(lattice=lattice)
+    htilde, dpal, zero = result.Htilde, {}, lattice.zero_id
+    for f in lattice.faces:
+        hi = f.id
+        result.F[hi] = fiber_poincare(d, hi)
+        for lo in sorted(lattice.down[hi], reverse=True):
+            if lo == hi:
+                htilde[lo, hi] = dpal[lo, hi] = L.one()
+                continue
+            length = f.dim - lattice.dim(lo)
+            if lo == zero:
+                fiber = result.F[hi].shift(-length)
+            else:
+                fiber = _fiber_series(lattice.chain_counts(lo, hi)).shift(-length)
+            lhs = fiber - L.sum_of_products(
+                (htilde[mid, hi], dpal[lo, mid]) for mid in lattice.strictly_between(lo, hi)
+            )
+            htilde[lo, hi], dpal[lo, hi] = _reference_split(lhs)
+        result.D[hi] = dpal[zero, hi]
+    _validate(result)
+    return result
+
+
+def _check_against_reference(lattice, d, dec=None):
+    dec = dec or solve_decomposition(lattice, d)
+    ref = _reference_solve(lattice, d)
+    for name in ("Htilde", "D", "F"):
+        got, expected = getattr(dec, name), getattr(ref, name)
+        assert got.keys() == expected.keys()
+        for key, poly in expected.items():
+            _same(got[key], poly)
+    assert dec.to_json_obj() == ref.to_json_obj()
+
+
+@pytest.mark.parametrize("fan", FANS)
+@pytest.mark.parametrize("name", CONES)
+def test_solver_matches_the_reference_recursion(name, fan):
+    d, dec = _pipeline(name, fan)
+    _check_against_reference(_lattice(name), d, dec)
+
+
+@pytest.mark.parametrize("fan", FANS)
+@pytest.mark.parametrize("m", range(12, 18))
+def test_solver_matches_the_reference_recursion_on_polygons(m, fan):
+    lat = polygon_cone(m).lattice()
+    _check_against_reference(lat, multiplicity_table(FANS[fan](lat)))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(_cones(pointed=True, ranks=(3, 4)))
+def test_solver_matches_the_reference_recursion_on_random_cones(cone):
+    rays, rank = cone
+    try:
+        lat = face_lattice(_extreme_rays(rays, rank), rank)
+    except NotFullDimensional:
+        return
+    for subdivide in FANS.values():
+        _check_against_reference(lat, multiplicity_table(subdivide(lat)))
 
 
 def test_solve_2dim_face_stalk():
@@ -250,3 +354,44 @@ def test_validate_rejects_a_multiplicity_that_is_not_unimodal():
     bad = poly_from_pairs([(-4, 1), (-2, 3), (0, 1), (2, 3), (4, 1)])
     with pytest.raises(InvariantViolation, match="multiplicity unimodality"):
         _validate(DecompositionResult(lattice=lat, D={lat.top_id: bad}))
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([(-2, 1), (0, -1), (2, 1)], "negative or fractional multiplicity"),
+        ([(-2, Fraction(1, 2)), (0, 1), (2, Fraction(1, 2))], "negative or fractional multiplicity"),
+        ([(-1, 1), (1, 1)], "multiplicity parity"),
+        # a parity term before a negative one: the value error is still named
+        ([(-1, 1), (1, 1), (0, -1)], "negative or fractional multiplicity"),
+    ],
+)
+def test_validate_names_a_bad_multiplicity(pairs, message):
+    lat = face_lattice(CUBE)
+    with pytest.raises(InvariantViolation, match=message):
+        _validate(DecompositionResult(lattice=lat, D={lat.top_id: poly_from_pairs(pairs)}))
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([(-4, 1), (-2, -2)], "negative or fractional stalk coefficient"),
+        ([(-4, Fraction(3, 2))], "negative or fractional stalk coefficient"),
+        ([(-3, 1)], "stalk parity"),
+        ([(-3, 1), (-2, -1)], "negative or fractional stalk coefficient"),
+    ],
+)
+def test_validate_names_a_bad_stalk(pairs, message):
+    # the stalk of the 4-dimensional cube cone over the zero face: even degrees
+    lat = face_lattice(CUBE)
+    stalks = {(lat.zero_id, lat.top_id): poly_from_pairs(pairs)}
+    with pytest.raises(InvariantViolation, match=message):
+        _validate(DecompositionResult(lattice=lat, Htilde=stalks))
+
+
+def test_validate_rejects_a_stalk_identity_that_does_not_close():
+    lat = face_lattice(SQUARE)
+    dec = solve_decomposition(lat, multiplicity_table(barycentric_subdivision(lat)))
+    dec.Htilde[lat.zero_id, lat.top_id] = poly_from_pairs([(-3, 1), (-1, 2)])
+    with pytest.raises(InvariantViolation, match="stalk identity does not close"):
+        _validate(dec)

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 
@@ -205,6 +208,46 @@ def test_stalk_map_matches_the_spelled_out_forms(name):
         assert golden[f.id] == _reference_derham(g[lat.zero_id, f.id], 0, f.dim, n)
 
 
+def _random_stalks(seed, parity):
+    """Series with int and Fraction coefficients on exponents of one parity."""
+    rng = random.Random(seed)
+    for _ in range(30):
+        yield LaurentPolynomial(
+            {
+                2 * rng.randint(-4, 2) + parity: rng.choice(
+                    [rng.randint(-3, 3), Fraction(rng.randint(-7, 7), rng.randint(1, 4))]
+                )
+                for _ in range(rng.randint(0, 5))
+            }
+        )
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5])
+def test_stalk_map_matches_the_spelled_out_form_off_the_zero_face(n):
+    # Fraction coefficients (some with denominator 2, so a product may turn
+    # integral) and every d_mu <= d_tau <= n, not only d_mu = 0
+    for d_tau in range(n + 1):
+        for d_mu in range(d_tau + 1):
+            for h in _random_stalks(f"{n} {d_mu} {d_tau}", (d_tau - d_mu) % 2):
+                got = stalk_formula(h, d_mu, d_tau, n)
+                expected = _reference_derham(h, d_mu, d_tau, n)
+                assert got == expected
+                assert got.to_json_obj() == expected.to_json_obj()
+                assert [type(c) for _, c in got.items()] == [
+                    type(expected.coefficient(*k)) for k, _ in got.items()
+                ]
+
+
+@pytest.mark.parametrize("d_mu, d_tau, n", [(0, 3, 3), (1, 2, 4), (0, 1, 5), (2, 4, 4)])
+def test_stalk_map_raises_the_spelled_out_message_on_a_parity_violation(d_mu, d_tau, n):
+    h = poly_from_pairs([(d_tau - d_mu - 1, 2), (d_tau - d_mu - 2, Fraction(1, 3))])
+    with pytest.raises(NonIntegralExponent) as got:
+        stalk_formula(h, d_mu, d_tau, n)
+    with pytest.raises(NonIntegralExponent) as expected:
+        _reference_derham(h, d_mu, d_tau, n).assert_integral()
+    assert str(got.value) == str(expected.value)
+
+
 def test_derham_names_the_pair_on_a_parity_violation():
     lat, _, _, dec = solved(SQUARE)
     dec.Htilde[(lat.zero_id, lat.top_id)] = LaurentPolynomial.term(-2)
@@ -302,9 +345,3 @@ def test_random_rank5_cones_match_golden_and_the_spelled_out_forms(cone):
 def test_fiber_form_of_odd_support_raises():
     with pytest.raises(NonIntegralExponent):
         omega_from_fiber_poincare(poly_from_pairs([(1, 1)]), 3, 3)
-
-
-def test_cofactor_is_raised_once_per_power():
-    for m in range(8):
-        assert derham._cofactor(m) is derham._cofactor(m)
-        assert derham._cofactor(m) == K_INV_PLUS_L_INV**m
