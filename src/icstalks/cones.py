@@ -21,7 +21,7 @@ from .errors import (
     NotFullDimensional,
     NotStronglyConvex,
 )
-from .linalg import determinant, integer_rank, sparse_row
+from .linalg import determinants, integer_rank, sparse_row
 
 Vector = tuple[int, ...]
 
@@ -61,7 +61,9 @@ def dual_cone(rays: list[Vector], rank: int) -> list[Vector]:
     These are precisely the facet normals of the input cone.  They come from
     an incremental double description (Motzkin et al. 1953; Fukuda & Prodon
     1996): the dual of the simplicial cone on ``rank`` independent rays,
-    chosen greedily by index, has one generator per omitted basis ray; each
+    chosen greedily by index, has one generator per omitted basis ray, the
+    cofactor vector u of the other rank - 1 basis rays (so <u, x> is their
+    determinant with x appended), signed positive on the omitted ray; each
     further ray r keeps the generators pairing >= 0 with r and adds
     <a, r> b - <b, r> a for every adjacent pair with <a, r> > 0 > <b, r>.
     The dual cone is pointed because the input is full-dimensional, so a and
@@ -81,15 +83,19 @@ def dual_cone(rays: list[Vector], rank: int) -> list[Vector]:
             basis.append(i)
             if len(basis) == rank:
                 break
+    # u[c] is the determinant of the other basis rays and unit c; one walk
+    # takes every key, and an i's keys share all rows but the unit
+    units = [tuple(int(c == j) for j in range(rank)) for c in range(rank)]
+    others = {i: tuple(j for j in basis if j != i) for i in basis}
+    unit_keys = {i: [others[i] + (len(rays) + c,) for c in range(rank)] for i in basis}
+    dets = determinants([*rays, *units], [key for keys in unit_keys.values() for key in keys])
     # generator -> bitmask of the processed rays it vanishes on
     gens: dict[Vector, int] = {}
     for i in basis:
-        others = [sparse_row(rays[j]) for j in basis if j != i]
-        # cofactors: dot(u, x) is det(others + [x]) up to a nonzero factor
-        u = primitive([determinant(others + [{c: 1}]) for c in range(rank)])
+        u = primitive([dets[key] for key in unit_keys[i]])
         if dot(u, rays[i]) < 0:
             u = tuple(-x for x in u)
-        gens[u] = sum(1 << j for j in basis if j != i)
+        gens[u] = sum(1 << j for j in others[i])
     for i, r in enumerate(rays):
         if i in basis:
             continue

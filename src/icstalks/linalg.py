@@ -3,11 +3,11 @@
 A row is a dict from column index to its nonzero entry, a ``Fraction`` or an
 ``int``; a matrix is a list of rows.  The Ishida differentials are more than
 98% zeros, so only the nonzero entries are stored and touched.  One exact
-sparse elimination, ``_eliminate``, gives every rank, every nullspace and
-the determinant of one matrix; there is no modular or floating-point
-shortcut.  ``determinants`` is the one dense kernel: the determinants of
-many square matrices drawn from one list of integer vectors, where matrices
-with the same leading rows share those rows' elimination.
+sparse elimination, ``_eliminate``, gives every rank and every nullspace;
+there is no modular or floating-point shortcut.  ``determinants`` is the one
+determinant kernel: the determinants of many square matrices drawn from one
+list of integer vectors, where matrices with the same leading rows share
+those rows' elimination.
 
 The elimination is fraction-free (Bareiss 1968, without his exact
 division): a row holding a ``Fraction`` is cleared of its denominators
@@ -15,12 +15,12 @@ once, and a non-unit pivot cross-multiplies the rows it reduces, so every
 pivot row it returns is in ``int``.  The pivot is always a shortest
 remaining row, since a longer pivot row fills in every row it reduces; a
 ±1 entry earns no preference.  Row scalings keep the rank and the
-nullspace; ``determinant`` divides their product back out.
+nullspace, so no record of them is kept.
 
-``determinant`` and the ``nullspace`` basis entries are an ``int`` where
-the value is integral and a ``Fraction`` only where it is not (the rule of
-``canonical``, which the polynomial coefficients follow too).  Integral
-bases keep every later pairing in ``int`` arithmetic.
+The ``nullspace`` basis entries are an ``int`` where the value is integral
+and a ``Fraction`` only where it is not (the rule of ``canonical``, which
+the polynomial coefficients follow too).  Integral bases keep every later
+pairing in ``int`` arithmetic.
 
 ``determinants`` takes dense integer vectors and is Bareiss's
 Gauss-Jordan with his exact division: every entry it keeps is a minor of
@@ -30,7 +30,7 @@ the rows so far, so it never leaves ``int`` and never scales a row.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 SparseRow = dict[int, int | Fraction]
 
@@ -54,8 +54,8 @@ def integral_row(row: SparseRow) -> tuple[SparseRow, int]:
     return {j: x.numerator * (m // x.denominator) for j, x in row.items()}, m
 
 
-def _eliminate(rows) -> tuple[list[tuple[int, SparseRow]], int, list[int]]:
-    """Row-reduce sparse rows fraction-free; return the pivots, a sign and the scales.
+def _eliminate(rows) -> list[tuple[int, SparseRow]]:
+    """Row-reduce sparse rows fraction-free; return the pivots in column order.
 
     A row holding a ``Fraction`` is first multiplied by the lcm of its
     denominators, so every row is in ``int``.  Columns are taken left to
@@ -63,41 +63,26 @@ def _eliminate(rows) -> tuple[list[tuple[int, SparseRow]], int, list[int]]:
     nonzero entry there.  Every other remaining row with a nonzero entry x
     there becomes ``(pivot/g)·row - (x/g)·pivot_row``, with g = gcd(pivot, x)
     signed like the pivot, which is ``row - x·pivot·pivot_row`` for a ±1
-    pivot.  The pivot ``(column, row)`` pairs come back in column order, so
-    the pivot rows are an echelon form of the rows; the sign is that of a row
-    permutation putting the pivot rows first, in that order.  The scales are
-    the row multipliers other than 1, the lcms and the factors pivot/g, whose
-    product divides the determinant of the echelon form down to that of the
-    input.
+    pivot.  The scalings keep the row space, so the pivot ``(column, row)``
+    pairs are an echelon form of the rows: their count is the rank, and
+    their columns are the columns independent of those before them.
     """
     rows = [dict(r) for r in rows]
-    scales: list[int] = []
     # column -> indices of the remaining rows with a nonzero entry there
     where: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
             where.setdefault(j, set()).add(i)
-        rows[i], m = integral_row(row)
-        if m != 1:
-            scales.append(m)
-    position = list(range(len(rows)))  # position[i]: where row i sits
-    at = list(range(len(rows)))  # at[k]: the row sitting at position k
+        rows[i] = integral_row(row)[0]
     pivots: list[tuple[int, SparseRow]] = []
-    sign = 1
-
-    def length(i: int) -> int:
-        return len(rows[i])
-
     for c in sorted(where):
         holders = where[c]
         if not holders:
             continue
-        p = min(holders, key=length) if len(holders) > 1 else next(iter(holders))
-        k, q = len(pivots), position[p]
-        if q != k:
-            other = at[k]
-            at[k], at[q], position[p], position[other] = p, other, k, q
-            sign = -sign
+        if len(holders) > 1:
+            p = min(holders, key=lambda i: len(rows[i]))
+        else:
+            p = next(iter(holders))
         pivot_row = rows[p]
         pivot = pivot_row[c]
         # a ±1 pivot gives the same update with a scale of 1; skipping the
@@ -116,7 +101,6 @@ def _eliminate(rows) -> tuple[list[tuple[int, SparseRow]], int, list[int]]:
                 factor = row[c] // g
                 scale = pivot // g
                 if scale != 1:
-                    scales.append(scale)
                     for j in row:
                         row[j] *= scale
             for j, x in pivot_row.items():
@@ -129,22 +113,12 @@ def _eliminate(rows) -> tuple[list[tuple[int, SparseRow]], int, list[int]]:
                     del row[j]
                     where[j].discard(i)
         pivots.append((c, pivot_row))
-    return pivots, sign, scales
+    return pivots
 
 
 def integer_rank(rows) -> int:
     """Rank of a matrix given by sparse rows."""
-    return len(_eliminate(rows)[0])
-
-
-def determinant(rows) -> int | Fraction:
-    """Determinant of a square matrix given by sparse rows."""
-    pivots, sign, scales = _eliminate(rows)
-    if len(pivots) < len(rows):
-        return 0
-    top = prod((row[c] for c, row in pivots), start=sign)
-    bottom = prod(scales)
-    return top // bottom if top % bottom == 0 else Fraction(top, bottom)
+    return len(_eliminate(rows))
 
 
 def nullspace(rows, n_cols: int) -> tuple[list[list[int | Fraction]], list[int]]:
@@ -157,7 +131,7 @@ def nullspace(rows, n_cols: int) -> tuple[list[list[int | Fraction]], list[int]]
     coefficients of any nullspace vector v in this basis are simply v
     restricted to coordinate_columns.
     """
-    pivots = _eliminate(rows)[0]
+    pivots = _eliminate(rows)
     pivot_cols = {c for c, _ in pivots}
     free_cols = [c for c in range(n_cols) if c not in pivot_cols]
     basis = []

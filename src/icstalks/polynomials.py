@@ -19,10 +19,12 @@ operations, the coefficient predicates and the sign-joined text renderer.
 Each type supplies its key normalisation, the exponent of the constant term
 and exponent addition.  Polynomials of different types never compare equal.
 
-Coefficients are validated where terms enter from outside: the public
-constructors, ``term``/``monomial``, ``poly_from_pairs`` and
-``bipoly_from_triples`` pass each one through ``_coeff``.  Ring results
-(``+``, ``-``, ``*``, ``**``, negation, ``shift``, ``mirror``, ``substitute``,
+Coefficients and exponents are validated where terms enter from outside:
+the public constructors, ``term``/``monomial``, ``poly_from_pairs`` and
+``bipoly_from_triples`` pass each coefficient through ``_coeff`` and each
+exponent through ``_exponent``, which accepts only an ``int`` (not a
+``bool``), so no exponent is silently truncated.  Ring results (``+``,
+``-``, ``*``, ``**``, negation, ``shift``, ``mirror``, ``substitute``,
 ``chi_y`` and ``sum_of_products``) are canonical by construction: they
 combine canonical coefficients, drop the zeros and canonicalize only the
 non-``int`` values, then wrap the term map with ``_new`` without checking it
@@ -50,6 +52,12 @@ def _coeff(value) -> int | Fraction:
     raise TypeError(f"coefficient {value!r} is neither an int nor a Fraction")
 
 
+def _exponent(value) -> int:
+    if type(value) is int:
+        return value
+    raise TypeError(f"exponent {value!r} is not an int")
+
+
 def _canonical_terms(terms: dict) -> dict:
     """``terms`` without zero coefficients and with integral values as ``int``.
 
@@ -64,7 +72,7 @@ def _canonical_terms(terms: dict) -> dict:
 class _LaurentCore:
     """The term map and ring arithmetic shared by both polynomial types.
 
-    Subclasses set ``_key`` (normalise an exponent), ``_CONST`` (the exponent
+    Subclasses set ``_key`` (check an exponent), ``_CONST`` (the exponent
     of the constant term) and ``_add_exp`` (multiply two monomials).
     """
 
@@ -75,9 +83,9 @@ class _LaurentCore:
         if terms:
             key = self._key
             for exp, c in terms.items():
-                c = _coeff(c)
+                exp, c = key(exp), _coeff(c)
                 if c != 0:
-                    data[key(exp)] = c
+                    data[exp] = c
         self._terms = data
 
     @classmethod
@@ -242,7 +250,7 @@ class LaurentPolynomial(_LaurentCore):
     """A Laurent polynomial in a single variable (rendered as q by default)."""
 
     __slots__ = ()
-    _key = int
+    _key = staticmethod(_exponent)
     _CONST = 0
     _add_exp = operator.add
 
@@ -307,7 +315,7 @@ class BiLaurentPolynomial(_LaurentCore):
     @staticmethod
     def _key(exp) -> tuple[int, int]:
         kt, l = exp
-        return (int(kt), int(l))
+        return (_exponent(kt), _exponent(l))
 
     @staticmethod
     def _add_exp(a, b) -> tuple[int, int]:
@@ -384,6 +392,8 @@ def poly_from_pairs(pairs: Iterable[tuple[int, object]]) -> LaurentPolynomial:
     """Build a one-variable polynomial from (exponent, coefficient) pairs."""
     out: dict[int, Fraction] = {}
     for e, c in pairs:
+        # checked before summing: 1.0 or True would merge into the key 1
+        e = _exponent(e)
         out[e] = out.get(e, 0) + _coeff(c)
     return LaurentPolynomial(out)
 
@@ -394,6 +404,6 @@ def bipoly_from_triples(
     """Build a two-variable polynomial from (k_twice, l, coefficient) triples."""
     out: dict[tuple[int, int], Fraction] = {}
     for kt, l, c in triples:
-        key = (kt, l)
+        key = BiLaurentPolynomial._key((kt, l))
         out[key] = out.get(key, 0) + _coeff(c)
     return BiLaurentPolynomial(out)

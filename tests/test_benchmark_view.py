@@ -1,0 +1,47 @@
+"""The names of the library that the benchmark in ``perfbench/`` reads.
+
+The tracer wraps the functions it lists by module and name, the pass/fail
+gate compares ``verify``'s check names with ``reference.json``, and the fan
+digest reads ``SubdivisionMap.cones_by_dim``.  A rename or a deletion in the
+library breaks those runs without failing any behavioural test, so these
+tests read the benchmark's files (and change nothing there).
+"""
+
+import importlib
+import json
+import pathlib
+
+import pytest
+
+from icstalks import verify
+from icstalks.subdivision import SubdivisionMap
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_tracer() -> dict:
+    # the tracer imports only the standard library; compiling its source
+    # here writes no bytecode next to it
+    path = PERFBENCH / "tracer.py"
+    namespace = {"__name__": "perfbench_tracer"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    return namespace
+
+
+LAYER_FUNCTIONS = [(module, function) for module, function, *_ in _load_tracer()["LAYER_FUNCTIONS"]]
+
+
+@pytest.mark.parametrize("module, function", LAYER_FUNCTIONS, ids=[".".join(x) for x in LAYER_FUNCTIONS])
+def test_every_traced_function_is_in_the_library(module, function):
+    assert callable(vars(importlib.import_module(f"icstalks.{module}")).get(function))
+
+
+def test_verify_checks_are_the_reference_checks():
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    # a key is "cone/check"
+    names = {key.rpartition("/")[2] for key in reference["corpus-verify"]}
+    assert names == {name for name, _ in verify.CONE_CHECKS}
+
+
+def test_the_fan_digest_reads_cones_by_dim():
+    assert callable(SubdivisionMap.cones_by_dim)

@@ -307,6 +307,35 @@ def test_shift_mirror_substitute_match_reference(p, k, kt, l, c):
     _assert_matches(p.substitute(B.monomial(kt, l, c)), _purge(image))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: L({Fraction(1, 2): 1}),
+        lambda: L({0.5: 1}),
+        lambda: L({"1": 1}),
+        lambda: L({True: 1}),
+        lambda: poly_from_pairs([(1.9, 2)]),
+        lambda: poly_from_pairs([(1, 2), (1.0, 3)]),
+        lambda: B({(2.5, 0): 1, (2, 0): 3}),
+        lambda: B({(2, "0"): 1}),
+        lambda: L.term(1.0),
+        lambda: B.monomial(2, True),
+        lambda: bipoly_from_triples([(0, 0.5, 1)]),
+        lambda: bipoly_from_triples([(2, 0, 1), (2.0, 0, 3)]),
+        # an exponent is checked even where its coefficient is zero
+        lambda: L({0.5: 0}),
+    ],
+    ids=[
+        "fraction", "float", "str", "bool", "pairs", "pairs-merged", "bi-float",
+        "bi-str", "term", "monomial", "triples", "triples-merged", "zero-coefficient",
+    ],
+)
+def test_exponents_must_be_ints(build):
+    # int() would truncate these, merging or moving a term
+    with pytest.raises(TypeError, match="exponent"):
+        build()
+
+
 def test_ring_results_reject_float_scalars():
     p = L({0: 1, 1: Fraction(1, 2)})
     for bad in (lambda: p + 0.5, lambda: 0.5 - p, lambda: p * 0.5):

@@ -1,5 +1,8 @@
+import inspect
 import itertools
 import random
+import sys
+from math import comb
 
 import pytest
 
@@ -475,3 +478,43 @@ def test_boundary_search_rejects_and_backtracks_on_a_forced_prefix(name, shelled
         else:
             assert order is None
     assert found == shelled
+
+
+# a seeded random rank-4 cone, face counts (1, 10, 23, 15, 1), on which the
+# boundary search takes a step it later undoes; the rays' order fixes the
+# face ids, and with the rays sorted the same cone shells without backtracking
+BACKTRACKING_CONE = [
+    (1, -1, -3, 3), (2, 0, 0, 1), (-1, 0, 3, 2), (2, -3, 3, 3), (-2, -1, 1, 2),
+    (-3, 0, 0, 2), (-3, 2, 1, 2), (-1, -3, 0, 3), (0, 1, 1, 1), (1, 0, 3, 2),
+]
+
+
+def test_boundary_search_backtracks_on_a_random_rank4_cone():
+    lat = face_lattice(BACKTRACKING_CONE)
+    assert [sum(f.dim == d for f in lat.faces) for d in range(5)] == [1, 10, 23, 15, 1]
+    lines, start = inspect.getsourcelines(shelling._BoundaryShellings.shelling_with_prefix)
+    (pop,) = [start + k for k, line in enumerate(lines) if line.strip() == "order.pop()"]
+    source = shelling.lexicographic_shelling.__code__.co_filename
+    popped = []
+
+    def on_line(frame, event, arg):
+        if event == "line" and frame.f_lineno == pop:
+            popped.append(frame.f_code.co_name)
+        return on_line
+
+    def on_call(frame, event, arg):
+        return on_line if frame.f_code.co_filename == source else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        found = lexicographic_shelling(lat)
+    finally:
+        sys.settrace(previous)
+    assert popped and set(popped) == {"extend"}
+    # the type histogram of a shelling is the h-vector of the complex
+    n = lat.rank
+    f = [len(cones) for _, cones in sorted(barycentric_subdivision(lat).cones_by_dim().items())]
+    h = [sum((-1) ** (j - i) * comb(n - i, j - i) * f[i] for i in range(j + 1)) for j in range(n + 1)]
+    assert h == [1, 45, 45, 1, 0]
+    assert [found.type_histogram().get(j, 0) for j in range(n + 1)] == h

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 
@@ -9,7 +10,6 @@ from icstalks.cones import dot, face_lattice, vector_sum
 from icstalks.corpus import CORPUS, polygon_cone
 from icstalks.decomposition import solve_decomposition
 from icstalks.errors import InvariantViolation, NotSimplicialResult
-from icstalks.linalg import determinant, sparse_row
 from icstalks.subdivision import (
     SubdivisionMap,
     _chain_subdivision,
@@ -408,8 +408,27 @@ def test_chain_subdivision_rejects_a_cone_in_no_full_cone():
         _chain_subdivision(lat, [edge], "x")
 
 
+def dense_gauss_det(m):
+    """Textbook Gaussian elimination on dense Fraction rows, with row swaps."""
+    m = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            if m[i][c]:
+                f = m[i][c] / m[c][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
 def _determinant_sign(sub, cone):
-    det = determinant([sparse_row(sub.rays[i]) for i in sorted(cone)])
+    det = dense_gauss_det([sub.rays[i] for i in sorted(cone)])
     return (det > 0) - (det < 0)
 
 
@@ -439,14 +458,14 @@ def test_subdivision_map_takes_no_determinant(monkeypatch):
         lat = face_lattice(rays)
         fans += [barycentric_subdivision(lat), interior_ray_subdivision(lat)]
     calls = []
+    eliminate = linalg._eliminate
 
-    def counted(*args):
-        calls.append(args)
-        return determinant(*args)
+    def counted(rows):
+        calls.append(rows)
+        return eliminate(rows)
 
-    # subdivision imports no ``determinant``; patch the name in case it does
-    monkeypatch.setattr(subdivision, "determinant", counted, raising=False)
-    monkeypatch.setattr(linalg, "determinant", counted)
+    # every sparse rank and nullspace goes through ``linalg._eliminate``
+    monkeypatch.setattr(linalg, "_eliminate", counted)
     for fan in fans:
         again = SubdivisionMap(fan.lattice, fan.rays, fan.ray_face, fan.maximal)
         assert again.orientation == fan.orientation
