@@ -42,7 +42,6 @@ from .decomposition import (
     DecompositionResult,
     fiber_poincare,
     solve_decomposition,
-    split_palindromic_negative,
 )
 from .derham import derham_by_elimination, derham_table
 
@@ -68,7 +67,6 @@ __all__ = [
     "omega_closed_form",
     "omega_from_fiber_poincare",
     "fiber_poincare",
-    "split_palindromic_negative",
     "solve_decomposition",
     "DecompositionResult",
     "derham_by_elimination",

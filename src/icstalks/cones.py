@@ -269,9 +269,6 @@ class FaceLattice:
     def dim(self, fid: int) -> int:
         return self.faces[fid].dim
 
-    def id_of_rayset(self, rays: frozenset[int]) -> int:
-        return self._by_rayset[rays]
-
     def leq(self, lo: int, hi: int) -> bool:
         return lo in self.down[hi]
 
@@ -314,15 +311,6 @@ class FaceLattice:
                         above[l + 1] += x
             self._chain_counts[lo] = {f: tuple(c) for f, c in counts.items()}
         return self._chain_counts[lo].get(hi, ())
-
-    def chain_count(self, lo: int, hi: int, length: int) -> int:
-        """Number of chains lo < v_1 < ... < v_length = hi of faces.
-
-        Read off ``chain_counts(lo, hi)``: 0 when lo is not below hi and when
-        no chain has that length.
-        """
-        counts = self.chain_counts(lo, hi)
-        return counts[length] if 0 <= length < len(counts) else 0
 
     def face_of_point(self, point: Vector) -> int:
         """The face whose relative interior contains a point of sigma."""

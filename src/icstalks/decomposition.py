@@ -69,21 +69,15 @@ def fiber_poincare(d: MultiplicityTable, tau: int) -> LaurentPolynomial:
     return out
 
 
-def split_palindromic_negative(
-    p: LaurentPolynomial,
-) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-    """Unique splitting p = (strictly negative part) + (palindromic part).
-
-    The palindromic part mirrors the coefficients of p in degrees >= 0; the
-    remainder is supported in degrees < 0.  The splitting always exists and
-    is unique; downstream nonnegativity checks are the solver's concern.
-    """
-    return _split(dict(p.items()))
-
-
 def _split(terms: dict) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-    """``split_palindromic_negative`` of a term map that may hold zeros, in one
-    pass; values come in canonical, so only a difference is made canonical."""
+    """The unique splitting of a term map into (strictly negative, palindromic).
+
+    The palindromic part mirrors the coefficients in degrees >= 0; the
+    remainder is supported in degrees < 0.  The splitting always exists and
+    is unique; nonnegativity is ``_validate``'s concern.  One pass; the map
+    may hold zeros, and its values come in canonical, so only a difference
+    is made canonical.
+    """
     neg, pal = {}, {}
     for e, c in terms.items():
         if e < 0:

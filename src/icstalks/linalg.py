@@ -3,8 +3,8 @@
 A row is a dict from column index to its nonzero entry, a ``Fraction`` or an
 ``int``; a matrix is a list of rows.  The Ishida differentials are more than
 98% zeros, so only the nonzero entries are stored and touched.  One exact
-sparse elimination, ``_eliminate``, gives every rank and every nullspace;
-there is no modular or floating-point shortcut.  ``determinants`` is the one
+sparse elimination, ``_eliminate``, gives every rank; there is no modular
+or floating-point shortcut.  ``determinants`` is the one
 determinant kernel: the determinants of many square matrices drawn from one
 list of integer vectors, where matrices with the same leading rows share
 those rows' elimination.
@@ -17,10 +17,11 @@ remaining row, since a longer pivot row fills in every row it reduces; a
 ±1 entry earns no preference.  Row scalings keep the rank and the
 nullspace, so no record of them is kept.
 
-The ``nullspace`` basis entries are an ``int`` where the value is integral
-and a ``Fraction`` only where it is not (the rule of ``canonical``, which
-the polynomial coefficients follow too).  Integral bases keep every later
-pairing in ``int`` arithmetic.
+``canonical`` is the one rule for exact scalars: an ``int`` where the value
+is integral and a ``Fraction`` only where it is not.  The polynomial
+coefficients and the pairings of the Ishida complex's echelon bases
+(``differentials``) follow it, which keeps most of the arithmetic in
+``int``.
 
 ``determinants`` takes dense integer vectors and is Bareiss's
 Gauss-Jordan with his exact division: every entry it keeps is a minor of
@@ -119,30 +120,6 @@ def _eliminate(rows) -> list[tuple[int, SparseRow]]:
 def integer_rank(rows) -> int:
     """Rank of a matrix given by sparse rows."""
     return len(_eliminate(rows))
-
-
-def nullspace(rows, n_cols: int) -> tuple[list[list[int | Fraction]], list[int]]:
-    """Basis of {x : A x = 0} for A given by sparse ``rows`` with ``n_cols`` columns.
-
-    Returns (basis, coordinate_columns), the basis as dense vectors.  The
-    coordinate columns are the non-pivot columns, and the basis is
-    echelon-normalized: the i-th basis vector has entry 1 at
-    coordinate_columns[i] and entry 0 at the other coordinate columns, so the
-    coefficients of any nullspace vector v in this basis are simply v
-    restricted to coordinate_columns.
-    """
-    pivots = _eliminate(rows)
-    pivot_cols = {c for c, _ in pivots}
-    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
-    basis = []
-    for f in free_cols:
-        v = {f: 1}
-        for c, row in reversed(pivots):
-            s = sum(x * v[j] for j, x in row.items() if j in v)
-            if s:
-                v[c] = canonical(Fraction(-s) / row[c])
-        basis.append([v.get(j, 0) for j in range(n_cols)])
-    return basis, free_cols
 
 
 def _reduce(prefix, v) -> tuple[list[int], int] | None:

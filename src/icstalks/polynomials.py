@@ -20,15 +20,14 @@ Each type supplies its key normalisation, the exponent of the constant term
 and exponent addition.  Polynomials of different types never compare equal.
 
 Coefficients and exponents are validated where terms enter from outside:
-the public constructors, ``term``/``monomial``, ``poly_from_pairs`` and
-``bipoly_from_triples`` pass each coefficient through ``_coeff`` and each
-exponent through ``_exponent``, which accepts only an ``int`` (not a
-``bool``), so no exponent is silently truncated.  Ring results (``+``,
-``-``, ``*``, ``**``, negation, ``shift``, ``mirror``, ``substitute``,
-``chi_y`` and ``sum_of_products``) are canonical by construction: they
-combine canonical coefficients, drop the zeros and canonicalize only the
-non-``int`` values, then wrap the term map with ``_new`` without checking it
-again.
+the public constructors and ``term``/``monomial`` pass each coefficient
+through ``_coeff`` and each exponent through ``_exponent``, which accepts
+only an ``int`` (not a ``bool``), so no exponent is silently truncated.
+Ring results (``+``, ``-``, ``*``, ``**``, negation, ``shift``, ``mirror``,
+``substitute``, ``chi_y`` and ``sum_of_products``) are canonical by
+construction: they combine canonical coefficients, drop the zeros and
+canonicalize only the non-``int`` values, then wrap the term map with
+``_new`` without checking it again.
 
 Zero coefficients are never stored; the zero polynomial has an empty term
 map.  A polynomial with only a constant term equals that constant and hashes
@@ -97,10 +96,6 @@ class _LaurentCore:
         return out
 
     @classmethod
-    def zero(cls):
-        return cls._new({})
-
-    @classmethod
     def one(cls):
         return cls._new({cls._CONST: 1})
 
@@ -109,10 +104,6 @@ class _LaurentCore:
 
     def support(self) -> list:
         return sorted(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -289,9 +280,6 @@ class LaurentPolynomial(_LaurentCore):
             out[key] = out.get(key, 0) + coeff
         return BiLaurentPolynomial._new(_canonical_terms(out))
 
-    def is_palindromic(self) -> bool:
-        return self == self.mirror()
-
     def to_text(self, var: str = "q") -> str:
         return self._render(lambda e: "" if e == 0 else var if e == 1 else f"{var}^{e}")
 
@@ -376,34 +364,6 @@ class BiLaurentPolynomial(_LaurentCore):
         return out
 
 
-# Common building blocks.
-
-K_INV = BiLaurentPolynomial.monomial(-2, 0)   # K^{-1}
-L_VAR = BiLaurentPolynomial.monomial(0, 1)    # L
-L_INV = BiLaurentPolynomial.monomial(0, -1)   # L^{-1}
-K_INV_PLUS_L_INV = K_INV + L_INV
-# q -> L*K^{-1/2}, the substitution of the stalk-to-deRham map.
-L_K_INV_HALF = BiLaurentPolynomial.monomial(-1, 1)
-# q -> L^{-1}*K^{1/2}, its mirror image.
+# q -> L^{-1}*K^{1/2}, the substitution that carries each D_mu into the
+# main identity of ``derham``.
 L_INV_K_HALF = BiLaurentPolynomial.monomial(1, -1)
-
-
-def poly_from_pairs(pairs: Iterable[tuple[int, object]]) -> LaurentPolynomial:
-    """Build a one-variable polynomial from (exponent, coefficient) pairs."""
-    out: dict[int, Fraction] = {}
-    for e, c in pairs:
-        # checked before summing: 1.0 or True would merge into the key 1
-        e = _exponent(e)
-        out[e] = out.get(e, 0) + _coeff(c)
-    return LaurentPolynomial(out)
-
-
-def bipoly_from_triples(
-    triples: Iterable[tuple[int, int, object]]
-) -> BiLaurentPolynomial:
-    """Build a two-variable polynomial from (k_twice, l, coefficient) triples."""
-    out: dict[tuple[int, int], Fraction] = {}
-    for kt, l, c in triples:
-        key = BiLaurentPolynomial._key((kt, l))
-        out[key] = out.get(key, 0) + _coeff(c)
-    return BiLaurentPolynomial(out)

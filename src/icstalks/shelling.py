@@ -143,35 +143,47 @@ def verify_shelling(
 
 
 def find_shelling(complex: SimplicialComplex) -> ShellingOrder:
-    """Depth-first search for a shelling order; raises NoShellingFound."""
+    """Depth-first search for a shelling order; raises NoShellingFound.
+
+    The search is a loop over an explicit stack with one entry per placed
+    facet, so a complex of any size fits in the recursion limit.
+    """
     facets = sorted(complex.facets, key=sorted)
     n = len(facets)
     dead: set[frozenset[int]] = set()
     old: set[frozenset[int]] = set()  # every face of the facets in the prefix
 
-    def extend(order: list[int], used: frozenset[int]) -> list[int] | None:
-        if len(order) == n:
-            return list(order)
-        if used in dead:
-            return None
-        for i in range(n):
-            if i in used:
-                continue
-            r = _step_restriction(facets[i], old) if order else frozenset()
-            if r is None:
-                continue
-            new = _new_faces(facets[i], r)
-            old.update(new)
-            order.append(i)
-            found = extend(order, used | {i})
-            if found is not None:
-                return found
-            order.pop()
-            old.difference_update(new)
-        dead.add(used)
-        return None
+    def extend() -> list[int] | None:
+        order: list[int] = []
+        # per placed facet: the set placed before it, that set's candidates
+        # not yet tried, and the faces the facet added to ``old``
+        stack = []
+        used, candidates = frozenset(), iter(range(n))
+        while len(order) < n:
+            for i in candidates:
+                if i in used:
+                    continue
+                r = _step_restriction(facets[i], old) if order else frozenset()
+                if r is None:
+                    continue
+                new = _new_faces(facets[i], r)
+                old.update(new)
+                order.append(i)
+                stack.append((used, candidates, new))
+                used = used | {i}
+                # a set already known not to extend is not searched again
+                candidates = iter(() if used in dead else range(n))
+                break
+            else:
+                dead.add(used)
+                if not stack:
+                    return None
+                used, candidates, new = stack.pop()
+                order.pop()
+                old.difference_update(new)
+        return order
 
-    found = extend([], frozenset())
+    found = extend()
     if found is None:
         raise NoShellingFound(f"no shelling exists for {n} facets")
     return verify_shelling(complex, [facets[i] for i in found])
@@ -195,6 +207,8 @@ class _BoundaryShellings:
     shelling of the new facet's boundary (checked recursively; dimension-0
     boundaries accept every order).  That intersection, the facet's prefix,
     is returned with the facet, and orders are memoized by (face, prefix).
+    The search over one face's facets keeps its own stack; only the check of
+    a candidate's boundary recurses, to a depth bounded by the rank.
     """
 
     def __init__(self, lattice: FaceLattice):
@@ -241,30 +255,38 @@ class _BoundaryShellings:
             self._memo[key] = order
             return order
 
-        def extend(
-            order: list[tuple[int, frozenset[int]]], used: frozenset[int]
-        ) -> _FacetOrder | None:
-            if len(order) == len(facets):
-                return tuple(order)
-            earlier = [f for f, _ in order]
-            for cand in facets:
-                if cand in used:
-                    continue
-                if len(order) < len(prefix) and cand not in prefix:
-                    continue
-                own: frozenset[int] | None = frozenset()
-                if order:
-                    own = self._meets_restriction(cand, earlier)
-                    if own is None or self.shelling_with_prefix(cand, own) is None:
+        def extend() -> _FacetOrder | None:
+            # a loop over an explicit stack, one entry per placed facet: the
+            # facets placed before it, and their candidates not yet tried
+            order: list[int] = []
+            owns: list[frozenset[int]] = []
+            stack = []
+            used, candidates = frozenset(), iter(facets)
+            while len(order) < len(facets):
+                for cand in candidates:
+                    if cand in used:
                         continue
-                order.append((cand, own))
-                found = extend(order, used | {cand})
-                if found is not None:
-                    return found
-                order.pop()
-            return None
+                    if len(order) < len(prefix) and cand not in prefix:
+                        continue
+                    own: frozenset[int] | None = frozenset()
+                    if order:
+                        own = self._meets_restriction(cand, order)
+                        if own is None or self.shelling_with_prefix(cand, own) is None:
+                            continue
+                    order.append(cand)
+                    owns.append(own)
+                    stack.append((used, candidates))
+                    used, candidates = used | {cand}, iter(facets)
+                    break
+                else:
+                    if not stack:
+                        return None
+                    used, candidates = stack.pop()
+                    order.pop()
+                    owns.pop()
+            return tuple(zip(order, owns))
 
-        result = extend([], frozenset())
+        result = extend()
         self._memo[key] = result
         return result
 

@@ -276,7 +276,8 @@ def interior_ray_subdivision(lattice: FaceLattice) -> SubdivisionMap:
 
 def chain_count_oracle(lattice: FaceLattice, tau: int, length: int) -> int:
     """Number of chains of nonzero faces of the given length ending at tau."""
-    return lattice.chain_count(lattice.zero_id, tau, length)
+    counts = lattice.chain_counts(lattice.zero_id, tau)
+    return counts[length] if 0 <= length < len(counts) else 0
 
 
 def validate_subdivision(sub: SubdivisionMap) -> None:

@@ -2,10 +2,13 @@ import json
 import random
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
 from icstalks.cli import main
+from icstalks.cones import face_lattice
+from icstalks.subdivision import interior_ray_subdivision
 
 SQUARE_SPEC = {
     "name": "square",
@@ -175,6 +178,29 @@ def test_shelling_appendix_subdivision(capsys, tmp_path, spec, facets, histogram
     payload = json.loads(out)
     assert len(payload["order"]) == facets
     assert payload["type_histogram"] == histogram
+
+
+@pytest.mark.slow
+def test_shelling_appendix_subdivision_of_cross6(capsys, tmp_path):
+    # 1,920 maximal cones, more than the recursion limit: the search keeps
+    # its own stack
+    rays = [[s * int(i == j) for j in range(5)] + [1] for i in range(5) for s in (1, -1)]
+    path = tmp_path / "cross6.json"
+    path.write_text(json.dumps({"name": "cross6", "rank": 6, "rays": rays}))
+    code, out = run_cli(
+        capsys, "shelling", "--cone", str(path), "--subdivision", "appendix", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["order"]) == 1920
+    # the type histogram of a shelling is the h-vector of the complex
+    f = [0] * 7
+    for cone in interior_ray_subdivision(face_lattice(rays)).cones:
+        f[len(cone)] += 1
+    h = [sum((-1) ** (j - i) * comb(6 - i, j - i) * f[i] for i in range(j + 1)) for j in range(7)]
+    assert {int(j): count for j, count in payload["type_histogram"].items()} == {
+        j: count for j, count in enumerate(h) if count
+    }
 
 
 def test_malformed_input_exit_2(capsys, tmp_path):

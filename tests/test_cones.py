@@ -24,7 +24,8 @@ from icstalks.errors import (
     NotStronglyConvex,
     ToricError,
 )
-from icstalks.linalg import nullspace, sparse_row
+from icstalks.linalg import sparse_row
+from test_linalg import nullspace
 
 ORTHANT3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
@@ -47,6 +48,13 @@ CUBE5 = [v + (1,) for v in itertools.product((0, 1), repeat=4)]
 CROSS5 = [
     tuple(s if i == j else 0 for j in range(4)) + (1,) for i in range(4) for s in (1, -1)
 ]
+
+
+def face_id(lattice, rays):
+    """The id of the face whose ray index set is ``rays``."""
+    rays = frozenset(rays)
+    (fid,) = [f.id for f in lattice.faces if f.rays == rays]
+    return fid
 
 
 def test_primitive():
@@ -364,7 +372,7 @@ def test_meet_is_ray_intersection():
 
 def test_pick_degree_orthant_ray():
     lat = face_lattice(ORTHANT3)
-    fid = lat.id_of_rayset(frozenset({0}))
+    fid = face_id(lat, {0})
     deg = pick_degree(lat, fid)
     assert deg.u == (0, 1, 1)
 
@@ -376,7 +384,7 @@ def test_pick_degree_sigma_is_zero():
 
 def test_pick_degree_square_cone_two_face():
     lat = face_lattice(SQUARE)
-    fid = lat.id_of_rayset(frozenset({0, 1}))  # spanned by (0,0,1) and (1,0,1)
+    fid = face_id(lat, {0, 1})  # spanned by (0,0,1) and (1,0,1)
     deg = pick_degree(lat, fid)
     assert deg.u == (0, 1, 0)
     assert validate_degree(lat, fid, deg.u)

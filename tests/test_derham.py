@@ -17,18 +17,10 @@ from icstalks.derham import (
 from icstalks.differentials import omega_closed_form, omega_from_fiber_poincare, omega_oracle
 from icstalks.errors import CrossCheckMismatch, NonIntegralExponent, NotFullDimensional
 from icstalks.golden import golden_derham, local_h, toric_g
-from icstalks.polynomials import (
-    K_INV,
-    K_INV_PLUS_L_INV,
-    L_K_INV_HALF,
-    L_VAR,
-    BiLaurentPolynomial,
-    LaurentPolynomial,
-    bipoly_from_triples,
-    poly_from_pairs,
-)
+from icstalks.polynomials import BiLaurentPolynomial, LaurentPolynomial
 from icstalks.subdivision import barycentric_subdivision, multiplicity_table
-from test_cones import _cones, _sheared_and_permuted
+from polys import K_INV, K_INV_PLUS_L_INV, L_K_INV_HALF, L_VAR, bipoly_from_triples, poly_from_pairs
+from test_cones import _cones, _sheared_and_permuted, face_id
 from test_golden import CONES, FANS, _g, _lattice, _pipeline
 
 SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
@@ -284,7 +276,7 @@ def _extreme_rays(rays, rank):
 def _face_map(lat, moved, order):
     """Each face id of ``lat`` to its id in ``moved``, whose ray k is ray order[k]."""
     new = {old: k for k, old in enumerate(order)}
-    return {f.id: moved.id_of_rayset(frozenset(new[i] for i in f.rays)) for f in lat.faces}
+    return {f.id: face_id(moved, (new[i] for i in f.rays)) for f in lat.faces}
 
 
 def _check_random_cone(cone):

@@ -27,22 +27,16 @@ from icstalks.errors import (
     NotComparable,
 )
 from icstalks.derham import stalk_formula
-from icstalks.linalg import canonical, integer_rank, nullspace, sparse_row
-from icstalks.polynomials import (
-    K_INV,
-    L_VAR,
-    BiLaurentPolynomial,
-    LaurentPolynomial,
-    bipoly_from_triples,
-    poly_from_pairs,
-)
+from icstalks.linalg import canonical, integer_rank, sparse_row
+from icstalks.polynomials import BiLaurentPolynomial, LaurentPolynomial
 from icstalks.subdivision import (
     barycentric_subdivision,
     interior_ray_subdivision,
     multiplicity_table,
 )
+from polys import K_INV, L_VAR, bipoly_from_triples, poly_from_pairs
 from test_golden import CONES, CROSS5, CUBE5, FANS, _lattice, _pipeline
-from test_linalg import dense_gauss_rank
+from test_linalg import dense_gauss_rank, nullspace
 
 SQUARE = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
 ORTHANT3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -639,7 +633,7 @@ def _per_face_closed_form(d, tau):
     n, d_tau = lattice.rank, lattice.faces[tau].dim
     one = BiLaurentPolynomial.one()
     kl2 = BiLaurentPolynomial.monomial(-2, 2)
-    inner = BiLaurentPolynomial.zero()
+    inner = BiLaurentPolynomial({})
     for f in lattice.faces:
         if f.rays <= lattice.faces[tau].rays:
             for j in range(d_tau + 1):
@@ -666,7 +660,7 @@ def _reference_closed_form(d, tau):
     lattice = d.lattice
     d_tau = lattice.face(tau).dim
     one, q2 = LaurentPolynomial.one(), LaurentPolynomial.term(2)
-    inner = LaurentPolynomial.zero()
+    inner = LaurentPolynomial({})
     for j in range(d_tau + 1):
         count = sum(d.get(j, f) for f in lattice.down[tau])
         if count:

@@ -3,6 +3,7 @@
 import itertools
 import json
 from functools import cache
+from math import comb
 
 import pytest
 
@@ -11,19 +12,13 @@ from icstalks.cones import face_lattice
 from icstalks.corpus import CORPUS
 from icstalks.decomposition import solve_decomposition
 from icstalks.golden import golden_derham, local_h, toric_g
-from icstalks.polynomials import (
-    K_INV,
-    K_INV_PLUS_L_INV,
-    BiLaurentPolynomial,
-    LaurentPolynomial,
-    bipoly_from_triples,
-    poly_from_pairs,
-)
+from icstalks.polynomials import BiLaurentPolynomial, LaurentPolynomial
 from icstalks.subdivision import (
     barycentric_subdivision,
     interior_ray_subdivision,
     multiplicity_table,
 )
+from polys import K_INV, K_INV_PLUS_L_INV, bipoly_from_triples, poly_from_pairs
 
 L = LaurentPolynomial
 B = BiLaurentPolynomial
@@ -79,10 +74,10 @@ def _reference_interior_multiplicities(lattice):
         if f.id == lattice.zero_id:
             out[f.id] = L.one()
         elif f.dim < min(n, 3):
-            out[f.id] = L.zero()
+            out[f.id] = L({})
         elif f.dim == n:
             if n <= 2:
-                out[f.id] = L.zero()
+                out[f.id] = L({})
             elif n == 3:
                 out[f.id] = poly_from_pairs([(1, 1), (-1, 1)])
             else:
@@ -90,7 +85,7 @@ def _reference_interior_multiplicities(lattice):
         elif f.dim == 3:
             out[f.id] = poly_from_pairs([(1, 1), (-1, 1)])
         else:
-            out[f.id] = L.zero()
+            out[f.id] = L({})
     return out
 
 
@@ -159,3 +154,58 @@ def test_verify_at_rank_5_fails_only_the_red_check(capsys, tmp_path):
     assert code == 1
     failed = [c["name"] for c in payload["checks"] if not c["passed"]]
     assert failed == ["center-multiplicity-independence"]
+
+
+# -- intersection Betti numbers of projective toric varieties ----------------
+
+# a square pyramid: the cone over it has one non-simplicial proper face
+PYRAMID = [(0, 0, 0, 1), (2, 0, 0, 1), (0, 2, 0, 1), (2, 2, 0, 1), (1, 1, 1, 1)]
+TORIC_H = {
+    "cube": [1, 5, 5, 1],
+    "octahedron": [1, 3, 3, 1],
+    "pyramid": [1, 2, 2, 1],
+    "cube5": [1, 12, 14, 12, 1],
+    "polygon-5": [1, 3, 1],
+}
+SIMPLICIAL = ["octahedron", "simplex5"] + [f"polygon-{m}" for m in range(3, 9)]
+
+
+def _solved(name):
+    if name == "pyramid":
+        lat = face_lattice(PYRAMID)
+        return lat, solve_decomposition(lat, multiplicity_table(barycentric_subdivision(lat)))
+    return _lattice(name), _pipeline(name, "barycentric")[1]
+
+
+@pytest.mark.parametrize("name", sorted(set(CONES) - {"point"}) + ["pyramid"])
+def test_intersection_betti_numbers_from_the_stalks(name):
+    # sigma is the cone over a polytope P of dimension d = n - 1, and the fan
+    # over P's proper faces gives a projective toric variety; its IC Betti
+    # numbers are Stanley's toric h(P; x) = sum_F g(F; x) (x - 1)^(d - 1 - dim F)
+    # over the proper faces F of P, the empty face included, where g(F; x)
+    # is q^dim(tau) Ht_{0,tau} for tau the cone over F, and x = q^2
+    lat, dec = _solved(name)
+    n, top = lat.rank, lat.top_id
+    x_minus_1 = poly_from_pairs([(2, 1), (0, -1)])
+    toric_h = sum(
+        dec.htilde(lat.zero_id, f.id).shift(f.dim) * x_minus_1 ** (n - 1 - f.dim)
+        for f in lat.faces
+        if f.id != top
+    )
+    assert all(e % 2 == 0 for e in toric_h.support())
+    h = [toric_h.coefficient(2 * j) for j in range(n)]
+    assert toric_h == poly_from_pairs((2 * j, c) for j, c in enumerate(h))
+    # Dehn-Sommerville, and hard Lefschetz on the projective variety
+    assert h == h[::-1]
+    assert all(c >= 0 for c in h)
+    assert all(a <= b for a, b in zip(h[: n // 2], h[1:]))
+    assert h == TORIC_H.get(name, h)
+    # where P is simplicial, its f-vector gives h with no g at all
+    simplicial = all(len(f.rays) == f.dim for f in lat.faces if f.id != top)
+    assert simplicial or name not in SIMPLICIAL
+    if simplicial:
+        f_vector = [len(lat.faces_of_dim(i)) for i in range(n)]
+        assert h == [
+            sum((-1) ** (j - i) * comb(n - 1 - i, j - i) * f_vector[i] for i in range(j + 1))
+            for j in range(n)
+        ]

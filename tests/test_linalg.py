@@ -6,16 +6,12 @@ import pytest
 
 from icstalks.differentials import ChainComplexQ
 from icstalks.errors import CrossCheckMismatch
-from icstalks.linalg import (
-    _eliminate,
-    determinants,
-    integer_rank,
-    nullspace,
-    sparse_row,
-)
+from icstalks.linalg import _eliminate, determinants, integer_rank, sparse_row
 
-# Independent references: rank and nullspace share one elimination in the
-# library, so they are checked against formulas that share nothing with it.
+# Independent references: the library's ranks come from one fraction-free
+# elimination and its echelon bases from a recursion over the cones of a fan
+# (``differentials``), so they are checked against textbook formulas that
+# share nothing with either.
 
 
 def leibniz_det(m):
@@ -57,6 +53,40 @@ def dense_gauss_rank(m):
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def nullspace(rows, n_cols):
+    """Basis of {x : A x = 0} for A given by sparse ``rows``, by textbook RREF.
+
+    The rows are made dense ``Fraction`` rows and brought to reduced row
+    echelon form, columns left to right.  Returns (basis, coordinate_columns):
+    the coordinate columns are the non-pivot columns, and the i-th basis
+    vector has 1 at coordinate_columns[i], 0 at the other coordinate columns
+    and minus the RREF entries of that column at the pivot columns.  An entry
+    is an ``int`` where it is integral.
+    """
+    m = [[Fraction(row.get(j, 0)) for j in range(n_cols)] for row in rows]
+    pivots = []
+    for c in range(n_cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    free = [c for c in range(n_cols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(int(c == f)) for c in range(n_cols)]
+        for r, c in enumerate(pivots):
+            v[c] = -m[r][f]
+        basis.append([x.numerator if x.denominator == 1 else x for x in v])
+    return basis, free
 
 
 def sparse(m):

@@ -8,7 +8,7 @@ import pytest
 
 from icstalks import shelling
 from icstalks.cones import face_lattice
-from icstalks.corpus import CORPUS
+from icstalks.corpus import CORPUS, polygon_cone
 from icstalks.errors import NoShellingFound, NotAShelling, NotPure, ShellingSearchFailed
 from icstalks.shelling import (
     ShellingOrder,
@@ -518,3 +518,33 @@ def test_boundary_search_backtracks_on_a_random_rank4_cone():
     h = [sum((-1) ** (j - i) * comb(n - i, j - i) * f[i] for i in range(j + 1)) for j in range(n + 1)]
     assert h == [1, 45, 45, 1, 0]
     assert [found.type_histogram().get(j, 0) for j in range(n + 1)] == h
+
+
+def test_find_shelling_places_more_facets_than_the_recursion_limit():
+    # the search goes one level deeper per placed facet, on its own stack
+    path = [fs(i, i + 1) for i in range(1500)]
+    found = find_shelling(SimplicialComplex(facets=path))
+    assert found.order == path
+    assert found.type_histogram() == {0: 1, 1: 1499}
+
+
+def test_boundary_search_recurses_only_into_lower_faces():
+    # sigma's boundary has 150 facets; only the check of a candidate's own
+    # boundary recurses, so the shelling fits 100 frames above the caller
+    lat = polygon_cone(150).lattice()
+    sub = barycentric_subdivision(lat)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        found = lexicographic_shelling(lat, sub)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found.type_histogram() == {0: 1, 1: 298, 2: 1}
+
+
+@pytest.mark.slow
+def test_lexicographic_shelling_of_the_cone_over_a_1100_gon():
+    # beyond the recursion limit at sigma's boundary: 1,100 facets there
+    m = 1100
+    found = lexicographic_shelling(polygon_cone(m).lattice())
+    assert [found.type_histogram().get(j, 0) for j in range(4)] == [1, 2 * m - 2, 1, 0]

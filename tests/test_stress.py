@@ -4,7 +4,7 @@ from icstalks.cones import face_lattice
 from icstalks.decomposition import solve_decomposition
 from icstalks.derham import check_main_identity, derham_table
 from icstalks.differentials import omega_closed_form, omega_oracle
-from icstalks.polynomials import LaurentPolynomial, bipoly_from_triples, poly_from_pairs
+from icstalks.polynomials import LaurentPolynomial
 from icstalks.shelling import lexicographic_shelling
 from icstalks.subdivision import (
     barycentric_subdivision,
@@ -12,6 +12,7 @@ from icstalks.subdivision import (
     multiplicity_table,
     validate_subdivision,
 )
+from polys import bipoly_from_triples, poly_from_pairs
 
 # square pyramid: one quadrilateral facet and four triangles
 PYRAMID = [(0, 0, 0, 1), (2, 0, 0, 1), (0, 2, 0, 1), (2, 2, 0, 1), (1, 1, 1, 1)]

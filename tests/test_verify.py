@@ -1,6 +1,7 @@
 import pytest
 
 import icstalks.differentials
+from icstalks import verify
 from icstalks.cones import pick_degree, second_degree
 from icstalks.corpus import ConeSpec, corpus_by_name, polygon_cone
 from icstalks.differentials import ChainComplexQ
@@ -10,6 +11,7 @@ from icstalks.verify import (
     ConeContext,
     check_degree_zero_exactness,
     check_face_lattice,
+    check_shelling,
     run_cone,
 )
 
@@ -32,6 +34,23 @@ def test_degree_zero_exactness_reads_the_oracle_map():
     ctx.omega_oracle_map[top] += BiLaurentPolynomial.monomial(-2, 0)
     with pytest.raises(CrossCheckMismatch):
         check_degree_zero_exactness(ctx)
+
+
+@pytest.mark.parametrize("name", ["polygon-5", "cube"])
+def test_shelling_check_requires_the_h_vector(monkeypatch, name):
+    ctx = ConeContext(corpus_by_name(name))
+    check_shelling(ctx)
+    shell = verify.lexicographic_shelling
+
+    def retyped(lattice, sub):
+        order = shell(lattice, sub)
+        # the last facet's type, one higher: still a single type-0 facet
+        order.types[-1] += 1
+        return order
+
+    monkeypatch.setattr(verify, "lexicographic_shelling", retyped)
+    with pytest.raises(CrossCheckMismatch, match="h-vector"):
+        check_shelling(ctx)
 
 
 def test_run_cone_builds_each_ishida_complex_once(monkeypatch):
