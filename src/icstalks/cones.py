@@ -312,17 +312,6 @@ class FaceLattice:
             self._chain_counts[lo] = {f: tuple(c) for f, c in counts.items()}
         return self._chain_counts[lo].get(hi, ())
 
-    def face_of_point(self, point: Vector) -> int:
-        """The face whose relative interior contains a point of sigma."""
-        pairings = [dot(u, point) for u in self.dual_generators]
-        if any(p < 0 for p in pairings):
-            raise ValueError("point lies outside the cone")
-        vanish = frozenset(i for i, p in enumerate(pairings) if p == 0)
-        if vanish not in self._by_normalset:
-            # the relative interiors of the faces partition sigma
-            raise ValueError("point does not lie in the relative interior of a face")
-        return self._by_normalset[vanish]
-
     def to_json_obj(self) -> dict:
         return {
             "faces": [

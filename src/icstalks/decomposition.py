@@ -18,8 +18,10 @@ supported in strictly negative degrees (Ht_{lo,hi}) plus a palindromic part
 (D_{lo,hi}).  The fiber of [0, tau] is F_tau, so D_tau = D_{0,tau}.
 Off-diagonal stalks Ht_{mu,tau} depend only on [mu, tau] as a graded poset;
 the fiber of an interval with lo != 0 is its chain-count series, the
-barycentric fiber of the quotient cone of hi by lo.  The recursion runs on
-term maps: each left side is one dict, split in one pass into Ht and D.
+barycentric fiber of the quotient cone of hi by lo.  A fiber depends on its
+count tuple alone, so faces and intervals share one expansion per distinct
+tuple.  The recursion runs on term maps: each left side is one dict, split
+in one pass into Ht and D.
 
 Every D is palindromic and every off-diagonal Ht strictly negative by the
 split itself.  The rest is validated after the fact, in one pass over each
@@ -59,14 +61,19 @@ def _fiber_series(counts: Sequence[int]) -> LaurentPolynomial:
     )
 
 
+def _checked_fiber(series: LaurentPolynomial, tau: int) -> LaurentPolynomial:
+    """``series`` as the fiber of face tau, which must have nonnegative integer terms."""
+    if not (series.is_integer() and series.is_nonnegative()):
+        raise NegativeCoefficient(
+            f"fiber series of face {tau} has a negative coefficient: {series.to_text()}"
+        )
+    return series
+
+
 def fiber_poincare(d: MultiplicityTable, tau: int) -> LaurentPolynomial:
     """Poincare polynomial of the fiber over the orbit of tau."""
-    out = _fiber_series([d.get(l, tau) for l in range(d.lattice.face(tau).dim + 1)])
-    if not (out.is_integer() and out.is_nonnegative()):
-        raise NegativeCoefficient(
-            f"fiber series of face {tau} has a negative coefficient: {out.to_text()}"
-        )
-    return out
+    counts = [d.get(l, tau) for l in range(d.lattice.face(tau).dim + 1)]
+    return _checked_fiber(_fiber_series(counts), tau)
 
 
 def _split(terms: dict) -> tuple[LaurentPolynomial, LaurentPolynomial]:
@@ -119,35 +126,35 @@ def solve_decomposition(lattice: FaceLattice, d: MultiplicityTable) -> Decomposi
 
     Face ids increase with dimension, so walking hi in id order and lo in
     reverse id order reaches every interval after the shorter ones it needs.
-    The normalized fiber of an interval with lo != 0 depends on its
-    chain-count tuple alone, ``FaceLattice.chain_counts(lo, hi)``, and a
-    lattice has few distinct tuples (cube5: 544 intervals, 4 tuples), so
-    each is expanded once.  That memo lives in the call: nothing carries
-    from one lattice or pass to the next.  Each interval's left side is one
-    term map, the shifted fiber minus Ht_{mid,hi} * D_{lo,mid} over the
-    middles ``up[lo] & down[hi]``, unsorted because the sums are exact.  Only
-    nonzero D_{lo,mid} with lo < mid are kept, so lo, hi and the zero D of
-    every cover drop out with one lookup.
+    A fiber's count tuple is a face's d-counts, or
+    ``FaceLattice.chain_counts(lo, hi)`` for an interval with lo != 0; each
+    distinct tuple (cube5: 8 for 82 faces and 544 intervals) is expanded
+    once, shifted by its length minus one, into a memo local to the call.
+    Each interval's left side is one term map, the shifted fiber minus
+    Ht_{mid,hi} * D_{lo,mid} over the middles ``up[lo] & down[hi]``,
+    unsorted because the sums are exact.  Only nonzero D_{lo,mid} with
+    lo < mid are kept, so lo, hi and every cover's zero D drop out at once.
     """
     result = DecompositionResult(lattice=lattice)
     htilde = result.Htilde
     dpal: dict[tuple[int, int], LaurentPolynomial] = {}
-    fibers: dict[tuple[int, ...], dict] = {}
+    fibers: dict[tuple[int, ...], tuple[LaurentPolynomial, dict]] = {}
+
+    def fiber(counts: tuple[int, ...]) -> tuple[LaurentPolynomial, dict]:
+        if counts not in fibers:
+            series = _fiber_series(counts)
+            fibers[counts] = series, {e - len(counts) + 1: c for e, c in series.items()}
+        return fibers[counts]
+
     zero, up, faces = lattice.zero_id, lattice.up, lattice.faces
     for f in faces:
         hi = f.id
-        result.F[hi] = fiber_poincare(d, hi)
+        series, shifted = fiber(tuple(d.get(l, hi) for l in range(f.dim + 1)))
+        result.F[hi] = _checked_fiber(series, hi)
         # lo walks down to the zero face last, which leaves D_{0,hi} in pal
         htilde[hi, hi] = pal = LaurentPolynomial.one()
         for lo in sorted(lattice.down[hi] - {hi}, reverse=True):
-            length = f.dim - faces[lo].dim
-            if lo == zero:
-                terms = {e - length: c for e, c in result.F[hi].items()}
-            else:
-                counts = lattice.chain_counts(lo, hi)
-                if counts not in fibers:
-                    fibers[counts] = {e - length: c for e, c in _fiber_series(counts).items()}
-                terms = dict(fibers[counts])
+            terms = dict(shifted if lo == zero else fiber(lattice.chain_counts(lo, hi))[1])
             get = terms.get
             for mid in up[lo] & lattice.down[hi]:
                 dm = dpal.get((lo, mid))

@@ -27,7 +27,8 @@ Ring results (``+``, ``-``, ``*``, ``**``, negation, ``shift``, ``mirror``,
 ``substitute``, ``chi_y`` and ``sum_of_products``) are canonical by
 construction: they combine canonical coefficients, drop the zeros and
 canonicalize only the non-``int`` values, then wrap the term map with
-``_new`` without checking it again.
+``_new`` without checking it again.  No term map changes once wrapped, so
+a polynomial keeps the hash its first ``hash`` computes.
 
 Zero coefficients are never stored; the zero polynomial has an empty term
 map.  A polynomial with only a constant term equals that constant and hashes
@@ -75,7 +76,7 @@ class _LaurentCore:
     of the constant term) and ``_add_exp`` (multiply two monomials).
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")  # ``_hash`` is None until the first ``__hash__``
 
     def __init__(self, terms: Mapping | None = None):
         data = {}
@@ -86,6 +87,7 @@ class _LaurentCore:
                 if c != 0:
                     data[exp] = c
         self._terms = data
+        self._hash = None
 
     @classmethod
     def _new(cls, terms: dict):
@@ -93,6 +95,7 @@ class _LaurentCore:
         values as ``int``) without copying or checking it."""
         out = object.__new__(cls)
         out._terms = terms
+        out._hash = None
         return out
 
     @classmethod
@@ -123,12 +126,12 @@ class _LaurentCore:
         return self._terms == other._terms
 
     def __hash__(self):
-        terms = self._terms
-        if not terms:
-            return hash(0)
-        if len(terms) == 1 and self._CONST in terms:
-            return hash(terms[self._CONST])
-        return hash(frozenset(terms.items()))
+        if self._hash is None:
+            terms = self._terms
+            # the zero and constant polynomials hash like their values
+            const = terms.keys() <= {self._CONST}
+            self._hash = hash(terms.get(self._CONST, 0) if const else frozenset(terms.items()))
+        return self._hash
 
     def _combine(self, other, op):
         """``op(self, other)`` termwise, for ``op`` ``operator.add`` or ``sub``."""

@@ -6,22 +6,24 @@ vertex sets; coordinates are never consulted):
   * ``verify_shelling`` checks a facet order by the unique-minimal-new-face
     characterization: at each step the faces not seen earlier must form an
     interval [R, F] (Ziegler, *Lectures on Polytopes*, sec. 8.1).  The
-    restriction face R gives the facet's type |R|.  One set holds every
-    face of the earlier facets; it is closed under subsets, so a step holds
-    exactly when R = {v : F - v is old} is nonempty and not old itself.
-    F facets of size d cost O(F * d) set lookups plus one insertion per face
-    of the complex, not a rescan of the earlier facets.
+    restriction face R gives the facet's type |R|.  A face is an int
+    bitmask, bit i for the i-th smallest vertex label.  One set holds the
+    mask of every face of the earlier facets; it is closed under subsets, so
+    a step holds exactly when R = {v : F - v is old} is nonempty and not old
+    itself.  F facets of size d cost O(F * d) set lookups plus one insertion
+    per face of the complex.
   * ``find_shelling`` searches for a shelling order by depth-first extension
     with backtracking, memoizing dead prefix sets (step validity depends only
-    on the set of earlier facets, not their order).  It keeps the face set of
-    its current prefix, adding a facet's new faces on extension and removing
-    them on backtrack, so the set stays closed under subsets.
+    on the set of earlier facets, not their order).  It keeps the face masks
+    of its current prefix, adding a facet's new faces on extension and
+    removing them on backtrack, so the set stays closed under subsets.
   * ``lexicographic_shelling`` builds the recursive lexicographic order on
     the maximal chains of a face lattice, the barycentric analogue of a line
     shelling: chains are compared at the largest level where they differ,
     using shellings of polytope boundary complexes keyed by (face, prefix);
     the search that shells a face's boundary hands each facet the prefix
-    that leads the facet's own boundary shelling.
+    that leads the facet's own boundary shelling.  The type check reads each
+    diamond's two middles once.
 
 The polytope boundary complexes needed by the lexicographic construction are
 not simplicial (e.g. the square facets of a cube), so a small recursive
@@ -31,7 +33,6 @@ its complexes never exceed a handful of facets.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .cones import FaceLattice
@@ -83,62 +84,53 @@ def complex_from_fan(sub: SubdivisionMap) -> SimplicialComplex:
     return SimplicialComplex(facets=sorted(sub.maximal, key=sorted))
 
 
-def _faces(vertices: frozenset[int]) -> list[frozenset[int]]:
-    """Every subset of ``vertices``, the empty face included."""
-    items = sorted(vertices)
-    return [
-        frozenset(subset)
-        for size in range(len(items) + 1)
-        for subset in itertools.combinations(items, size)
-    ]
+def _vertex_bits(facets) -> dict[int, int]:
+    """Each vertex's bit in a face mask: bit i for the i-th smallest label."""
+    return {v: 1 << i for i, v in enumerate(sorted(set().union(*facets)))}
 
 
-def _step_restriction(
-    facet: frozenset[int], old: set[frozenset[int]]
-) -> frozenset[int] | None:
-    """The unique minimal new face at this step, or None if the step fails.
+def _restriction(facet: int, bits: list[int], old: set[int]) -> int | None:
+    """The restriction face R = {v : facet - v is old} as a mask, or None.
 
-    ``old`` holds every face of the earlier facets, so a subset of ``facet``
-    lies in an earlier facet exactly when it is in ``old``.  The step is valid
-    when the old subsets are exactly those missing some vertex of the
-    candidate restriction face R = {v : facet - v is old}, R nonempty.
-    Since ``old`` is closed under subsets, that holds exactly when R is not
-    old: a subset missing a vertex v of R lies in the old facet - v, and a
-    subset containing R is old only if R is.  So the test makes d + 1 set
-    lookups for a facet of size d.
-    """
-    restriction = frozenset(v for v in facet if facet - {v} in old)
-    if not restriction or restriction in old:
-        return None
-    return restriction
+    The step fails when R is empty or old: ``old``, the earlier facets' face
+    masks, is closed under subsets, so the subsets missing a vertex of R are
+    old, and those containing R are new exactly when R is."""
+    restriction = 0
+    for b in bits:
+        if facet ^ b in old:
+            restriction |= b
+    return restriction if restriction and restriction not in old else None
 
 
-def _new_faces(facet: frozenset[int], restriction: frozenset[int]) -> list[frozenset[int]]:
-    """The faces a valid step adds: the subsets of ``facet`` containing R."""
-    return [restriction | rest for rest in _faces(facet - restriction)]
+def _new_faces(facet: int, restriction: int) -> list[int]:
+    """The faces a valid step adds, each once: R | s for the submasks s of
+    facet - R, run down from facet - R to 0 as s = (s - 1) & (facet - R)."""
+    free = facet ^ restriction
+    out, s = [facet], free
+    while s:
+        s = (s - 1) & free
+        out.append(restriction | s)
+    return out
 
 
-def verify_shelling(
-    complex: SimplicialComplex, order: list[frozenset[int]]
-) -> ShellingOrder:
+def verify_shelling(complex: SimplicialComplex, order: list[frozenset[int]]) -> ShellingOrder:
     """Check a facet order; raises NotAShelling at the first violating index.
 
-    One set ``old`` holds every face of the facets checked so far, closed
-    under subsets, and each step adds the faces the new facet brings, so F
-    facets of size d cost O(F * d) lookups plus one insertion per face.
+    One set ``old`` holds the mask of every face of the facets checked so
+    far, closed under subsets; each step adds the new facet's new faces.
     """
     if len(order) != len(complex.facets) or set(order) != set(complex.facets):
         raise ValueError("order is not a permutation of the facets")
-    types = [0]
-    restriction: list[frozenset[int]] = [frozenset()]
-    old = set(_faces(order[0]))
-    for j in range(1, len(order)):
-        r = _step_restriction(order[j], old)
+    bit, old = _vertex_bits(order), set()
+    restriction: list[frozenset[int]] = []
+    for j, facet in enumerate(order):
+        bits = [bit[v] for v in facet]
+        r = _restriction(sum(bits), bits, old) if j else 0
         if r is None:
             raise NotAShelling(j)
-        types.append(len(r))
-        restriction.append(r)
-        old.update(_new_faces(order[j], r))
+        restriction.append(frozenset(v for v, b in zip(facet, bits) if r & b))
+        old.update(_new_faces(sum(bits), r))
+    types = [len(r) for r in restriction]
     return ShellingOrder(order=list(order), types=types, restriction=restriction)
 
 
@@ -150,8 +142,11 @@ def find_shelling(complex: SimplicialComplex) -> ShellingOrder:
     """
     facets = sorted(complex.facets, key=sorted)
     n = len(facets)
+    bit = _vertex_bits(facets)
+    bits = [[bit[v] for v in f] for f in facets]
+    masks = [sum(b) for b in bits]
     dead: set[frozenset[int]] = set()
-    old: set[frozenset[int]] = set()  # every face of the facets in the prefix
+    old: set[int] = set()  # the mask of every face of the facets in the prefix
 
     def extend() -> list[int] | None:
         order: list[int] = []
@@ -163,10 +158,10 @@ def find_shelling(complex: SimplicialComplex) -> ShellingOrder:
             for i in candidates:
                 if i in used:
                     continue
-                r = _step_restriction(facets[i], old) if order else frozenset()
+                r = _restriction(masks[i], bits[i], old) if order else 0
                 if r is None:
                     continue
-                new = _new_faces(facets[i], r)
+                new = _new_faces(masks[i], r)
                 old.update(new)
                 order.append(i)
                 stack.append((used, candidates, new))
@@ -335,23 +330,23 @@ def lexicographic_shelling(
 
     walk((lattice.top_id,), frozenset())
     position = {chain: i for i, chain in enumerate(chains)}
-
-    def simplex_of(chain: tuple[int, ...]) -> frozenset[int]:
-        return frozenset(face_ray[fid] for fid in chain)
-
-    order = [simplex_of(c) for c in chains]
+    order = [frozenset(face_ray[fid] for fid in chain) for chain in chains]
     result = verify_shelling(complex, order)
 
-    # claimed types: count earlier neighbors obtained by swapping one level
+    # claimed types: count earlier neighbors; (lo, mid, hi) -> a diamond's other middle
+    others: dict[tuple[int, int, int], int] = {}
     for idx, chain in enumerate(chains):
         swaps = 0
         # chain = (sigma, dim n-1 face, ..., ray); level j swaps chain[j]
         for j in range(1, len(chain)):
             hi = chain[j - 1]
             lo = lattice.zero_id if j == len(chain) - 1 else chain[j + 1]
-            # the lattice's own validation made every length-2 interval a diamond
-            (other,) = (lattice.above[lo] & lattice.below[hi]) - {chain[j]}
-            swapped = chain[:j] + (other,) + chain[j + 1 :]
+            key = lo, chain[j], hi
+            if key not in others:
+                # the lattice's own validation made every length-2 interval a diamond
+                a, b = lattice.above[lo] & lattice.below[hi]
+                others[lo, a, hi], others[lo, b, hi] = b, a
+            swapped = chain[:j] + (others[key],) + chain[j + 1 :]
             if position[swapped] < idx:
                 swaps += 1
         if swaps != result.types[idx]:

@@ -22,7 +22,9 @@ of the chain, or g itself when the chain is empty.
     already, so the result is a simplicial fan.
 
 A fan is its maximal cones and its ray tags, the faces of sigma whose
-relative interiors hold its rays.  Its cones are reached in one walk down
+relative interiors hold its rays.  A ray is checked against its tag F
+alone: zero on F's facet normals, and positive on one normal per facet of
+F that cuts that facet out of F.  Its cones are reached in one walk down
 from the maximal cones, one ray at a time, each cone once; a cone lies over
 the join of its rays' tags, found with one join per cone from the facet
 without its largest ray.  The multiplicity table d_l(tau) counts
@@ -90,8 +92,12 @@ class SubdivisionMap:
 
     def __post_init__(self):
         lattice = self.lattice
+        faces, normals = lattice.faces, lattice.dual_generators
         for i, (ray, fid) in enumerate(zip(self.rays, self.ray_face)):
-            if lattice.face_of_point(ray) != fid:
+            own = faces[fid].normals if 0 <= fid < len(faces) else None
+            if own is None or any(dot(normals[s], ray) for s in own) or any(
+                dot(normals[min(faces[g].normals - own)], ray) <= 0 for g in lattice.below[fid]
+            ):
                 raise InvariantViolation(fid, "ray tag", f"ray {i} is not interior to its face")
         # walk down from the maximal cones one ray at a time, size by size,
         # so each cone is reached once however many maximal cones hold it
@@ -244,11 +250,11 @@ def _chain_subdivision(
     flat = next((c for c in maximal if not sub.orientation[c]), None)
     if flat is not None:
         raise NotSimplicialResult(f"{kind} maximal cone {sorted(flat)} is not simplicial, {n}-dim")
-    missing = [c for c in top_of if c not in sub.cones]
-    if missing:
-        cone = min(missing, key=sorted)
-        raise NotSimplicialResult(f"{kind} cone {sorted(cone)} lies in no {n}-ray cone")
     if sub.pushforward != top_of:
+        missing = [c for c in top_of if c not in sub.cones]
+        if missing:
+            cone = min(missing, key=sorted)
+            raise NotSimplicialResult(f"{kind} cone {sorted(cone)} lies in no {n}-ray cone")
         cone = min((c for c, _ in sub.pushforward.items() ^ top_of.items()), key=sorted)
         raise CrossCheckMismatch(
             f"{kind} cone {sorted(cone)} lies over face {sub.pushforward.get(cone)}, "

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -201,6 +202,10 @@ def test_shelling_appendix_subdivision_of_cross6(capsys, tmp_path):
     assert {int(j): count for j, count in payload["type_histogram"].items()} == {
         j: count for j, count in enumerate(h) if count
     }
+    assert h == [1, 197, 762, 762, 197, 1, 0]
+    # the order the search returned before face sets became bitmasks
+    digest = hashlib.sha256(json.dumps(payload["order"]).encode()).hexdigest()
+    assert digest == "f1db2e736cd5e511bd5e48b3dfd705d550f1797d8cdbb5b27432a207f72d6419"
 
 
 def test_malformed_input_exit_2(capsys, tmp_path):

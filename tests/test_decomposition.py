@@ -111,11 +111,13 @@ def test_solver_expands_each_chain_count_tuple_once(monkeypatch):
         calls.append(counts)
         return _fiber_series(counts)
 
+    faces = {tuple(d.get(l, f.id) for l in range(f.dim + 1)) for f in lat.faces}
     monkeypatch.setattr(decomposition, "_fiber_series", counted)
     solve_decomposition(lat, d)
-    # one call per face through fiber_poincare, one per distinct tuple
-    assert len(tuples) == 4
-    assert len(calls) == len(lat.faces) + len(tuples)
+    # faces and intervals share one memo: one call per distinct tuple
+    assert (len(lat.faces), len(tuples), len(faces)) == (82, 4, 6)
+    assert sorted(calls) == sorted(tuples | faces)
+    assert len(calls) == 8
 
 
 def test_fiber_poincare_zero_face():
@@ -130,6 +132,23 @@ def test_fiber_poincare_rejects_bad_table():
     bad = MultiplicityTable({(2, lat.top_id): 1}, lat)
     with pytest.raises(NegativeCoefficient):
         fiber_poincare(bad, lat.top_id)
+
+
+def test_solver_names_the_first_face_with_a_negative_fiber():
+    # two 2-faces given the same bad counts share one expansion; the error is
+    # still the one fiber_poincare raises for the smaller of them
+    lat = face_lattice(SQUARE)
+    counts = dict(multiplicity_table(barycentric_subdivision(lat)).counts)
+    first, second = lat.faces_of_dim(2)[1:3]
+    for fid in (second, first):
+        counts[0, fid] = 1
+    bad = MultiplicityTable(counts, lat)
+    with pytest.raises(NegativeCoefficient) as expected:
+        fiber_poincare(bad, first)
+    with pytest.raises(NegativeCoefficient) as found:
+        solve_decomposition(lat, bad)
+    assert str(found.value) == str(expected.value)
+    assert f"face {first} " in str(found.value)
 
 
 def test_split_examples():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icstalks import polynomials
 from icstalks.errors import NonIntegralExponent
 from icstalks.polynomials import BiLaurentPolynomial, LaurentPolynomial, _coeff
 from polys import K_INV, K_INV_PLUS_L_INV, L_INV, bipoly_from_triples, poly_from_pairs
@@ -168,6 +169,22 @@ def test_shift_and_pow():
     p = poly_from_pairs([(2, 1), (0, 6), (4, 1)])
     assert p.shift(-3) == L({-1: 1, -3: 6, 1: 1})
     assert (L({2: 1, 0: -1})) ** 2 == L({4: 1, 2: -2, 0: 1})
+
+
+def test_a_polynomial_hashes_its_terms_once(monkeypatch):
+    made = []
+
+    def counting(items):
+        made.append(items)
+        return frozenset(items)
+
+    monkeypatch.setattr(polynomials, "frozenset", counting, raising=False)
+    p, q = L({-2: 1, 0: 3, 2: 1}), B({(1, -1): 2, (0, 0): 1})
+    assert hash(p) == hash(p) == hash(L({2: 1, 0: 3}) + L.term(-2))
+    assert hash(q) == hash(q)
+    assert len(made) == 3
+    # the constant and zero polynomials keep hashing like their values
+    assert hash(L.one() * 5) == hash(5) and hash(B({})) == hash(0)
 
 
 @pytest.mark.parametrize("cls", [L, B])

@@ -271,20 +271,48 @@ def test_verify_shelling_adds_each_face_once(monkeypatch):
         lat = face_lattice(rays)
         sub = barycentric_subdivision(lat)
         order = lexicographic_shelling(lat, sub).order
-        made = []
-        faces = shelling._faces
+        added = []
+        new_faces = shelling._new_faces
 
-        def counting(vertices):
-            out = faces(vertices)
-            made.extend(out)
+        def counting(facet, restriction):
+            out = new_faces(facet, restriction)
+            added.extend(out)
             return out
 
-        # the first facet's faces, then at each step the subsets of facet - R,
-        # one for each new face R | rest: every face of the complex once
-        monkeypatch.setattr(shelling, "_faces", counting)
+        # every face of the first facet, then at each step the masks R | s
+        # for the submasks s of facet - R: every face of the complex once
+        monkeypatch.setattr(shelling, "_new_faces", counting)
         verify_shelling(complex_from_fan(sub), order)
-        monkeypatch.setattr(shelling, "_faces", faces)
-        assert len(made) == len(sub.cones)
+        monkeypatch.setattr(shelling, "_new_faces", new_faces)
+        assert len(added) == len(set(added)) == len(sub.cones)
+
+
+def test_shellings_take_negative_and_sparse_vertex_labels():
+    # the masks number the vertices by sorted position, so a relabelling by
+    # any increasing map gives the same order, types and restriction faces
+    rng = random.Random(23)
+    relabel = dict(zip(range(8), [-(10**30), -7, -1, 0, 5, 2**70, 3**50, 10**40]))
+    for _ in range(60):
+        facets = _random_pure_complex(rng)
+        cx = SimplicialComplex(facets=[frozenset(relabel[v] for v in f) for f in facets])
+        order = rng.sample(cx.facets, len(cx.facets))
+        index, expected = _reference_verify(order)
+        if index is None:
+            found = verify_shelling(cx, order)
+            assert (found.types, found.restriction) == expected
+        else:
+            with pytest.raises(NotAShelling) as err:
+                verify_shelling(cx, order)
+            assert err.value.index == index
+        try:
+            plain = find_shelling(SimplicialComplex(facets=facets))
+        except NoShellingFound:
+            with pytest.raises(NoShellingFound):
+                find_shelling(cx)
+            continue
+        found = find_shelling(cx)
+        assert found.order == [frozenset(relabel[v] for v in f) for f in plain.order]
+        assert found.types == plain.types
 
 
 def test_find_shelling_returns_the_first_shelling_permutation():

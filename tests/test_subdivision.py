@@ -277,6 +277,18 @@ def test_fan_cones_are_the_faces_of_its_maximal_cones():
     validate_subdivision(fan)
 
 
+def _face_of_point(lat, point):
+    """The geometric reference: the face whose relative interior holds a point
+    of sigma is the one whose facet normals are those vanishing on the point;
+    None for a point outside sigma."""
+    pairings = [dot(u, point) for u in lat.dual_generators]
+    if any(p < 0 for p in pairings):
+        return None
+    vanish = frozenset(s for s, p in enumerate(pairings) if p == 0)
+    (fid,) = [f.id for f in lat.faces if f.normals == vanish]
+    return fid
+
+
 @pytest.mark.parametrize("name, rays, rank", FAN_CONES, ids=[name for name, _, _ in FAN_CONES])
 def test_pushforward_is_the_face_of_the_ray_sum(name, rays, rank):
     # the geometric route: the sum of a cone's rays lies in the relative
@@ -284,7 +296,7 @@ def test_pushforward_is_the_face_of_the_ray_sum(name, rays, rank):
     lat = face_lattice(rays, rank=rank)
     for sub in (barycentric_subdivision(lat), interior_ray_subdivision(lat)):
         for cone, tau in sub.pushforward.items():
-            assert tau == lat.face_of_point(vector_sum([sub.rays[i] for i in cone], rank))
+            assert tau == _face_of_point(lat, vector_sum([sub.rays[i] for i in cone], rank))
 
 
 @pytest.mark.parametrize("spec", CORPUS, ids=[spec.name for spec in CORPUS])
@@ -316,6 +328,59 @@ def test_fan_rejects_a_wrong_ray_tag():
     with pytest.raises(InvariantViolation) as info:
         _fan(lat, [((1, 1), lat.zero_id)], [{0, 2}, {2, 1}])
     assert info.value.prop == "ray tag"
+
+
+def test_fan_rejects_a_ray_outside_sigma():
+    # (1,-1) pairs negatively with the normal (0,1) of the quadrant, so no
+    # tag accepts it: once as F's own normal, once as a facet's cutting normal
+    lat = face_lattice([(1, 0), (0, 1)])
+    for tag in (lat.zero_id, face_id(lat, (0,)), lat.top_id):
+        with pytest.raises(InvariantViolation) as info:
+            _fan(lat, [((1, -1), tag)], [{0, 2}, {2, 1}])
+        assert info.value.prop == "ray tag"
+
+
+RANKED = [spec for spec in CORPUS if spec.rank]
+
+
+@pytest.mark.parametrize("spec", RANKED, ids=[spec.name for spec in RANKED])
+def test_ray_tag_check_matches_the_face_of_the_point(spec):
+    # a ray is accepted with a tag exactly when the reference puts it in the
+    # relative interior of that face: sums of random ray subsets lie in sigma,
+    # and random integer vectors mostly outside it
+    lat = spec.lattice()
+    rng = random.Random(29)
+    points = []
+    for _ in range(12):
+        k = rng.randint(1, len(lat.rays))
+        points.append(vector_sum(rng.sample(lat.rays, k), lat.rank))
+        points.append(tuple(rng.randint(-3, 3) for _ in range(lat.rank)))
+    for point in filter(any, points):
+        for f in lat.faces:
+            fan = dict(lattice=lat, rays=[point], ray_face=[f.id], maximal=[])
+            if _face_of_point(lat, point) == f.id:
+                SubdivisionMap(**fan)
+            else:
+                with pytest.raises(InvariantViolation) as info:
+                    SubdivisionMap(**fan)
+                assert info.value.prop == "ray tag"
+
+
+def test_ray_tags_pair_with_their_faces_normals_only(monkeypatch):
+    # each ray meets its tag's normals and one normal per facet of the tag:
+    # on the 150-gon, 150 rays x (2 + 1), 150 centres x (1 + 2) and sigma's
+    # centre x 150, against 301 x 150 = 45,150 for every normal
+    lat = polygon_cone(150).lattice()
+    pairings = []
+
+    def counted(u, v):
+        pairings.append(u)
+        return dot(u, v)
+
+    monkeypatch.setattr(subdivision, "dot", counted)
+    sub = barycentric_subdivision(lat)
+    assert len(sub.rays) == 301
+    assert len(pairings) == 1050
 
 
 def test_validate_rejects_a_pushforward_leaving_its_face():
