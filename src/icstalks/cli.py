@@ -16,8 +16,8 @@ import json
 import sys
 
 from .corpus import CORPUS, ConeSpec, corpus_by_name, load_cone_spec
-from .decomposition import fiber_poincare, solve_decomposition
-from .derham import check_main_identity, derham_table
+from .decomposition import fiber_poincare
+from .derham import check_main_identity
 from .differentials import (
     check_second_degree,
     omega_closed_form,
@@ -26,12 +26,10 @@ from .differentials import (
 )
 from .errors import ToricError
 from .shelling import complex_from_fan, find_shelling, lexicographic_shelling
-from .subdivision import (
-    barycentric_subdivision,
-    interior_ray_subdivision,
-    multiplicity_table,
-)
-from .verify import run_cone, run_corpus
+from .verify import ConeContext, FanContext, run_cone, run_corpus
+
+# the --subdivision choices, in the order of ConeContext.fans
+_SUBDIVISIONS = ("barycentric", "appendix")
 
 
 def _read_spec(args) -> ConeSpec:
@@ -47,12 +45,10 @@ def _read_spec(args) -> ConeSpec:
     return load_cone_spec(obj)
 
 
-def _subdivide(lattice, kind: str):
-    if kind == "barycentric":
-        return barycentric_subdivision(lattice)
-    if kind == "appendix":
-        return interior_ray_subdivision(lattice)
-    raise ValueError(f"unknown subdivision {kind!r}")
+def _read_fan(args, kind: str) -> tuple[ConeSpec, FanContext]:
+    """The cone spec and its fan of the given ``--subdivision`` kind."""
+    spec = _read_spec(args)
+    return spec, ConeContext(spec).fans[_SUBDIVISIONS.index(kind)]
 
 
 def _check_face_id(lattice, option: str, fid: int | None) -> None:
@@ -78,10 +74,8 @@ def cmd_faces(args) -> int:
 
 
 def cmd_subdivide(args) -> int:
-    spec = _read_spec(args)
-    lattice = spec.lattice()
-    sub = _subdivide(lattice, args.subdivision)
-    d = multiplicity_table(sub)
+    spec, fan = _read_fan(args, args.subdivision)
+    sub, d = fan.sub, fan.d
     payload = dict(sub.to_json_obj())
     payload.update(d.to_json_obj())
     lines = [
@@ -97,10 +91,8 @@ def cmd_subdivide(args) -> int:
 
 
 def cmd_fibers(args) -> int:
-    spec = _read_spec(args)
-    lattice = spec.lattice()
-    sub = _subdivide(lattice, args.subdivision)
-    dec = solve_decomposition(lattice, multiplicity_table(sub))
+    spec, fan = _read_fan(args, args.subdivision)
+    dec = fan.dec
     payload = {"F": dec.to_json_obj()["F"]}
     lines = [f"fiber Poincare polynomials over {spec.name} ({args.subdivision}):"]
     for t in sorted(dec.F):
@@ -110,10 +102,8 @@ def cmd_fibers(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    spec = _read_spec(args)
-    lattice = spec.lattice()
-    sub = _subdivide(lattice, args.subdivision)
-    dec = solve_decomposition(lattice, multiplicity_table(sub))
+    spec, fan = _read_fan(args, args.subdivision)
+    dec = fan.dec
     payload = dec.to_json_obj()
     lines = [f"decomposition data for {spec.name} ({args.subdivision} subdivision):"]
     for t in sorted(dec.F):
@@ -127,33 +117,31 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_omega(args) -> int:
-    spec = _read_spec(args)
-    lattice = spec.lattice()
+    spec, fan = _read_fan(args, "barycentric")
+    lattice = fan.lattice
     _check_face_id(lattice, "--tau", args.tau)
     mode = args.mode or "both"
     if args.check and mode == "closed-form":
         raise ValueError("--check recomputes the oracle route, which --closed-form leaves out")
-    sub = barycentric_subdivision(lattice)
-    d = multiplicity_table(sub)
     taus = [args.tau] if args.tau is not None else [f.id for f in lattice.faces]
     rows = []
     for tau in taus:
         row: dict = {"tau": tau}
         if mode in ("oracle", "both"):
-            om = omega_oracle(sub, tau)
+            om = omega_oracle(fan.sub, tau)
             if args.check:
-                check_second_degree(sub, tau, om)
+                check_second_degree(fan.sub, tau, om)
             row["oracle"] = om.to_json_obj()
             row["text"] = om.to_text()
         if mode in ("closed-form", "both"):
-            om = omega_closed_form(d, tau)
+            om = omega_closed_form(fan.d, tau)
             row["closed_form"] = om.to_json_obj()
             row["text"] = om.to_text()
         if mode == "both":
             row["match"] = row["oracle"] == row["closed_form"]
             if args.check:
                 fiber = omega_from_fiber_poincare(
-                    fiber_poincare(d, tau), lattice.rank, lattice.dim(tau)
+                    fiber_poincare(fan.d, tau), lattice.rank, lattice.dim(tau)
                 )
                 row["match"] = row["match"] and fiber.to_json_obj() == row["oracle"]
             if args.check and not row["match"]:
@@ -169,17 +157,15 @@ def cmd_omega(args) -> int:
 
 
 def cmd_icdr(args) -> int:
-    spec = _read_spec(args)
-    lattice = spec.lattice()
+    spec, fan = _read_fan(args, "barycentric")
+    lattice = fan.lattice
     _check_face_id(lattice, "--mu", args.mu)
     _check_face_id(lattice, "--tau", args.tau)
-    sub = barycentric_subdivision(lattice)
-    d = multiplicity_table(sub)
-    dec = solve_decomposition(lattice, d)
-    table = derham_table(dec)
+    table = fan.dr
     if args.verify:
+        # one face at a time, so the first face that fails is the one reported
         for f in lattice.faces:
-            check_main_identity(dec, table, omega_oracle(sub, f.id), f.id)
+            check_main_identity(fan.dec, table, omega_oracle(fan.sub, f.id), f.id)
     pairs = sorted(table)
     if args.mu is not None:
         pairs = [p for p in pairs if p[0] == args.mu]
@@ -214,13 +200,11 @@ def cmd_icdr(args) -> int:
 
 
 def cmd_shelling(args) -> int:
-    spec = _read_spec(args)
-    lattice = spec.lattice()
-    sub = _subdivide(lattice, args.subdivision)
+    spec, fan = _read_fan(args, args.subdivision)
     if args.subdivision == "barycentric":
-        order = lexicographic_shelling(lattice, sub)
+        order = lexicographic_shelling(fan.lattice, fan.sub)
     else:
-        order = find_shelling(complex_from_fan(sub))
+        order = find_shelling(complex_from_fan(fan.sub))
     payload = order.to_json_obj()
     lines = [
         f"shelling of the {args.subdivision} complex of {spec.name}: "
@@ -270,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         if subdivision:
             p.add_argument(
                 "--subdivision",
-                choices=("barycentric", "appendix"),
+                choices=_SUBDIVISIONS,
                 default=subdivision,
                 help=f"appendix = interior-ray recipe (default: {subdivision})",
             )

@@ -1,8 +1,9 @@
 """The one-shot invariant suite: every cross-check the package can run.
 
 Each check is independent: a failure is recorded in the report and the rest
-of the suite keeps going.  Shared artifacts (lattice, subdivisions, solved
-tables, generating functions) are built lazily once per cone and reused.
+of the suite keeps going.  Shared artifacts are built lazily and reused: the
+lattice once per cone, and each fan's subdivision, solved tables and
+generating functions once per fan.
 
 One check is expected to fail by design of the mathematics itself: the
 center multiplicity D_sigma is *not* independent of the subdivision.  It is
@@ -25,6 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 from .cones import FaceLattice
 from .corpus import CORPUS, ConeSpec
@@ -99,57 +101,64 @@ class Report:
         }
 
 
-class ConeContext:
-    """Lazily built artifacts for one corpus cone."""
+@dataclass
+class FanContext:
+    """One fan's pipeline, each stage built lazily once: the subdivision
+    ``build(lattice)``, its table, decomposition, dR table and Omega maps."""
 
-    def __init__(self, spec: ConeSpec):
-        self.spec = spec
+    label: str
+    lattice: FaceLattice
+    build: Callable[[FaceLattice], SubdivisionMap]
+
+    @cached_property
+    def sub(self) -> SubdivisionMap:
+        return self.build(self.lattice)
+
+    @cached_property
+    def d(self) -> MultiplicityTable:
+        return multiplicity_table(self.sub)
+
+    @cached_property
+    def dec(self) -> DecompositionResult:
+        return solve_decomposition(self.lattice, self.d)
+
+    @cached_property
+    def dr(self) -> dict[tuple[int, int], BiLaurentPolynomial]:
+        return derham_table(self.dec)
+
+    @cached_property
+    def omega_oracle_map(self) -> dict[int, BiLaurentPolynomial]:
+        return {f.id: omega_oracle(self.sub, f.id) for f in self.lattice.faces}
+
+    @cached_property
+    def omega_closed_map(self) -> dict[int, BiLaurentPolynomial]:
+        return {f.id: omega_closed_form(self.d, f.id) for f in self.lattice.faces}
+
+
+@dataclass
+class ConeContext:
+    """Lazily built artifacts for one corpus cone.  ``fans`` puts the
+    barycentric fan first and the interior-ray fan second: cross-fan checks
+    compare each later fan with ``fans[0]``, and the checks that need the
+    oracle, the shelling or the chain counts read ``fans[0]``."""
+
+    spec: ConeSpec
 
     @cached_property
     def lattice(self) -> FaceLattice:
         return self.spec.lattice()
 
     @cached_property
-    def barycentric(self) -> SubdivisionMap:
-        return barycentric_subdivision(self.lattice)
-
-    @cached_property
-    def interior(self) -> SubdivisionMap:
-        return interior_ray_subdivision(self.lattice)
-
-    @cached_property
-    def d_barycentric(self) -> MultiplicityTable:
-        return multiplicity_table(self.barycentric)
-
-    @cached_property
-    def d_interior(self) -> MultiplicityTable:
-        return multiplicity_table(self.interior)
-
-    @cached_property
-    def dec_barycentric(self) -> DecompositionResult:
-        return solve_decomposition(self.lattice, self.d_barycentric)
-
-    @cached_property
-    def dec_interior(self) -> DecompositionResult:
-        return solve_decomposition(self.lattice, self.d_interior)
-
-    @cached_property
-    def dr_barycentric(self) -> dict[tuple[int, int], BiLaurentPolynomial]:
-        return derham_table(self.dec_barycentric)
-
-    @cached_property
     def g(self) -> dict[tuple[int, int], LaurentPolynomial]:
         return toric_g(self.lattice)
 
     @cached_property
-    def omega_oracle_map(self) -> dict[int, BiLaurentPolynomial]:
-        return {f.id: omega_oracle(self.barycentric, f.id) for f in self.lattice.faces}
-
-    @cached_property
-    def omega_closed_map(self) -> dict[int, BiLaurentPolynomial]:
-        return {
-            f.id: omega_closed_form(self.d_barycentric, f.id) for f in self.lattice.faces
-        }
+    def fans(self) -> list[FanContext]:
+        # builders read at call time, where perfbench's tracer patches them
+        return [
+            FanContext("barycentric", self.lattice, barycentric_subdivision),
+            FanContext("interior-ray", self.lattice, interior_ray_subdivision),
+        ]
 
 
 def _run(report: Report, name: str, spec_name: str, fn) -> None:
@@ -191,17 +200,16 @@ def check_face_lattice(ctx: ConeContext) -> str:
 
 
 def check_subdivision_validity(ctx: ConeContext) -> str:
-    validate_subdivision(ctx.barycentric)
-    validate_subdivision(ctx.interior)
-    return (
-        f"barycentric {len(ctx.barycentric.maximal)} maximal cones, "
-        f"interior-ray {len(ctx.interior.maximal)}"
-    )
+    for fan in ctx.fans:
+        validate_subdivision(fan.sub)
+    sizes = [f"{fan.label} {len(fan.sub.maximal)}" for fan in ctx.fans]
+    return ", ".join([sizes[0] + " maximal cones"] + sizes[1:])
 
 
 def check_dcount_chaincount(ctx: ConeContext) -> str:
+    # chain counts count the cones of the barycentric fan
     lat = ctx.lattice
-    d = ctx.d_barycentric
+    d = ctx.fans[0].d
     pairs = 0
     for f in lat.faces:
         for l in range(lat.rank + 1):
@@ -214,7 +222,7 @@ def check_fiber_duality(ctx: ConeContext) -> str:
     # barycentric fibers have dimension dim(face) - 1, so they satisfy
     # Poincare duality at that dimension; interior-ray fibers over low faces
     # are points and are excluded
-    dec = ctx.dec_barycentric
+    dec = ctx.fans[0].dec
     faces = 0
     for f in ctx.lattice.faces:
         if f.dim == 0:
@@ -226,14 +234,16 @@ def check_fiber_duality(ctx: ConeContext) -> str:
 
 
 def check_shelling(ctx: ConeContext) -> str:
-    order = lexicographic_shelling(ctx.lattice, ctx.barycentric)
+    # the lexicographic shelling is the barycentric fan's
+    sub = ctx.fans[0].sub
+    order = lexicographic_shelling(ctx.lattice, sub)
     hist = order.type_histogram()
     # the type histogram of a shelling is the h-vector of the complex:
     # sum_j h_j x^(n - j) = sum_i f_i (x - 1)^(n - i), where f_i counts the
     # i-ray cones of the fan, the empty cone included
     n = ctx.lattice.rank
     f = [0] * (n + 1)
-    for cone in ctx.barycentric.cones:
+    for cone in sub.cones:
         f[len(cone)] += 1
     x_minus_1 = LaurentPolynomial({1: 1, 0: -1})
     h_poly = sum(count * x_minus_1 ** (n - i) for i, count in enumerate(f))
@@ -246,9 +256,9 @@ def check_shelling(ctx: ConeContext) -> str:
 
 def check_degree_zero_exactness(ctx: ConeContext) -> str:
     # in degree 0 the p-form complex (p >= 1) has cohomology only at position
-    # p; h^i sits at K^-p L^(i - n + p) in Omega_sigma
+    # p; h^i sits at K^-p L^(i - n + p) in Omega_sigma, on the barycentric fan
     lat = ctx.lattice
-    omega = ctx.omega_oracle_map[lat.top_id]
+    omega = ctx.fans[0].omega_oracle_map[lat.top_id]
     for (k_twice, l), h in omega.items():
         p = -k_twice // 2
         i = l + lat.rank - p
@@ -258,11 +268,10 @@ def check_degree_zero_exactness(ctx: ConeContext) -> str:
 
 def check_omega_threeway(ctx: ConeContext) -> str:
     lat = ctx.lattice
-    oracle = ctx.omega_oracle_map
-    closed = ctx.omega_closed_map
-    dec = ctx.dec_barycentric
+    fan = ctx.fans[0]
+    oracle, closed = fan.omega_oracle_map, fan.omega_closed_map
     for f in lat.faces:
-        fiber_form = omega_from_fiber_poincare(dec.F[f.id], lat.rank, f.dim)
+        fiber_form = omega_from_fiber_poincare(fan.dec.F[f.id], lat.rank, f.dim)
         _require(oracle[f.id] == closed[f.id] == fiber_form, f"face {f.id}")
         _require(
             oracle[f.id].is_integer() and oracle[f.id].is_nonnegative(),
@@ -272,56 +281,60 @@ def check_omega_threeway(ctx: ConeContext) -> str:
 
 
 def check_omega_degree_independence(ctx: ConeContext) -> str:
-    oracle = ctx.omega_oracle_map
+    fan = ctx.fans[0]
+    oracle = fan.omega_oracle_map
     for f in ctx.lattice.faces:
-        check_second_degree(ctx.barycentric, f.id, oracle[f.id])
+        check_second_degree(fan.sub, f.id, oracle[f.id])
     return f"{len(oracle)} faces at two degrees"
 
 
 def check_decomposition_invariants(ctx: ConeContext) -> str:
     # structural invariants are validated inside solve_decomposition
-    dec_b = ctx.dec_barycentric
-    dec_i = ctx.dec_interior
-    bad = lowest_degree_normalized(dec_b) + lowest_degree_normalized(dec_i)
+    bad = [fid for fan in ctx.fans for fid in lowest_degree_normalized(fan.dec)]
     _require(not bad, f"stalk polynomials without unit lowest coefficient: {bad}")
+    dec = ctx.fans[0].dec
     for f in ctx.lattice.faces:
         if f.dim and len(f.rays) == f.dim:
             _require(
-                dec_b.htilde(ctx.lattice.zero_id, f.id) == LaurentPolynomial.term(-f.dim),
+                dec.htilde(ctx.lattice.zero_id, f.id) == LaurentPolynomial.term(-f.dim),
                 f"simplicial face {f.id}",
             )
     return "palindromic, negative, parity, nonnegative, unit lowest term"
 
 
 def check_stalk_subdivision_independence(ctx: ConeContext) -> str:
-    dec_b = ctx.dec_barycentric
-    dec_i = ctx.dec_interior
-    _require(set(dec_b.Htilde) == set(dec_i.Htilde), "the pipelines solve different pairs")
-    for key in dec_b.Htilde:
-        _require(dec_b.Htilde[key] == dec_i.Htilde[key], f"(mu, tau) = {key}")
-    return f"{len(dec_b.Htilde)} stalk polynomials identical"
+    first = ctx.fans[0].dec.Htilde
+    for fan in ctx.fans[1:]:
+        other = fan.dec.Htilde
+        _require(set(first) == set(other), "the pipelines solve different pairs")
+        for key in first:
+            _require(first[key] == other[key], f"(mu, tau) = {key}")
+    return f"{len(first)} stalk polynomials identical"
 
 
 def check_center_multiplicity_independence(ctx: ConeContext) -> str:
+    # the barycentric fan against the interior-ray fan
     top = ctx.lattice.top_id
-    a = ctx.dec_barycentric.D[top]
-    b = ctx.dec_interior.D[top]
-    if a != b:
-        raise CrossCheckMismatch(
-            f"D_sigma differs between pipelines: barycentric {a.to_text()}, "
-            f"interior-ray {b.to_text()} (the multiplicity over the fixed point "
-            "depends on the subdivision whenever the two pipelines differ there, "
-            "which happens in dimensions 2 and 4)"
-        )
+    first, *rest = ctx.fans
+    a = first.dec.D[top]
+    for fan in rest:
+        b = fan.dec.D[top]
+        if a != b:
+            raise CrossCheckMismatch(
+                f"D_sigma differs between pipelines: {first.label} {a.to_text()}, "
+                f"{fan.label} {b.to_text()} (the multiplicity over the fixed point "
+                "depends on the subdivision whenever the two pipelines differ there, "
+                "which happens in dimensions 2 and 4)"
+            )
     return a.to_text()
 
 
 def check_main_closure(ctx: ConeContext) -> str:
     # the identity is linear in Omega, so the closed form closes it exactly
-    # when it equals the oracle
-    dec, dr = ctx.dec_barycentric, ctx.dr_barycentric
-    oracle = ctx.omega_oracle_map
-    closed = ctx.omega_closed_map
+    # when it equals the oracle; the oracle is the barycentric fan's
+    fan = ctx.fans[0]
+    dec, dr = fan.dec, fan.dr
+    oracle, closed = fan.omega_oracle_map, fan.omega_closed_map
     for f in ctx.lattice.faces:
         check_main_identity(dec, dr, oracle[f.id], f.id)
         _require(closed[f.id] == oracle[f.id], f"face {f.id}: closed-form Omega")
@@ -329,11 +342,11 @@ def check_main_closure(ctx: ConeContext) -> str:
 
 
 def check_chi_y(ctx: ConeContext) -> str:
-    dec = ctx.dec_barycentric
+    fan = ctx.fans[0]
     lat = ctx.lattice
     for f in lat.faces:
-        lhs = ctx.dr_barycentric[lat.zero_id, f.id].chi_y()
-        rhs = stalk_chi_y(dec.htilde(lat.zero_id, f.id), f.dim, lat.rank)
+        lhs = fan.dr[lat.zero_id, f.id].chi_y()
+        rhs = stalk_chi_y(fan.dec.htilde(lat.zero_id, f.id), f.dim, lat.rank)
         _require(lhs == rhs, f"face {f.id}")
     return f"{len(lat.faces)} faces"
 
@@ -342,11 +355,11 @@ def check_golden_stalks(ctx: ConeContext) -> str:
     lat = ctx.lattice
     g = ctx.g
     dual_g = toric_g(lat, dual=True)
-    for dec, d in ((ctx.dec_barycentric, ctx.d_barycentric), (ctx.dec_interior, ctx.d_interior)):
+    for fan in ctx.fans:
         for key, poly in g.items():
-            _require(dec.Htilde[key] == poly, f"H at (mu, tau) = {key}")
-        for fid, poly in local_h(lat, d, dual_g).items():
-            if dec.D[fid] != poly:
+            _require(fan.dec.Htilde[key] == poly, f"H at (mu, tau) = {key}")
+        for fid, poly in local_h(lat, fan.d, dual_g).items():
+            if fan.dec.D[fid] != poly:
                 raise CrossCheckMismatch(f"D at face {fid}, expected {poly.to_text()}")
     return f"{len(g)} stalk + {len(lat.faces)} multiplicity values, both pipelines"
 
@@ -354,8 +367,9 @@ def check_golden_stalks(ctx: ConeContext) -> str:
 def check_golden_derham(ctx: ConeContext) -> str:
     lat = ctx.lattice
     expected = golden_derham(lat, ctx.g)
+    dr = ctx.fans[0].dr
     for fid, poly in expected.items():
-        got = ctx.dr_barycentric[lat.zero_id, fid]
+        got = dr[lat.zero_id, fid]
         if got != poly:
             raise CrossCheckMismatch(f"face {fid}: {got.to_text()}, expected {poly.to_text()}")
         _require(

@@ -7,12 +7,14 @@ library breaks those runs without failing any behavioural test, so these
 tests read the benchmark's files (and change nothing there).
 """
 
+import ast
 import importlib
 import json
 import pathlib
 
 import pytest
 
+import icstalks
 from icstalks import verify
 from icstalks.subdivision import SubdivisionMap
 
@@ -45,3 +47,27 @@ def test_verify_checks_are_the_reference_checks():
 
 def test_the_fan_digest_reads_cones_by_dim():
     assert callable(SubdivisionMap.cones_by_dim)
+
+
+def _names_in(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_no_module_level_table_holds_a_traced_function():
+    # the tracer rebinds module attributes; a function also held in a
+    # module-level table keeps its untraced original there, so the traced
+    # run would not see the calls made through the table
+    traced = {function for _, function in LAYER_FUNCTIONS}
+    found = [
+        f"{path.name} line {node.lineno}: {name}"
+        for path in sorted(pathlib.Path(icstalks.__file__).parent.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+        for name in _names_in(node.value)
+        if name in traced
+    ]
+    assert not found, found

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+import icstalks.verify
 from icstalks.cli import main
 from icstalks.cones import face_lattice
 from icstalks.subdivision import interior_ray_subdivision
@@ -88,6 +89,19 @@ def test_decompose_barycentric_flag(capsys, cube_file):
     top = max(row["tau"] for row in payload["D"])
     row = next(r for r in payload["D"] if r["tau"] == top)
     assert row["text"] == "q^-2 + 17 + q^2"
+
+
+def test_decompose_appendix_never_builds_the_barycentric_fan(capsys, monkeypatch, cube_file):
+    argv = ("decompose", "--cone", cube_file, "--subdivision", "appendix")
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0
+
+    def refused(lattice):
+        raise AssertionError("the barycentric fan was built")
+
+    # the CLI's fans come from verify's ConeContext, which reads its builders there
+    monkeypatch.setattr(icstalks.verify, "barycentric_subdivision", refused)
+    assert run_cli(capsys, *argv) == expected
 
 
 def test_icdr_square_sigma(capsys, square_file):
