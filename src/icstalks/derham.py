@@ -23,6 +23,13 @@ the contributions of all nonzero faces, with dR_{mu,tau} read from the table,
 
 Agreement of the two routes, with Omega supplied either by the closed form or
 by the chain-complex computation, is the package's main executable theorem.
+
+A half power of K is taken in two places, and parity is checked at each:
+``stalk_formula`` requires every degree of h to have the parity of
+d_tau - d_mu, and ``derham_by_elimination`` requires every degree of D_mu
+to have the parity of d_mu.  Either raises ``NonIntegralExponent``.  A
+solved decomposition already has both parities, so only hand-built input
+can trip them.
 """
 
 from __future__ import annotations
@@ -31,27 +38,36 @@ from math import comb
 
 from .decomposition import DecompositionResult
 from .errors import CrossCheckMismatch, NonIntegralExponent
-from .polynomials import L_INV_K_HALF, BiLaurentPolynomial, LaurentPolynomial, _canonical_terms
+from .polynomials import BiLaurentPolynomial, LaurentPolynomial, _canonical_terms
 
 
 def stalk_formula(h: LaurentPolynomial, d_mu: int, d_tau: int, n: int) -> BiLaurentPolynomial:
-    """h(K^{-1/2} L) K^{(d_mu - d_tau)/2} (K^{-1} + L^{-1})^{n - d_tau}, integral or raising.
+    """h(K^{-1/2} L) K^{(d_mu - d_tau)/2} (K^{-1} + L^{-1})^{n - d_tau}.
 
-    Written term by term with m = n - d_tau: c_j q^j times the i-th term
-    C(m, i) K^{-i} L^{-(m - i)} of the binomial is c_j C(m, i) at doubled
-    K-exponent d_mu - d_tau - j - 2i and L-exponent j + i - m.  Two pairs
-    (j, i) with the same monomial have the same j + i and the same j + 2i,
-    so they are the same pair: nothing accumulates, and no term cancels.
+    Every degree j of h must have the parity of d_tau - d_mu, or the image
+    has a half-integer K-exponent and ``NonIntegralExponent`` names the
+    first such j.  Written term by term with m = n - d_tau: c_j q^j times
+    the i-th term C(m, i) K^{-i} L^{-(m - i)} of the binomial is
+    c_j C(m, i) at K-exponent (d_mu - d_tau - j)/2 - i and L-exponent
+    j + i - m.  Two pairs (j, i) with the same monomial have the same j + i
+    and the same j/2 + i, so they are the same pair: nothing accumulates,
+    and no term cancels.
     """
     m = n - d_tau
     if m < 0:
         raise ValueError(f"face dimension {d_tau} exceeds the rank {n}")
+    for j, _ in h.items():
+        if (d_mu - d_tau - j) % 2:
+            raise NonIntegralExponent(
+                f"degree {j} of the stalk series does not have the parity of "
+                f"d_tau - d_mu = {d_tau} - {d_mu}"
+            )
     binomials = [comb(m, i) for i in range(m + 1)]
     terms = {
-        (d_mu - d_tau - j - 2 * i, j + i - m): c * b
+        ((d_mu - d_tau - j) // 2 - i, j + i - m): c * b
         for j, c in h.items() for i, b in enumerate(binomials)
     }
-    return BiLaurentPolynomial._new(_canonical_terms(terms)).assert_integral()
+    return BiLaurentPolynomial._new(_canonical_terms(terms))
 
 
 def derham_table(dec: DecompositionResult) -> dict[tuple[int, int], BiLaurentPolynomial]:
@@ -93,13 +109,22 @@ def derham_by_elimination(
 
     The subtracted terms read dR_{mu,tau} from ``table``, the stalk route's
     ``derham_table(dec)``, and the solved multiplicities; the caller compares
-    the result against the table's entry for the pair (0, tau).
+    the result against the table's entry for the pair (0, tau).  The factor
+    D_mu(L^{-1} K^{1/2}) K^{-d_mu/2} takes q^j to K^{(j - d_mu)/2} L^{-j},
+    so every degree j of D_mu must have the parity of d_mu.
     """
     lattice = dec.lattice
     out = omega
     for mu in sorted(lattice.down[tau] - {lattice.zero_id}):
-        shift = BiLaurentPolynomial.monomial(-lattice.dim(mu), 0)
-        out = out - table[mu, tau] * dec.D[mu].substitute(L_INV_K_HALF) * shift
+        d_mu = lattice.dim(mu)
+        image = {}
+        for j, c in dec.D[mu].items():
+            if (j - d_mu) % 2:
+                raise NonIntegralExponent(
+                    f"D at face {mu} has degree {j}, not of the parity of d_mu = {d_mu}"
+                )
+            image[(j - d_mu) // 2, -j] = c
+        out = out - table[mu, tau] * BiLaurentPolynomial._new(image)
     return out
 
 

@@ -446,7 +446,7 @@ def _omega_at_degree(
         complex = build_degree_complex(sub, p, deg)
         for i, h in enumerate(cohomology(complex)):
             if h:
-                terms[(-2 * p, i - n + p)] = h
+                terms[(-p, i - n + p)] = h
     return BiLaurentPolynomial(terms)
 
 

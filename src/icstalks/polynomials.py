@@ -9,9 +9,8 @@ raises ``TypeError``.  Two immutable types share one ring core and differ only
 in their exponent type:
 
   ``LaurentPolynomial``    one variable q, terms stored as {exponent: coeff}
-  ``BiLaurentPolynomial``  two variables K, L; the K-exponent may be a
-                           half-integer, so it is stored *doubled* (an int)
-                           and the terms are {(k_twice, l): coeff}
+  ``BiLaurentPolynomial``  two variables K, L, terms stored as {(k, l): coeff}
+                           with k the K-exponent and l the L-exponent
 
 The core holds the term map and everything that does not look inside an
 exponent: zero purging, scalar lifting, equality and hashing, the ring
@@ -20,20 +19,21 @@ Each type supplies its key normalisation, the exponent of the constant term
 and exponent addition.  Polynomials of different types never compare equal.
 
 Coefficients and exponents are validated where terms enter from outside:
-the public constructors and ``term``/``monomial`` pass each coefficient
-through ``_coeff`` and each exponent through ``_exponent``, which accepts
-only an ``int`` (not a ``bool``), so no exponent is silently truncated.
-Ring results (``+``, ``-``, ``*``, ``**``, negation, ``shift``, ``mirror``,
-``substitute``, ``chi_y`` and ``sum_of_products``) are canonical by
-construction: they combine canonical coefficients, drop the zeros and
-canonicalize only the non-``int`` values, then wrap the term map with
-``_new`` without checking it again.  No term map changes once wrapped, so
-a polynomial keeps the hash its first ``hash`` computes.
+the public constructors and ``term`` pass each coefficient through
+``_coeff`` and each exponent through ``_exponent``, which accepts only an
+``int`` (not a ``bool``), so no exponent is silently truncated.  Ring
+results (``+``, ``-``, ``*``, ``**``, negation, ``shift``, ``mirror``,
+``chi_y`` and ``sum_of_products``) are canonical by construction: they
+combine canonical coefficients, drop the zeros and canonicalize only the
+non-``int`` values, then wrap the term map with ``_new`` without checking
+it again.  No term map changes once wrapped, so a polynomial keeps the hash
+its first ``hash`` computes.
 
 Zero coefficients are never stored; the zero polynomial has an empty term
 map.  A polynomial with only a constant term equals that constant and hashes
-like it.  Quantities that must end up with integer K-exponents go through
-``assert_integral`` at output boundaries instead of assuming integrality.
+like it.  Every exponent is an integer: the half powers of K in
+``derham``'s substitutions cancel by parity, and ``derham`` checks that
+parity where it takes them.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import NonIntegralExponent
 from .linalg import canonical
 
 
@@ -263,95 +262,48 @@ class LaurentPolynomial(_LaurentCore):
         """The involution q -> q^{-1}."""
         return LaurentPolynomial._new({-e: c for e, c in self._terms.items()})
 
-    def substitute(self, image: "BiLaurentPolynomial") -> "BiLaurentPolynomial":
-        """Substitute a two-variable monomial c*K^a*L^b for the variable.
-
-        ``image`` must consist of a single term with nonzero coefficient; the
-        K-exponent may be a half-integer.  q^j maps to c^j K^{aj} L^{bj},
-        exactly.
-        """
-        if len(image._terms) != 1:
-            raise ValueError("substitution image must be a single monomial")
-        ((kt, l), c) = next(iter(image._terms.items()))
-        if c == 0:
-            raise ValueError("substitution image must have a nonzero coefficient")
-        out: dict[tuple[int, int], int | Fraction] = {}
-        for e, coeff in self._terms.items():
-            key = (kt * e, l * e)
-            if c != 1:
-                coeff = coeff * Fraction(c) ** e
-            out[key] = out.get(key, 0) + coeff
-        return BiLaurentPolynomial._new(_canonical_terms(out))
-
     def to_text(self, var: str = "q") -> str:
         return self._render(lambda e: "" if e == 0 else var if e == 1 else f"{var}^{e}")
 
-    def to_json_obj(self, var: str = "q") -> list[dict]:
-        return [
-            {var: e, "c": str(self._terms[e])} for e in sorted(self._terms)
-        ]
+    def to_json_obj(self) -> list[dict]:
+        return [{"q": e, "c": str(self._terms[e])} for e in sorted(self._terms)]
 
 
 class BiLaurentPolynomial(_LaurentCore):
-    """A Laurent polynomial in K and L with half-integer K-exponents allowed.
-
-    Keys of the term map are ``(k_twice, l)`` where ``k_twice`` is twice the
-    K-exponent.  A polynomial is *integral* when every stored ``k_twice`` is
-    even.
-    """
+    """A Laurent polynomial in K and L; the term map is {(k, l): coeff}."""
 
     __slots__ = ()
     _CONST = (0, 0)
 
     @staticmethod
     def _key(exp) -> tuple[int, int]:
-        kt, l = exp
-        return (_exponent(kt), _exponent(l))
+        k, l = exp
+        return (_exponent(k), _exponent(l))
 
     @staticmethod
     def _add_exp(a, b) -> tuple[int, int]:
         return (a[0] + b[0], a[1] + b[1])
 
-    @classmethod
-    def monomial(cls, k_twice: int, l: int, coeff=1) -> "BiLaurentPolynomial":
-        """The monomial coeff * K^(k_twice/2) * L^l."""
-        return cls({(k_twice, l): coeff})
-
-    def coefficient(self, k_twice: int, l: int) -> int | Fraction:
-        return self._terms.get((k_twice, l), 0)
-
-    @property
-    def is_integral(self) -> bool:
-        return all(kt % 2 == 0 for (kt, _l) in self._terms)
-
-    def assert_integral(self) -> "BiLaurentPolynomial":
-        if not self.is_integral:
-            bad = sorted(k for k in self._terms if k[0] % 2 != 0)
-            raise NonIntegralExponent(f"half-integer K-exponents present: {bad}")
-        return self
+    def coefficient(self, k: int, l: int) -> int | Fraction:
+        return self._terms.get((k, l), 0)
 
     def chi_y(self) -> LaurentPolynomial:
-        """Specialize K = (-y)^{-1}, L = -1; requires integral K-exponents.
+        """Specialize K = (-y)^{-1}, L = -1.
 
         c*K^k*L^l maps to c*(-1)^{k+l} y^{-k}.
         """
-        self.assert_integral()
         out: dict[int, int | Fraction] = {}
-        for (kt, l), c in self._terms.items():
-            k = kt // 2
-            e = -k
+        for (k, l), c in self._terms.items():
             sign = -1 if (k + l) % 2 else 1
-            out[e] = out.get(e, 0) + sign * c
+            out[-k] = out.get(-k, 0) + sign * c
         return LaurentPolynomial._new(_canonical_terms(out))
 
     @staticmethod
     def _monomial_text(key: tuple[int, int]) -> str:
-        kt, l = key
+        k, l = key
         factors = []
-        if kt != 0:
-            factors.append(
-                "K" if kt == 2 else f"K^({kt}/2)" if kt % 2 else f"K^{kt // 2}"
-            )
+        if k != 0:
+            factors.append("K" if k == 1 else f"K^{k}")
         if l != 0:
             factors.append("L" if l == 1 else f"L^{l}")
         return "*".join(factors)
@@ -360,13 +312,4 @@ class BiLaurentPolynomial(_LaurentCore):
         return self._render(self._monomial_text)
 
     def to_json_obj(self) -> list[dict]:
-        out = []
-        for (kt, l) in sorted(self._terms):
-            k = kt // 2 if kt % 2 == 0 else kt / 2
-            out.append({"k": k, "l": l, "c": str(self._terms[(kt, l)])})
-        return out
-
-
-# q -> L^{-1}*K^{1/2}, the substitution that carries each D_mu into the
-# main identity of ``derham``.
-L_INV_K_HALF = BiLaurentPolynomial.monomial(1, -1)
+        return [{"k": k, "l": l, "c": str(self._terms[k, l])} for (k, l) in sorted(self._terms)]

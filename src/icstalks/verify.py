@@ -259,8 +259,8 @@ def check_degree_zero_exactness(ctx: ConeContext) -> str:
     # p; h^i sits at K^-p L^(i - n + p) in Omega_sigma, on the barycentric fan
     lat = ctx.lattice
     omega = ctx.fans[0].omega_oracle_map[lat.top_id]
-    for (k_twice, l), h in omega.items():
-        p = -k_twice // 2
+    for (k, l), h in omega.items():
+        p = -k
         i = l + lat.rank - p
         _require(p == 0 or i == p, f"h^{i} = {h} for p = {p}")
     return f"p = 1..{lat.rank}"
@@ -373,7 +373,7 @@ def check_golden_derham(ctx: ConeContext) -> str:
         if got != poly:
             raise CrossCheckMismatch(f"face {fid}: {got.to_text()}, expected {poly.to_text()}")
         _require(
-            got.is_integer() and got.is_nonnegative() and got.is_integral,
+            got.is_integer() and got.is_nonnegative(),
             f"face {fid}: dR is not a nonnegative integral series",
         )
     return f"{len(expected)} values"

@@ -6,12 +6,16 @@ of terms into one.  The constructors check every exponent and coefficient.
 
 from icstalks.polynomials import BiLaurentPolynomial, LaurentPolynomial
 
-K_INV = BiLaurentPolynomial.monomial(-2, 0)  # K^{-1}
-L_VAR = BiLaurentPolynomial.monomial(0, 1)  # L
-L_INV = BiLaurentPolynomial.monomial(0, -1)  # L^{-1}
+
+def monomial(k, l, c=1) -> BiLaurentPolynomial:
+    """The monomial c * K^k * L^l."""
+    return BiLaurentPolynomial({(k, l): c})
+
+
+K_INV = monomial(-1, 0)  # K^{-1}
+L_VAR = monomial(0, 1)  # L
+L_INV = monomial(0, -1)  # L^{-1}
 K_INV_PLUS_L_INV = K_INV + L_INV
-# q -> L*K^{-1/2}, the substitution of the stalk-to-de Rham map
-L_K_INV_HALF = BiLaurentPolynomial.monomial(-1, 1)
 
 
 def poly_from_pairs(pairs) -> LaurentPolynomial:
@@ -23,8 +27,8 @@ def poly_from_pairs(pairs) -> LaurentPolynomial:
 
 
 def bipoly_from_triples(triples) -> BiLaurentPolynomial:
-    """The two-variable polynomial with these (k_twice, l, coefficient) terms, summed."""
+    """The two-variable polynomial with these (k, l, coefficient) terms, summed."""
     out: dict = {}
-    for kt, l, c in triples:
-        out[kt, l] = out.get((kt, l), 0) + c
+    for k, l, c in triples:
+        out[k, l] = out.get((k, l), 0) + c
     return BiLaurentPolynomial(out)

@@ -96,12 +96,12 @@ def test_criterion_2_golden_derham_values(report):
     lat = corpus_by_name("polygon-6").lattice()
     dec = solve_decomposition(lat, multiplicity_table(barycentric_subdivision(lat)))
     assert derham_table(dec)[0, lat.top_id] == bipoly_from_triples(
-        [(0, -3, 1), (-2, -1, 3)]
+        [(0, -3, 1), (-1, -1, 3)]
     )
     cube = corpus_by_name("cube").lattice()
     dr4 = derham_table(solve_decomposition(cube, multiplicity_table(barycentric_subdivision(cube))))
     for fid in cube.faces_of_dim(3):
-        expected = K_INV_PLUS_L_INV * bipoly_from_triples([(0, -3, 1), (-2, -1, 1)])
+        expected = K_INV_PLUS_L_INV * bipoly_from_triples([(0, -3, 1), (-1, -1, 1)])
         assert dr4[0, fid] == expected
     assert dr4[0, cube.zero_id] == K_INV_PLUS_L_INV**4
     _require(report, "golden-derham", "criterion 2 (golden de Rham values)")

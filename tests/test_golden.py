@@ -12,16 +12,15 @@ from icstalks.cones import face_lattice
 from icstalks.corpus import CORPUS
 from icstalks.decomposition import solve_decomposition
 from icstalks.golden import golden_derham, local_h, toric_g
-from icstalks.polynomials import BiLaurentPolynomial, LaurentPolynomial
+from icstalks.polynomials import LaurentPolynomial
 from icstalks.subdivision import (
     barycentric_subdivision,
     interior_ray_subdivision,
     multiplicity_table,
 )
-from polys import K_INV, K_INV_PLUS_L_INV, bipoly_from_triples, poly_from_pairs
+from polys import K_INV, K_INV_PLUS_L_INV, bipoly_from_triples, monomial, poly_from_pairs
 
 L = LaurentPolynomial
-B = BiLaurentPolynomial
 SIMPLEX5 = [(0, 0, 0, 0, 1)] + [tuple(int(i == j) for j in range(4)) + (1,) for i in range(4)]
 CUBE5 = [v + (1,) for v in itertools.product((0, 1), repeat=4)]
 CROSS5 = [tuple(s * (i == j) for j in range(4)) + (1,) for i in range(4) for s in (1, -1)]
@@ -97,11 +96,11 @@ def _reference_derham(lattice):
         v = len(f.rays)
         cofactor = K_INV_PLUS_L_INV ** (n - f.dim)
         if f.dim <= 2:
-            out[f.id] = cofactor * B.monomial(0, -f.dim)
+            out[f.id] = cofactor * monomial(0, -f.dim)
         elif f.dim == 3:
-            out[f.id] = cofactor * (B.monomial(0, -3) + (v - 3) * K_INV * B.monomial(0, -1))
+            out[f.id] = cofactor * (monomial(0, -3) + (v - 3) * K_INV * monomial(0, -1))
         else:
-            out[f.id] = bipoly_from_triples([(0, -4, 1), (-2, -2, v - 4)])
+            out[f.id] = bipoly_from_triples([(0, -4, 1), (-1, -2, v - 4)])
     return out
 
 

@@ -51,7 +51,7 @@ def test_square_pyramid_mixed_facets():
         assert dec_i.D[fid] == poly_from_pairs([(1, 1), (-1, 1)])
     assert dec_b.Htilde == dec_i.Htilde
     assert derham_table(dec_b)[0, sigma] == bipoly_from_triples(
-        [(0, -4, 1), (-2, -2, 1)]
+        [(0, -4, 1), (-1, -2, 1)]
     )
 
 
