@@ -90,7 +90,7 @@ def corpus_by_name(name: str) -> ConeSpec:
     for spec in CORPUS:
         if spec.name == name:
             return spec
-    raise KeyError(f"no corpus cone named {name!r}")
+    raise ValueError(f"no corpus cone named {name!r}")
 
 
 def _json_type(x) -> str:

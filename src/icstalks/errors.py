@@ -20,7 +20,7 @@ class DegenerateSelection(ToricError):
 
 
 class NotComparable(ToricError):
-    """Interval endpoints are not nested faces."""
+    """A face id is not a face of the lattice."""
 
 
 class NotSimplicialResult(ToricError):

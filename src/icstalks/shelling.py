@@ -12,11 +12,10 @@ vertex sets; coordinates are never consulted):
     a step holds exactly when R = {v : F - v is old} is nonempty and not old
     itself.  F facets of size d cost O(F * d) set lookups plus one insertion
     per face of the complex.
-  * ``find_shelling`` searches for a shelling order by depth-first extension
-    with backtracking, memoizing dead prefix sets (step validity depends only
-    on the set of earlier facets, not their order).  It keeps the face masks
-    of its current prefix, adding a facet's new faces on extension and
-    removing them on backtrack, so the set stays closed under subsets.
+  * ``find_shelling`` returns the first shelling order of the sorted
+    facets.  It keeps the face masks of the placed facets, adding a facet's
+    new faces when it is placed and removing them on backtrack, so the set
+    stays closed under subsets.
   * ``lexicographic_shelling`` builds the recursive lexicographic order on
     the maximal chains of a face lattice, the barycentric analogue of a line
     shelling: chains are compared at the largest level where they differ,
@@ -24,6 +23,11 @@ vertex sets; coordinates are never consulted):
     the search that shells a face's boundary hands each facet the prefix
     that leads the facet's own boundary shelling.  The type check reads each
     diamond's two middles once.
+
+Both searches run on one first-fit search, ``_first_fit``: the first order
+by index sequence whose every step is accepted, found by backtracking over
+an explicit stack, with the placed sets that failed to extend remembered
+(each step depends only on the set placed before it, not on its order).
 
 The polytope boundary complexes needed by the lexicographic construction are
 not simplicial (e.g. the square facets of a cube), so a small recursive
@@ -33,11 +37,12 @@ its complexes never exceed a handful of facets.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .cones import FaceLattice
 from .errors import NoShellingFound, NotAShelling, NotPure, ShellingSearchFailed
-from .subdivision import SubdivisionMap, barycentric_subdivision
+from .subdivision import SubdivisionMap
 
 
 @dataclass
@@ -134,54 +139,71 @@ def verify_shelling(complex: SimplicialComplex, order: list[frozenset[int]]) -> 
     return ShellingOrder(order=list(order), types=types, restriction=restriction)
 
 
-def find_shelling(complex: SimplicialComplex) -> ShellingOrder:
-    """Depth-first search for a shelling order; raises NoShellingFound.
+def _first_fit(count: int, place: Callable, undo: Callable) -> list[tuple[int, object]] | None:
+    """The first order of range(count), by index sequence, whose every step
+    ``place`` accepts, as (index, record) pairs; None if there is none.
 
-    The search is a loop over an explicit stack with one entry per placed
-    facet, so a complex of any size fits in the recursion limit.
+    ``place(placed, i)`` sees the pairs placed so far and returns a record for
+    index i, or None to reject it; ``undo(record)`` takes an accepted step
+    back.  The search is a loop over an explicit stack with one pair per
+    placed index, so an order of any length fits in the recursion limit, and
+    each level's scan restarts at index 0.  Placed sets that failed to extend
+    are remembered and not searched again, so a step may depend only on the
+    set placed, not on its order.
+    """
+    placed: list[tuple[int, object]] = []
+    is_placed = [False] * count
+    dead: set[int] = set()
+    used = start = 0  # the placed set as a bitmask; the next index to try
+    while len(placed) < count:
+        for i in range(start, count):
+            if is_placed[i]:
+                continue
+            record = place(placed, i)
+            if record is None:
+                continue
+            placed.append((i, record))
+            is_placed[i] = True
+            used |= 1 << i
+            start = count if used in dead else 0
+            break
+        else:
+            dead.add(used)
+            if not placed:
+                return None
+            i, record = placed.pop()
+            undo(record)
+            is_placed[i] = False
+            used ^= 1 << i
+            start = i + 1
+    return placed
+
+
+def find_shelling(complex: SimplicialComplex) -> ShellingOrder:
+    """The first shelling order of the sorted facets; raises NoShellingFound.
+
+    A first-fit search: each step places the first facet, by sorted position,
+    whose restriction face exists, adding its new faces to ``old`` and
+    removing them on backtrack, so ``old`` stays closed under subsets.
     """
     facets = sorted(complex.facets, key=sorted)
-    n = len(facets)
     bit = _vertex_bits(facets)
     bits = [[bit[v] for v in f] for f in facets]
     masks = [sum(b) for b in bits]
-    dead: set[frozenset[int]] = set()
-    old: set[int] = set()  # the mask of every face of the facets in the prefix
+    old: set[int] = set()  # the mask of every face of the placed facets
 
-    def extend() -> list[int] | None:
-        order: list[int] = []
-        # per placed facet: the set placed before it, that set's candidates
-        # not yet tried, and the faces the facet added to ``old``
-        stack = []
-        used, candidates = frozenset(), iter(range(n))
-        while len(order) < n:
-            for i in candidates:
-                if i in used:
-                    continue
-                r = _restriction(masks[i], bits[i], old) if order else 0
-                if r is None:
-                    continue
-                new = _new_faces(masks[i], r)
-                old.update(new)
-                order.append(i)
-                stack.append((used, candidates, new))
-                used = used | {i}
-                # a set already known not to extend is not searched again
-                candidates = iter(() if used in dead else range(n))
-                break
-            else:
-                dead.add(used)
-                if not stack:
-                    return None
-                used, candidates, new = stack.pop()
-                order.pop()
-                old.difference_update(new)
-        return order
+    def place(placed, i) -> list[int] | None:
+        r = _restriction(masks[i], bits[i], old) if placed else 0
+        if r is None:
+            return None
+        new = _new_faces(masks[i], r)
+        old.update(new)
+        return new
 
-    found = extend()
+    found = _first_fit(len(facets), place, old.difference_update)
     if found is None:
-        raise NoShellingFound(f"no shelling exists for {n} facets")
-    return verify_shelling(complex, [facets[i] for i in found])
+        raise NoShellingFound(f"no shelling exists for {len(facets)} facets")
+    return verify_shelling(complex, [facets[i] for i, _ in found])
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +224,8 @@ class _BoundaryShellings:
     shelling of the new facet's boundary (checked recursively; dimension-0
     boundaries accept every order).  That intersection, the facet's prefix,
     is returned with the facet, and orders are memoized by (face, prefix).
-    The search over one face's facets keeps its own stack; only the check of
-    a candidate's boundary recurses, to a depth bounded by the rank.
+    The search over one face's facets runs on ``_first_fit``; only the check
+    of a candidate's boundary recurses, to a depth bounded by the rank.
     """
 
     def __init__(self, lattice: FaceLattice):
@@ -250,45 +272,23 @@ class _BoundaryShellings:
             self._memo[key] = order
             return order
 
-        def extend() -> _FacetOrder | None:
-            # a loop over an explicit stack, one entry per placed facet: the
-            # facets placed before it, and their candidates not yet tried
-            order: list[int] = []
-            owns: list[frozenset[int]] = []
-            stack = []
-            used, candidates = frozenset(), iter(facets)
-            while len(order) < len(facets):
-                for cand in candidates:
-                    if cand in used:
-                        continue
-                    if len(order) < len(prefix) and cand not in prefix:
-                        continue
-                    own: frozenset[int] | None = frozenset()
-                    if order:
-                        own = self._meets_restriction(cand, order)
-                        if own is None or self.shelling_with_prefix(cand, own) is None:
-                            continue
-                    order.append(cand)
-                    owns.append(own)
-                    stack.append((used, candidates))
-                    used, candidates = used | {cand}, iter(facets)
-                    break
-                else:
-                    if not stack:
-                        return None
-                    used, candidates = stack.pop()
-                    order.pop()
-                    owns.pop()
-            return tuple(zip(order, owns))
+        def place(placed, i) -> frozenset[int] | None:
+            if len(placed) < len(prefix) and facets[i] not in prefix:
+                return None
+            if not placed:
+                return frozenset()
+            own = self._meets_restriction(facets[i], [facets[j] for j, _ in placed])
+            if own is None or self.shelling_with_prefix(facets[i], own) is None:
+                return None
+            return own
 
-        result = extend()
+        found = _first_fit(len(facets), place, lambda own: None)
+        result = None if found is None else tuple((facets[i], own) for i, own in found)
         self._memo[key] = result
         return result
 
 
-def lexicographic_shelling(
-    lattice: FaceLattice, sub: SubdivisionMap | None = None
-) -> ShellingOrder:
+def lexicographic_shelling(lattice: FaceLattice, sub: SubdivisionMap) -> ShellingOrder:
     """The recursive lexicographic shelling of the barycentric complex.
 
     Maximal simplices correspond to maximal chains of nonzero faces; they are
@@ -301,8 +301,6 @@ def lexicographic_shelling(
     facet's type is additionally checked against the number of its earlier
     codim-1 neighbors, read from the chains' positions in the walk.
     """
-    if sub is None:
-        sub = barycentric_subdivision(lattice)
     complex = complex_from_fan(sub)
     n = lattice.rank
     if n == 0:

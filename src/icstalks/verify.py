@@ -266,18 +266,25 @@ def check_degree_zero_exactness(ctx: ConeContext) -> str:
     return f"p = 1..{lat.rank}"
 
 
+def check_omega_routes(
+    fan: FanContext, fid: int, oracle: BiLaurentPolynomial, closed: BiLaurentPolynomial
+) -> None:
+    """Omega at face ``fid`` by the oracle, the closed form and the fiber
+    Poincare polynomial agree and form a nonnegative integer series."""
+    lat = fan.lattice
+    fiber_form = omega_from_fiber_poincare(fan.dec.F[fid], lat.rank, lat.dim(fid))
+    _require(oracle == closed == fiber_form, f"face {fid}")
+    _require(
+        oracle.is_integer() and oracle.is_nonnegative(),
+        f"face {fid}: Omega is not a nonnegative integer series",
+    )
+
+
 def check_omega_threeway(ctx: ConeContext) -> str:
-    lat = ctx.lattice
     fan = ctx.fans[0]
-    oracle, closed = fan.omega_oracle_map, fan.omega_closed_map
-    for f in lat.faces:
-        fiber_form = omega_from_fiber_poincare(fan.dec.F[f.id], lat.rank, f.dim)
-        _require(oracle[f.id] == closed[f.id] == fiber_form, f"face {f.id}")
-        _require(
-            oracle[f.id].is_integer() and oracle[f.id].is_nonnegative(),
-            f"face {f.id}: Omega is not a nonnegative integer series",
-        )
-    return f"{len(lat.faces)} faces"
+    for f in ctx.lattice.faces:
+        check_omega_routes(fan, f.id, fan.omega_oracle_map[f.id], fan.omega_closed_map[f.id])
+    return f"{len(ctx.lattice.faces)} faces"
 
 
 def check_omega_degree_independence(ctx: ConeContext) -> str:

@@ -161,6 +161,18 @@ def test_omega_both_match(capsys, square_file):
     assert payload["omega"][0]["match"] is True
 
 
+def test_omega_both_reports_a_route_that_disagrees(capsys, monkeypatch, square_file):
+    closed_form = icstalks.cli.omega_closed_form
+    monkeypatch.setattr(icstalks.cli, "omega_closed_form", lambda d, tau: closed_form(d, tau) + 1)
+    argv = ("omega", "--cone", square_file, "--tau", "9", "--both")
+    code, out = run_cli(capsys, *argv, "--check")
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "CrossCheckMismatch", "message": "face 9"}
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-1].endswith("  MISMATCH")
+
+
 def test_shelling_square(capsys, square_file):
     code, out = run_cli(capsys, "shelling", "--fan", square_file, "--format", "json")
     assert code == 0
@@ -334,6 +346,39 @@ def test_contradictory_options_exit_2(capsys, square_file, argv, message):
     error = json.loads(out)["error"]
     assert error["type"] == "MalformedInput"
     assert message in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["faces"], "a cone spec file is required (--cone / --fan)"),
+        (["verify", "--name", "nosuch"], "no corpus cone named 'nosuch'"),
+    ],
+    ids=["no-cone", "verify-unknown-name"],
+)
+def test_missing_input_exit_2(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"] == {"type": "MalformedInput", "message": message}
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "rays, message",
+    [
+        ([[1, 0, 1], [0, 1]], "every ray must have exactly `rank` entries"),
+        ([[1, 0, 1], [0, 0, 0], [0, 1, 1]], "the zero vector is not a valid ray"),
+        ([[1, 0, 1], [2, 0, 2], [0, 1, 1]], "duplicate rays after normalization"),
+    ],
+    ids=["short-ray", "zero-ray", "rays-equal-after-normalization"],
+)
+def test_malformed_ray_exit_2(capsys, tmp_path, rays, message):
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"rank": 3, "rays": rays}))
+    code, out = run_cli(capsys, "faces", "--cone", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "MalformedInput", "message": message}
 
 
 @pytest.mark.parametrize(

@@ -362,6 +362,14 @@ def test_face_lattice_rejects_ray_entries_that_are_not_ints(entry):
         face_lattice([(entry, 0), (0, 1)])
 
 
+@pytest.mark.parametrize(
+    "rays, rank", [([(1, 0), (0, 1, 0)], None), ([(1, 0), (0, 1)], 3)], ids=["mixed", "short"]
+)
+def test_face_lattice_rejects_a_ray_of_the_wrong_length(rays, rank):
+    with pytest.raises(ValueError, match="ray length does not match the ambient rank"):
+        face_lattice(rays, rank=rank)
+
+
 def test_meet_is_ray_intersection():
     lat = face_lattice(CUBE)
     for a in lat.faces:

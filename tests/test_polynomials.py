@@ -286,6 +286,12 @@ def test_exponents_must_be_ints(build):
         build()
 
 
+@pytest.mark.parametrize("p", [L({1: 1}), B({(1, -1): 2})], ids=["laurent", "bi-laurent"])
+def test_negative_powers_are_refused(p):
+    with pytest.raises(ValueError, match="negative power"):
+        p ** -1
+
+
 def test_ring_results_reject_float_scalars():
     p = L({0: 1, 1: Fraction(1, 2)})
     for bad in (lambda: p + 0.5, lambda: 0.5 - p, lambda: p * 0.5):

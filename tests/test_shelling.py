@@ -57,6 +57,16 @@ def test_not_pure_rejected():
         SimplicialComplex(facets=[fs(0, 1, 2), fs(3, 4)])
 
 
+@pytest.mark.parametrize(
+    "facets, message",
+    [([], "a complex needs at least one facet"), ([fs(0, 1), fs(1, 2), fs(0, 1)], "duplicate facets")],
+    ids=["no-facets", "duplicate-facet"],
+)
+def test_complex_rejects_no_facets_and_duplicate_facets(facets, message):
+    with pytest.raises(ValueError, match=message):
+        SimplicialComplex(facets=facets)
+
+
 def test_single_facet_shelling():
     cx = SimplicialComplex(facets=[fs(0, 1, 2)])
     order = verify_shelling(cx, [fs(0, 1, 2)])
@@ -115,7 +125,7 @@ def test_find_shelling_on_barycentric_square():
 
 def test_lexicographic_square_cone():
     lat = face_lattice(SQUARE)
-    order = lexicographic_shelling(lat)
+    order = lexicographic_shelling(lat, barycentric_subdivision(lat))
     assert len(order.order) == 8
     hist = order.type_histogram()
     assert hist[0] == 1
@@ -124,14 +134,14 @@ def test_lexicographic_square_cone():
 
 def test_lexicographic_simplicial_3cone():
     lat = face_lattice(ORTHANT3)
-    order = lexicographic_shelling(lat)
+    order = lexicographic_shelling(lat, barycentric_subdivision(lat))
     assert len(order.order) == 6
     assert order.type_histogram()[0] == 1
 
 
 def test_lexicographic_cube():
     lat = face_lattice(CUBE)
-    order = lexicographic_shelling(lat)
+    order = lexicographic_shelling(lat, barycentric_subdivision(lat))
     assert len(order.order) == 48
     assert order.type_histogram()[0] == 1
 
@@ -178,7 +188,8 @@ def test_restriction_faces_describe_new_faces():
     # the faces of each facet not seen earlier are exactly those containing
     # the restriction face
     for rays in (SQUARE, CUBE, SIMPLEX5):
-        order = lexicographic_shelling(face_lattice(rays))
+        lat = face_lattice(rays)
+        order = lexicographic_shelling(lat, barycentric_subdivision(lat))
         for j, facet in enumerate(order.order):
             earlier = order.order[:j]
             for s in _subsets(facet):
@@ -200,8 +211,9 @@ def test_restriction_face_must_start_an_interval():
 @pytest.mark.parametrize("rays", [SQUARE, CUBE], ids=["square", "cube"])
 def test_verify_shelling_matches_quadratic_reference(rays):
     lat = face_lattice(rays)
-    cx = complex_from_fan(barycentric_subdivision(lat))
-    shelling = lexicographic_shelling(lat).order
+    sub = barycentric_subdivision(lat)
+    cx = complex_from_fan(sub)
+    shelling = lexicographic_shelling(lat, sub).order
     rng = random.Random(11)
     verdicts = set()
     for trial in range(100):
@@ -424,7 +436,7 @@ def test_boundary_search_pairs_each_facet_with_its_own_prefix(monkeypatch, name,
 
     monkeypatch.setattr(shelling, "_BoundaryShellings", Recording)
     lat = face_lattice(rays, rank=rank)
-    lexicographic_shelling(lat)
+    lexicographic_shelling(lat, barycentric_subdivision(lat))
     (boundaries,) = made
     for (fid, prefix), found in boundaries._memo.items():
         if found is None:
@@ -465,7 +477,8 @@ def test_lexicographic_walk_computes_no_prefix_itself(monkeypatch):
     monkeypatch.setattr(shelling._BoundaryShellings, "shelling_with_prefix", counted_search)
     monkeypatch.setattr(shelling._BoundaryShellings, "_meets_restriction", watched_meets)
     for rays, rank in ((CUBE, 4), (CROSS5, 5)):
-        lexicographic_shelling(face_lattice(rays, rank=rank))
+        lat = face_lattice(rays, rank=rank)
+        lexicographic_shelling(lat, barycentric_subdivision(lat))
     assert calls
     assert outside == []
 
@@ -473,7 +486,8 @@ def test_lexicographic_walk_computes_no_prefix_itself(monkeypatch):
 def test_lexicographic_rejects_types_that_miscount_earlier_neighbours(monkeypatch):
     lat = face_lattice(CUBE)
     verify = shelling.verify_shelling
-    size = len(lexicographic_shelling(lat).order)
+    sub = barycentric_subdivision(lat)
+    size = len(lexicographic_shelling(lat, sub).order)
     for k in (0, 1, size // 2, size - 1):
 
         def perturbed(complex, order):
@@ -484,7 +498,7 @@ def test_lexicographic_rejects_types_that_miscount_earlier_neighbours(monkeypatc
 
         monkeypatch.setattr(shelling, "verify_shelling", perturbed)
         with pytest.raises(ShellingSearchFailed, match=f"type mismatch at facet {k}:"):
-            lexicographic_shelling(lat)
+            lexicographic_shelling(lat, sub)
 
 
 @pytest.mark.parametrize("name, shelled", [("octahedron", 12), ("cube", 12)])
@@ -517,35 +531,97 @@ BACKTRACKING_CONE = [
 ]
 
 
-def test_boundary_search_backtracks_on_a_random_rank4_cone():
+def test_boundary_search_backtracks_on_a_random_rank4_cone(monkeypatch):
     lat = face_lattice(BACKTRACKING_CONE)
     assert [sum(f.dim == d for f in lat.faces) for d in range(5)] == [1, 10, 23, 15, 1]
-    lines, start = inspect.getsourcelines(shelling._BoundaryShellings.shelling_with_prefix)
-    (pop,) = [start + k for k, line in enumerate(lines) if line.strip() == "order.pop()"]
-    source = shelling.lexicographic_shelling.__code__.co_filename
-    popped = []
+    sub = barycentric_subdivision(lat)
+    first_fit = shelling._first_fit
+    undone = []
 
-    def on_line(frame, event, arg):
-        if event == "line" and frame.f_lineno == pop:
-            popped.append(frame.f_code.co_name)
-        return on_line
+    def watched(count, place, undo):
+        def watched_undo(record):
+            undone.append(record)
+            undo(record)
 
-    def on_call(frame, event, arg):
-        return on_line if frame.f_code.co_filename == source else None
+        return first_fit(count, place, watched_undo)
 
-    previous = sys.gettrace()
-    sys.settrace(on_call)
-    try:
-        found = lexicographic_shelling(lat)
-    finally:
-        sys.settrace(previous)
-    assert popped and set(popped) == {"extend"}
+    # the lexicographic shelling runs the first-fit search only in the boundary search
+    monkeypatch.setattr(shelling, "_first_fit", watched)
+    found = lexicographic_shelling(lat, sub)
+    assert undone
     # the type histogram of a shelling is the h-vector of the complex
     n = lat.rank
-    f = [len(cones) for _, cones in sorted(barycentric_subdivision(lat).cones_by_dim().items())]
+    f = [len(cones) for _, cones in sorted(sub.cones_by_dim().items())]
     h = [sum((-1) ** (j - i) * comb(n - i, j - i) * f[i] for i in range(j + 1)) for j in range(n + 1)]
     assert h == [1, 45, 45, 1, 0]
     assert [found.type_histogram().get(j, 0) for j in range(n + 1)] == h
+    undone.clear()
+    lat = face_lattice(sorted(BACKTRACKING_CONE))
+    lexicographic_shelling(lat, barycentric_subdivision(lat))
+    assert not undone
+
+
+def test_first_fit_returns_the_first_accepted_permutation():
+    # the first permutation in index order that a seeded rule, reading only
+    # the placed set and the candidate, accepts at every step, or None; each
+    # record is undone in the reverse order of placing
+    outcomes = set()
+    for seed in range(120):
+        count = 1 + seed % 6
+        accept = (0.5, 0.7, 0.85)[seed % 3]
+
+        def accepts(placed_set, i):
+            return random.Random(f"{seed} {sorted(placed_set)} {i}").random() < accept
+
+        first = next(
+            (
+                list(p)
+                for p in itertools.permutations(range(count))
+                if all(accepts(frozenset(p[:k]), p[k]) for k in range(count))
+            ),
+            None,
+        )
+        trail = []
+
+        def place(placed, i):
+            assert [j for j, _ in placed] == [j for j, _ in trail]
+            if not accepts(frozenset(j for j, _ in placed), i):
+                return None
+            trail.append((i, f"record {i}"))
+            return f"record {i}"
+
+        def undo(record):
+            assert trail.pop()[1] == record
+
+        found = shelling._first_fit(count, place, undo)
+        if first is None:
+            assert found is None and trail == []
+        else:
+            assert [i for i, _ in found] == first
+            assert found == trail
+        outcomes.add(first is None)
+    assert outcomes == {True, False}
+
+
+def test_first_fit_does_not_search_a_dead_set_twice():
+    # after 0 only 1 may follow, and {0, 1} does not extend: the search
+    # reaches {0, 1} as 0, 1 and again as 1, 0, and tries its extensions once
+    calls = []
+    reached = []
+
+    def place(placed, i):
+        placed_set = {j for j, _ in placed}
+        calls.append((frozenset(placed_set), i))
+        if placed_set == {0, 1} or (0 in placed_set and i != 1):
+            return None
+        if placed_set | {i} == {0, 1}:
+            reached.append(i)
+        return i
+
+    found = shelling._first_fit(4, place, lambda record: None)
+    assert [i for i, _ in found] == [1, 2, 3, 0]
+    assert reached == [1, 0]
+    assert [i for placed_set, i in calls if placed_set == {0, 1}] == [2, 3]
 
 
 def test_find_shelling_places_more_facets_than_the_recursion_limit():
@@ -574,5 +650,6 @@ def test_boundary_search_recurses_only_into_lower_faces():
 def test_lexicographic_shelling_of_the_cone_over_a_1100_gon():
     # beyond the recursion limit at sigma's boundary: 1,100 facets there
     m = 1100
-    found = lexicographic_shelling(polygon_cone(m).lattice())
+    lat = polygon_cone(m).lattice()
+    found = lexicographic_shelling(lat, barycentric_subdivision(lat))
     assert [found.type_histogram().get(j, 0) for j in range(4)] == [1, 2 * m - 2, 1, 0]

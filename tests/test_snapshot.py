@@ -27,7 +27,8 @@ SNAPSHOT = pathlib.Path(__file__).with_name("snapshot.json")
 
 SQUARE = {"name": "square", "rank": 3, "rays": [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]]}
 
-# cone file text, then the arguments after "--cone <file>"; each run exits 2
+# cone file text, then the arguments after "--cone <file>" (no file and no
+# "--cone" where the text is None); each run exits 2
 MALFORMED = {
     "missing-rays": ('{"rank": 2}', ["faces"]),
     "unclosed-nesting": ("[" * 100_000, ["faces"]),
@@ -58,6 +59,13 @@ MALFORMED = {
             ["verify", "--name", "cube"],
         )
     },
+    "short-ray": ({"rank": 3, "rays": [[1, 0, 1], [0, 1]]}, ["faces"]),
+    "zero-ray": ({"rank": 3, "rays": [[1, 0, 1], [0, 0, 0], [0, 1, 1]]}, ["faces"]),
+    "rays-equal-after-normalization": (
+        {"rank": 3, "rays": [[1, 0, 1], [2, 0, 2], [0, 1, 1]]}, ["faces"]
+    ),
+    "no-cone": (None, ["faces"]),
+    "verify-unknown-name": (None, ["verify", "--name", "nosuch"]),
     **{
         f"name-{kind}": (dict(SQUARE, name=name), ["verify"])
         for kind, name in (
@@ -85,6 +93,9 @@ def _runs(directory: pathlib.Path):
                     *argv, "--cone", str(path), "--format", fmt
                 ]
     for label, (text, argv) in MALFORMED.items():
+        if text is None:
+            yield f"malformed {label}", argv
+            continue
         path = directory / "malformed.json"
         path.write_text(text if isinstance(text, str) else json.dumps(text))
         yield f"malformed {label}", [*argv, "--cone", str(path)]
