@@ -16,6 +16,7 @@ from math import gcd
 
 from .errors import (
     DegenerateSelection,
+    DegreeMismatch,
     InvariantViolation,
     NotComparable,
     NotFullDimensional,
@@ -131,14 +132,6 @@ class Face:
     rays: frozenset[int]
     dim: int
     normals: frozenset[int]  # indices of sigma's facet normals vanishing on it
-
-
-@dataclass(frozen=True)
-class DegreeVector:
-    """A lattice degree pairing to 0 on a face and positively off it."""
-
-    u: Vector
-    face: int
 
 
 class FaceLattice:
@@ -328,45 +321,54 @@ def face_lattice(rays: list[Vector], rank: int | None = None) -> FaceLattice:
     return FaceLattice(list(rays), rank)
 
 
-def validate_degree(lattice: FaceLattice, fid: int, u: Vector) -> bool:
-    """Check u pairs to 0 exactly on the rays of the face, positively off it."""
-    face_rays = lattice.faces[fid].rays
+def degree_face(lattice: FaceLattice, u: Vector) -> int:
+    """The face of sigma that a degree u of the dual cone cuts out: u's zero rays.
+
+    u lies in the relative interior of the dual face of exactly that face.
+    A negative pairing puts u outside the dual cone and raises
+    ``DegreeMismatch``, as does a length other than the rank.
+    """
+    if len(u) != lattice.rank:
+        raise DegreeMismatch(f"degree {list(u)} does not have length {lattice.rank}")
+    zero = []
     for i, r in enumerate(lattice.rays):
         p = dot(u, r)
-        if i in face_rays and p != 0:
-            return False
-        if i not in face_rays and p <= 0:
-            return False
-    return True
+        if p < 0:
+            raise DegreeMismatch(f"degree {list(u)} pairs negatively with ray {i}")
+        if p == 0:
+            zero.append(i)
+    return lattice._by_rayset[frozenset(zero)]
 
 
-def pick_degree(lattice: FaceLattice, fid: int) -> DegreeVector:
+def pick_degree(lattice: FaceLattice, fid: int) -> Vector:
     """A lattice degree in the relative interior of the dual face of ``fid``.
 
     The degree is the sum of the dual-cone generators annihilating the face.
     Their common zero set on sigma is exactly the face, so the sum pairs to 0
     on the face's rays and positively on every other ray.  The result is
-    still validated by direct pairing against every ray, and a failure
-    raises ``DegenerateSelection``.
+    still checked by ``degree_face``, and a different face raises
+    ``DegenerateSelection``.
     """
     face = lattice.face(fid)
     gens = [lattice.dual_generators[i] for i in sorted(face.normals)]
-    candidate = vector_sum(gens, lattice.rank)
-    if not validate_degree(lattice, fid, candidate):
+    u = vector_sum(gens, lattice.rank)
+    if degree_face(lattice, u) != fid:
         raise DegenerateSelection(f"no valid degree found for face {fid}")
-    return DegreeVector(u=candidate, face=fid)
+    return u
 
 
-def second_degree(lattice: FaceLattice, deg: DegreeVector) -> DegreeVector | None:
-    """A different degree for the same face, when one exists.
+def second_degree(lattice: FaceLattice, u: Vector) -> Vector | None:
+    """A different degree of u's face: u plus the face's first facet normal.
 
-    Adding any dual generator annihilating the face stays in the relative
-    interior of the dual face.  For sigma itself the only degree is 0.
+    Adding a dual generator annihilating the face stays in the relative
+    interior of its dual face, which ``degree_face`` checks; a different
+    face raises ``DegenerateSelection``.  Sigma has no such normal: its only
+    degree is 0, and there is no second one.
     """
-    if deg.face == lattice.top_id:
+    face = lattice.faces[degree_face(lattice, u)]
+    if not face.normals:
         return None
-    for i in sorted(lattice.faces[deg.face].normals):
-        u = vector_add(deg.u, lattice.dual_generators[i])
-        if u != deg.u and validate_degree(lattice, deg.face, u):
-            return DegreeVector(u=u, face=deg.face)
-    return None
+    other = vector_add(u, lattice.dual_generators[min(face.normals)])
+    if degree_face(lattice, other) != face.id:
+        raise DegenerateSelection(f"no second degree found for face {face.id}")
+    return other

@@ -16,7 +16,11 @@ coordinates the contraction needs no splitting vector: its entries are the
 pairings <b_i, rho> with signs, read off the columns.  The basis itself
 stays implicit: only its coordinate columns and its pairings with the rays
 are computed, each cone's from those of the facet without its largest ray,
-by the one elimination step that the basis would take.
+by the one elimination step that the basis would take.  They live in a dict
+of the apex walk alone, dropped when the walk returns.
+
+A degree is its vector u.  Its face tau = sigma cap u_perp is the set of rays
+that u pairs to zero, read off by ``cones.degree_face``.
 
 The block V_mu^p -> V_nu^p depends on (mu, nu, p) alone, not on u.  So each
 fan builds one *apex* complex per p, in degree u = 0 where every cone with at
@@ -31,8 +35,7 @@ apex by the upward-closed rest, read off as the apex's rows and columns of
 the kept cones, renumbered.  Each layer's cones are grouped by pushforward
 face once per fan, so tau's kept cones are the sorted union of the groups of
 the faces below tau, found without a scan of the cones.  The kept cones
-depend on tau alone, so the quotient is memoized per (tau, p) beside the
-apex, and every valid degree of tau reads that one complex.
+depend on tau alone, so every degree of tau reads one quotient per p.
 
 Every differential is a list of sparse rows, placed block by block at the
 blocks' offsets.  Cohomology dimensions are exact: dim ker - dim im, with
@@ -62,9 +65,9 @@ from fractions import Fraction
 from functools import cache
 from math import comb, lcm
 
-from .cones import DegreeVector, pick_degree, second_degree, validate_degree
+from .cones import Vector, degree_face, pick_degree, second_degree
 from .derham import stalk_formula
-from .errors import CrossCheckMismatch, DegreeMismatch, InvariantViolation
+from .errors import CrossCheckMismatch, InvariantViolation
 from .linalg import SparseRow, canonical, integer_rank, integral_row
 from .polynomials import BiLaurentPolynomial, LaurentPolynomial
 from .subdivision import ConeSet, MultiplicityTable, SubdivisionMap
@@ -162,10 +165,11 @@ def _dual_cohomology_dims(complex: ChainComplexQ) -> list[int]:
     return cohomology_dims(dual)[::-1]
 
 
-def _free_columns(sub: SubdivisionMap, cone: ConeSet) -> list[int]:
+def _free_columns(walk: dict, rays: list[Vector], cone: ConeSet) -> list[int]:
     """The coordinate columns of the cone's echelon basis of nu_perp.
 
-    The zero cone's basis is the standard one, on every column.  Otherwise
+    The zero cone's basis is the standard one, on every column, and ``walk``
+    holds its columns from the start.  Otherwise
     nu = mu + {rho} for its largest ray index rho, and nu's basis is mu's after
     one elimination step: b_s - (t_s / t_e) b_e for s != e, with t and e from
     ``_pairings``.  A vector of nu_perp is a combination sum_s c_s b_s with
@@ -174,20 +178,16 @@ def _free_columns(sub: SubdivisionMap, cone: ConeSet) -> list[int]:
     coordinate columns are mu's without column e.  The vectors themselves are
     never formed: the blocks read only these columns and the pairings.
     """
-    memo = sub.ishida_memo
-    if cone not in memo:
-        if cone:
-            rho = max(cone)
-            mu = cone - {rho}
-            e = _pairings(sub, mu, rho)[1]
-            cols = _free_columns(sub, mu)
-            memo[cone] = cols[:e] + cols[e + 1 :]
-        else:
-            memo[cone] = list(range(sub.lattice.rank))
-    return memo[cone]
+    if cone not in walk:
+        rho = max(cone)
+        mu = cone - {rho}
+        e = _pairings(walk, rays, mu, rho)[1]
+        cols = _free_columns(walk, rays, mu)
+        walk[cone] = cols[:e] + cols[e + 1 :]
+    return walk[cone]
 
 
-def _pairings(sub: SubdivisionMap, mu: ConeSet, rho: int):
+def _pairings(walk: dict, rays: list[Vector], mu: ConeSet, rho: int):
     """The pairings t_i = <b_i, rho> on mu's basis, and e, the first i with t_i != 0.
 
     They follow the basis recursion of ``_free_columns`` in O(m) for m basis
@@ -195,14 +195,13 @@ def _pairings(sub: SubdivisionMap, mu: ConeSet, rho: int):
     nonzero index, t(mu, rho)_s = t(mu', rho)_s - (t'_s / t'_e') t(mu', rho)_e'
     for s != e'.  The zero cone's pairings are rho's coordinates.
     """
-    memo = sub.ishida_memo
     key = (mu, rho)
-    if key not in memo:
+    if key not in walk:
         if mu:
             last = max(mu)
             facet = mu - {last}
-            steps, e = _pairings(sub, facet, last)
-            r = _pairings(sub, facet, rho)[0]
+            steps, e = _pairings(walk, rays, facet, last)
+            r = _pairings(walk, rays, facet, rho)[0]
             pivot, r_e = steps[e], r[e]
             t = []
             for s, (x, y) in enumerate(zip(steps, r)):
@@ -213,9 +212,9 @@ def _pairings(sub: SubdivisionMap, mu: ConeSet, rho: int):
                         y = canonical(y - f * r_e)
                     t.append(y)
         else:
-            t = list(sub.rays[rho])
-        memo[key] = t, next(i for i, x in enumerate(t) if x)
-    return memo[key]
+            t = list(rays[rho])
+        walk[key] = t, next(i for i, x in enumerate(t) if x)
+    return walk[key]
 
 
 @cache
@@ -238,7 +237,7 @@ def _block_layout(m: int, k: int, e: int) -> tuple[tuple[tuple[int, int], ...], 
     return tuple(layout)
 
 
-def _contraction(sub: SubdivisionMap, mu: ConeSet, nu: ConeSet) -> tuple[list, int]:
+def _contraction(walk: dict, rays: list[Vector], mu: ConeSet, nu: ConeSet) -> tuple[list, int]:
     """The signed pairings of the contraction V_mu -> V_nu, and its pivot index e.
 
     The contraction is with the ray rho of nu not in mu.  Let t_i = <b_i, rho>
@@ -251,9 +250,9 @@ def _contraction(sub: SubdivisionMap, mu: ConeSet, nu: ConeSet) -> tuple[list, i
     That nu's free columns are mu's without column e is checked, not trusted.
     """
     (rho,) = nu - mu
-    src_cols = _free_columns(sub, mu)
-    dst_cols = _free_columns(sub, nu)
-    t, e = _pairings(sub, mu, rho)
+    src_cols = _free_columns(walk, rays, mu)
+    dst_cols = _free_columns(walk, rays, nu)
+    t, e = _pairings(walk, rays, mu, rho)
     if dst_cols != src_cols[:e] + src_cols[e + 1 :]:
         raise InvariantViolation(
             None, "ishida", f"free columns {dst_cols} do not nest in {src_cols}"
@@ -261,47 +260,39 @@ def _contraction(sub: SubdivisionMap, mu: ConeSet, nu: ConeSet) -> tuple[list, i
     return t + [-x for x in t], e
 
 
-def _layers(sub: SubdivisionMap):
-    """The fan's cones by ray count, sorted, and each layer's positions by face.
+def _apex(sub: SubdivisionMap):
+    """The fan's apex record: the complex in degree 0 of every p, and the groups.
 
-    ``groups[l][f]`` lists, in increasing order, the positions in layer l of
-    the cones whose pushforward is the face f.  Built once per fan.
-    """
-    memo = sub.ishida_memo
-    if "layers" not in memo:
-        by_dim = sub.cones_by_dim()
-        layers = [by_dim.get(l, []) for l in range(sub.lattice.rank + 1)]
-        groups: list[dict[int, list[int]]] = []
-        for layer in layers:
-            group: dict[int, list[int]] = {}
-            for c, cone in enumerate(layer):
-                group.setdefault(sub.pushforward[cone], []).append(c)
-            groups.append(group)
-        memo["layers"] = layers, groups
-    return memo["layers"]
-
-
-def _apex(sub: SubdivisionMap, p: int):
-    """The p-form complex in degree 0 and its cones by position; one walk per fan.
-
-    Position l holds every l-ray cone, sorted, each with a summand of
-    dimension comb(n - l, p - l).  Each cone nu receives one block from each
-    of its facets mu = nu - {rho}.  One walk over these pairs builds the
+    Position l of the p-form complex holds every l-ray cone, sorted, each
+    with a summand of dimension comb(n - l, p - l); ``groups[l][f]`` lists,
+    in increasing order, the positions in layer l of the cones whose
+    pushforward is the face f.  Each cone nu receives one block from each of
+    its facets mu = nu - {rho}.  One walk over these pairs builds the
     complexes of every p at once: a pair's ``_contraction`` is computed
     once, and its block for each p >= |nu| is written into that p's rows
     through ``_block_layout(n - |mu|, p - |mu|, e)``.  ``ChainComplexQ``
-    checks the composites of each p's complex.
+    checks the composites of each p's complex.  The echelon columns and
+    pairings live in ``walk``, a dict of this one call, so no per-cone state
+    outlives the walk.
     """
     memo = sub.ishida_memo
-    if p not in memo:
+    if "apex" not in memo:
         n = sub.lattice.rank
-        layers, _ = _layers(sub)
-        position = [{cone: c for c, cone in enumerate(layer)} for layer in layers[:-1]]
+        by_dim = sub.cones_by_dim()
+        layers = [by_dim.get(l, []) for l in range(n + 1)]
+        position = [{cone: c for c, cone in enumerate(layer)} for layer in layers]
+        groups: list[dict[int, list[int]]] = [{} for _ in layers]
+        for group, layer in zip(groups, layers):
+            for c, cone in enumerate(layer):
+                group.setdefault(sub.pushforward[cone], []).append(c)
         dims = [
             [len(layers[l]) * comb(n - l, q - l) for l in range(q + 1)] for q in range(n + 1)
         ]
         # mats[q][l]: the rows of the q-form apex differential from position l
         mats = [[[{} for _ in range(dims[q][l])] for l in range(q)] for q in range(n + 1)]
+        # cone -> free columns, (mu, rho) -> pairings; the zero cone's basis is
+        # the standard one
+        walk: dict = {frozenset(): list(range(n))}
         for l in range(n):
             m = n - l
             # per wedge degree k: the apex rows of p = l + k, and the block shape
@@ -312,7 +303,7 @@ def _apex(sub: SubdivisionMap, p: int):
                 for rho in nu:
                     mu = nu - {rho}
                     c_mu = position[l][mu]
-                    signed, e = _contraction(sub, mu, nu)
+                    signed, e = _contraction(walk, sub.rays, mu, nu)
                     for k, rows, height, width in shapes:
                         c0 = c_nu * width
                         for r, entries in enumerate(_block_layout(m, k, e), c_mu * height):
@@ -322,9 +313,8 @@ def _apex(sub: SubdivisionMap, p: int):
                                 if x:
                                     target[c0 + col] = x
         complexes = [ChainComplexQ(dims=dims[q], mats=mats[q]) for q in range(n + 1)]
-        for q, complex in enumerate(complexes):
-            memo[q] = layers[: q + 1], complex
-    return memo[p]
+        memo["apex"] = complexes, groups
+    return memo["apex"]
 
 
 def _kept_rows(sub: SubdivisionMap, p: int, face: int) -> list[list[int]]:
@@ -336,7 +326,7 @@ def _kept_rows(sub: SubdivisionMap, p: int, face: int) -> list[list[int]]:
     """
     n = sub.lattice.rank
     below = sub.lattice.down[face]
-    _, groups = _layers(sub)
+    _, groups = _apex(sub)
     kept = []
     for l in range(p + 1):
         size = comb(n - l, p - l)
@@ -346,21 +336,19 @@ def _kept_rows(sub: SubdivisionMap, p: int, face: int) -> list[list[int]]:
     return kept
 
 
-def build_degree_complex(
-    sub: SubdivisionMap, p: int, degree: DegreeVector
-) -> ChainComplexQ:
+def build_degree_complex(sub: SubdivisionMap, p: int, u: Vector) -> ChainComplexQ:
     """The pushforward Ishida complex for p-forms in lattice degree u.
 
     A cone's summand survives in degree u exactly when u pairs to zero with
-    every ray of the cone.  ``validate_degree`` has shown that u vanishes on
-    sigma exactly on tau's rays, so these are the cones whose pushforward
-    lies in tau; its verdict is memoized per (face, u), so each degree is
-    paired with the rays once for all p.  Position 0 holds the wedge^p of
-    the whole dual space (the zero cone); position l collects the surviving
-    l-ray cones.  The blocks do not depend on u, so this is the apex complex
-    with only the rows and columns of the surviving cones (``_kept_rows``),
-    renumbered in order.  Which cones survive depends on the face alone, so
-    the quotient is memoized per (face, p) beside the apex, and every valid
+    every ray of the cone: these are the cones whose pushforward lies in
+    u's face tau, which ``degree_face`` reads off u's zero rays (a negative
+    pairing raises ``DegreeMismatch``).  The face is memoized per u, so each
+    degree is paired with the rays once for all p.  Position 0 holds the
+    wedge^p of the whole dual space (the zero cone); position l collects the
+    surviving l-ray cones.  The blocks do not depend on u, so this is the
+    apex complex with only the rows and columns of the surviving cones
+    (``_kept_rows``), renumbered in order.  Which cones survive depends on
+    the face alone, so the quotient is memoized per (face, p), and every
     degree of a face reads the same complex.
     """
     lattice = sub.lattice
@@ -368,82 +356,77 @@ def build_degree_complex(
     if not (0 <= p <= n):
         raise ValueError(f"form degree {p} out of range 0..{n}")
     memo = sub.ishida_memo
-    face = degree.face
-    checked = (face, tuple(degree.u))
-    if 0 <= face <= lattice.top_id and checked not in memo:
-        memo[checked] = validate_degree(lattice, face, degree.u)
-    if not memo.get(checked):
-        raise DegreeMismatch(f"degree {degree.u} is not valid for face {face}")
+    faces = memo.setdefault("degree_faces", {})
+    u = tuple(u)
+    if u not in faces:
+        faces[u] = degree_face(lattice, u)
+    face = faces[u]
 
-    _, apex = _apex(sub, p)
+    apex = _apex(sub)[0][p]
     if face == lattice.top_id:
         return apex
-    key = (face, p)
-    if key in memo:
-        return memo[key]
-    kept = _kept_rows(sub, p, face)
-    mats = []
-    for l, rows in enumerate(apex.mats):
-        # each apex column's kept position, or -1
-        index = [-1] * apex.dims[l + 1]
-        for new, j in enumerate(kept[l + 1]):
-            index[j] = new
-        mats.append(
-            [{index[j]: x for j, x in rows[r].items() if index[j] >= 0} for r in kept[l]]
-        )
-    memo[key] = ChainComplexQ._composing_to_zero([len(k) for k in kept], mats)
-    return memo[key]
+    quotients = memo.setdefault("quotients", {})
+    if (face, p) not in quotients:
+        kept = _kept_rows(sub, p, face)
+        mats = []
+        for l, rows in enumerate(apex.mats):
+            # each apex column's kept position, or -1
+            index = [-1] * apex.dims[l + 1]
+            for new, j in enumerate(kept[l + 1]):
+                index[j] = new
+            mats.append(
+                [{index[j]: x for j, x in rows[r].items() if index[j] >= 0} for r in kept[l]]
+            )
+        quotients[face, p] = ChainComplexQ._composing_to_zero([len(k) for k in kept], mats)
+    return quotients[face, p]
 
 
-def _first_degree(sub: SubdivisionMap, tau: int) -> DegreeVector:
+def _first_degree(sub: SubdivisionMap, tau: int) -> Vector:
     """``pick_degree(sub.lattice, tau)``, picked once per fan and face."""
-    memo = sub.ishida_memo
-    key = ("degree", tau)
-    if key not in memo:
-        memo[key] = pick_degree(sub.lattice, tau)
-    return memo[key]
+    degrees = sub.ishida_memo.setdefault("first_degrees", {})
+    if tau not in degrees:
+        degrees[tau] = pick_degree(sub.lattice, tau)
+    return degrees[tau]
 
 
 def omega_oracle(sub: SubdivisionMap, tau: int) -> BiLaurentPolynomial:
     """Generating function of the degree-u cohomology over all form degrees.
 
     The coefficient of K^{-p} L^{i-n+p} is h^i of the p-form complex in the
-    validated degree u = ``pick_degree(sub.lattice, tau)``, interior to the
+    checked degree u = ``pick_degree(sub.lattice, tau)``, interior to the
     dual face of tau.
     """
     return _omega_at_degree(sub, _first_degree(sub, tau))
 
 
 def check_second_degree(sub: SubdivisionMap, tau: int, omega: BiLaurentPolynomial) -> None:
-    """Recompute ``omega_oracle(sub, tau)`` at a second valid degree, if any.
+    """Recompute ``omega_oracle(sub, tau)`` at a second degree of tau, if any.
 
     Only the second degree is computed, and its cohomology is read off the
     dual complexes; ``omega`` is the first-degree result.  Disagreement raises
     ``CrossCheckMismatch``.  Sigma itself has only the degree 0, so there is
     nothing to compare.
     """
-    deg = _first_degree(sub, tau)
-    other = second_degree(sub.lattice, deg)
+    u = _first_degree(sub, tau)
+    other = second_degree(sub.lattice, u)
     if other is None:
         return
     again = _omega_at_degree(sub, other, dual=True)
     if again != omega:
         raise CrossCheckMismatch(
-            f"degree {deg.u} and {other.u} disagree on face {tau}: "
+            f"degree {u} and {other} disagree on face {tau}: "
             f"{omega.to_text()} vs {again.to_text()}"
         )
 
 
-def _omega_at_degree(
-    sub: SubdivisionMap, deg: DegreeVector, dual: bool = False
-) -> BiLaurentPolynomial:
+def _omega_at_degree(sub: SubdivisionMap, u: Vector, dual: bool = False) -> BiLaurentPolynomial:
     # the cohomology function is looked up at each call, not bound once, so
     # a wrapper on the module attribute sees every call
     cohomology = _dual_cohomology_dims if dual else cohomology_dims
     n = sub.lattice.rank
     terms = {}
     for p in range(n + 1):
-        complex = build_degree_complex(sub, p, deg)
+        complex = build_degree_complex(sub, p, u)
         for i, h in enumerate(cohomology(complex)):
             if h:
                 terms[(-p, i - n + p)] = h

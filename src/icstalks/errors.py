@@ -53,7 +53,7 @@ class NoShellingFound(ToricError):
 
 
 class DegreeMismatch(ToricError):
-    """A grading degree does not belong to the face lattice it is used with."""
+    """A grading degree lies outside the dual cone: it pairs negatively with a ray."""
 
 
 class NegativeCoefficient(ToricError):

@@ -83,11 +83,10 @@ class SubdivisionMap:
     cones: set[ConeSet] = field(init=False)
     pushforward: dict[ConeSet, int] = field(init=False)
     orientation: dict[ConeSet, int] = field(init=False)
-    # memoized by ``differentials`` alone, not part of the fan's value: the
-    # Ishida free columns per cone, pairings per (cone, ray), the cone layers
-    # with their positions grouped by face ("layers"), the apex complexes per
-    # form degree p (one walk builds all of them), the quotients per (face,
-    # p), each degree's verdict per (face, u) and the first degree per face
+    # memoized by ``differentials`` alone, not part of the fan's value, in
+    # four entries: "apex", the apex complexes of every form degree p with
+    # each cone layer's positions grouped by face; "quotients", per (face, p);
+    # "degree_faces", per degree u; "first_degrees", per face
     ishida_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -11,11 +11,13 @@ import ast
 import importlib
 import json
 import pathlib
+import sys
 
 import pytest
 
 import icstalks
 from icstalks import verify
+from icstalks.corpus import corpus_by_name
 from icstalks.subdivision import SubdivisionMap
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -71,3 +73,35 @@ def test_no_module_level_table_holds_a_traced_function():
         if name in traced
     ]
     assert not found, found
+
+
+def test_a_traced_pass_gives_the_verdicts_and_restores_the_library():
+    # the traced run installs the tracer around one pass and uninstalls it
+    # after; a wrapper whose sizes no longer fit a function's signature or
+    # result fails here, not in the traced benchmark run
+    spec = corpus_by_name("polygon-5")
+
+    def verdicts(report):
+        return [(c.name, c.passed, c.detail) for c in report.checks]
+
+    untraced = verdicts(verify.run_cone(spec))
+    modules = {name: dict(vars(m)) for name, m in sys.modules.items() if name.startswith("icstalks")}
+    checks = list(verify.CONE_CHECKS)
+    tracer = _load_tracer()["Tracer"]()
+    tracer.install()
+    try:
+        report = tracer.run_pass(0, verify.run_cone, spec)
+    finally:
+        tracer.uninstall()
+    assert verdicts(report) == untraced
+    counts = tracer.counts[0]
+    assert counts["differentials.complexes"] > 0 and counts["linalg.rank_calls"] > 0
+    # each entry is rebuilt as (name, original function)
+    assert verify.CONE_CHECKS == checks
+    changed = [
+        f"{name}.{key}"
+        for name, before in modules.items()
+        for key, value in before.items()
+        if vars(sys.modules[name]).get(key) is not value
+    ]
+    assert not changed, changed

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icstalks.cones import (
+    degree_face,
     dot,
     dual_cone,
     face_lattice,
@@ -15,10 +16,10 @@ from icstalks.cones import (
     primitive,
     rank_of,
     second_degree,
-    validate_degree,
 )
 from icstalks.corpus import CORPUS, polygon_cone
 from icstalks.errors import (
+    DegreeMismatch,
     InvariantViolation,
     NotFullDimensional,
     NotStronglyConvex,
@@ -381,35 +382,74 @@ def test_meet_is_ray_intersection():
 def test_pick_degree_orthant_ray():
     lat = face_lattice(ORTHANT3)
     fid = face_id(lat, {0})
-    deg = pick_degree(lat, fid)
-    assert deg.u == (0, 1, 1)
+    assert pick_degree(lat, fid) == (0, 1, 1)
 
 
 def test_pick_degree_sigma_is_zero():
     lat = face_lattice(ORTHANT3)
-    assert pick_degree(lat, lat.top_id).u == (0, 0, 0)
+    assert pick_degree(lat, lat.top_id) == (0, 0, 0)
 
 
 def test_pick_degree_square_cone_two_face():
     lat = face_lattice(SQUARE)
     fid = face_id(lat, {0, 1})  # spanned by (0,0,1) and (1,0,1)
-    deg = pick_degree(lat, fid)
-    assert deg.u == (0, 1, 0)
-    assert validate_degree(lat, fid, deg.u)
+    u = pick_degree(lat, fid)
+    assert u == (0, 1, 0)
+    assert degree_face(lat, u) == fid
 
 
 def test_pick_degree_validates_on_all_faces():
     for rays in (ORTHANT3, SQUARE, CUBE, OCTAHEDRON):
         lat = face_lattice(rays)
         for f in lat.faces:
-            deg = pick_degree(lat, f.id)
+            u = pick_degree(lat, f.id)
             for i, r in enumerate(lat.rays):
                 if i in f.rays:
-                    assert dot(deg.u, r) == 0
+                    assert dot(u, r) == 0
                 else:
-                    assert dot(deg.u, r) > 0
-            second = second_degree(lat, deg)
+                    assert dot(u, r) > 0
+            second = second_degree(lat, u)
             if f.id != lat.top_id:
                 assert second is not None
-                assert second.u != deg.u
-                assert validate_degree(lat, f.id, second.u)
+                assert second != u
+                assert degree_face(lat, second) == f.id
+
+
+def _scanned_face(lat, u):
+    """The face whose ray set is u's zero set, by a scan of every face."""
+    zero = frozenset(i for i, r in enumerate(lat.rays) if dot(u, r) == 0)
+    (fid,) = [f.id for f in lat.faces if f.rays == zero]
+    return fid
+
+
+@pytest.mark.parametrize("spec", CORPUS, ids=lambda s: s.name)
+def test_degree_face_matches_a_scan_of_the_faces(spec):
+    lat = spec.lattice()
+    rng = random.Random(spec.name)
+    gens = lat.dual_generators
+    for _ in range(40):
+        # a nonnegative combination of the dual generators lies in the dual cone
+        coefficients = rng.choices(range(3), k=len(gens))
+        u = tuple(sum(c * g[j] for c, g in zip(coefficients, gens)) for j in range(lat.rank))
+        assert degree_face(lat, u) == _scanned_face(lat, u)
+        # any integer vector: in the dual cone or not
+        v = tuple(rng.randint(-3, 3) for _ in range(lat.rank))
+        if min((dot(v, r) for r in lat.rays), default=0) < 0:
+            with pytest.raises(DegreeMismatch):
+                degree_face(lat, v)
+        else:
+            assert degree_face(lat, v) == _scanned_face(lat, v)
+    with pytest.raises(DegreeMismatch):
+        degree_face(lat, (0,) * (lat.rank + 1))
+    for g in gens:
+        # -g pairs to zero or less with every ray, and not to zero with all
+        with pytest.raises(DegreeMismatch):
+            degree_face(lat, tuple(-x for x in g))
+    for f in lat.faces:
+        u = pick_degree(lat, f.id)
+        assert degree_face(lat, u) == f.id
+        second = second_degree(lat, u)
+        if f.id == lat.top_id:
+            assert second is None
+        else:
+            assert second != u and degree_face(lat, second) == f.id

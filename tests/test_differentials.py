@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from icstalks import differentials
-from icstalks.cones import DegreeVector, dot, face_lattice, pick_degree, second_degree
+from icstalks.cones import dot, face_lattice, pick_degree, second_degree
 from icstalks.corpus import CORPUS, CUBE, OCTAHEDRON, corpus_by_name, orthant, polygon_cone
 from icstalks.differentials import (
     ChainComplexQ,
@@ -142,20 +142,17 @@ def test_composite_check_in_int_matches_fraction_composites():
 
 
 def test_degree_mismatch():
+    # (-1, 0, 0) pairs to -1 with the rays (1, 0, 1) and (1, 1, 1)
     lat, sub = square_setup()
-    bad = DegreeVector(u=(1, 0, 0), face=lat.top_id)
     with pytest.raises(DegreeMismatch):
-        build_degree_complex(sub, 1, bad)
+        build_degree_complex(sub, 1, (-1, 0, 0))
 
 
 @pytest.mark.parametrize("fid", [-1, 10])
 def test_face_id_outside_lattice(fid):
-    lat, sub = square_setup()
+    lat, _ = square_setup()
     with pytest.raises(NotComparable):
         pick_degree(lat, fid)
-    # u = 0 is sigma's degree, and faces[-1] is sigma
-    with pytest.raises(DegreeMismatch):
-        build_degree_complex(sub, 1, DegreeVector(u=(0, 0, 0), face=fid))
 
 
 @pytest.mark.parametrize("where", ["below", "above"])
@@ -184,13 +181,14 @@ def test_exact_scalars_are_canonical_on_both_fans(spec):
         for f in lat.faces:
             polys += [omega_oracle(sub, f.id), omega_closed_form(d, f.id)]
         values = [c for poly in polys for _, c in poly.items()]
+        walk = _walk(sub)
         for nu in sub.cones:
             for rho in nu:
-                values += differentials._pairings(sub, nu - {rho}, rho)[0]
+                values += differentials._pairings(walk, sub.rays, nu - {rho}, rho)[0]
         # every face's complex is read off the apex complexes, one per p
-        apexes = {k: v for k, v in sub.ishida_memo.items() if isinstance(k, int)}
-        assert sorted(apexes) == list(range(lat.rank + 1))
-        for _, apex in apexes.values():
+        apexes, _ = sub.ishida_memo["apex"]
+        assert len(apexes) == lat.rank + 1
+        for apex in apexes:
             values += [x for m in apex.mats for row in m for x in row.values()]
         bad = [x for x in values if not _is_canonical(x)]
         assert not bad, f"{spec.name}: {bad[:5]}"
@@ -205,6 +203,11 @@ def _leibniz(m):
             term *= m[i][j]
         total += term
     return total
+
+
+def _walk(sub):
+    """A fresh echelon dict as the apex walk starts it: the zero cone's columns."""
+    return {frozenset(): list(range(sub.lattice.rank))}
 
 
 def _perp_nullspace(sub, cone):
@@ -251,7 +254,9 @@ def _minor_reference_block(sub, mu, nu, p):
 def _apex_blocks(sub, p):
     """Each nonzero (mu, nu) block of the p-form apex, nu's columns renumbered."""
     n = sub.lattice.rank
-    layers, apex = differentials._apex(sub, p)
+    by_dim = sub.cones_by_dim()
+    layers = [by_dim.get(l, []) for l in range(p + 1)]
+    apex = differentials._apex(sub)[0][p]
     blocks = {}
     for l in range(p):
         src, dst = comb(n - l, p - l), comb(n - l - 1, p - l - 1)
@@ -385,18 +390,18 @@ def test_one_oracle_ranks_every_first_degree_complex_through_the_module(monkeypa
 
 def test_each_degree_is_picked_and_validated_once_per_fan(monkeypatch):
     picks, validations = [], []
-    real_pick, real_validate = differentials.pick_degree, differentials.validate_degree
+    real_pick, real_face = differentials.pick_degree, differentials.degree_face
 
     def pick(lattice, fid):
         picks.append(fid)
         return real_pick(lattice, fid)
 
-    def validate(lattice, fid, u):
-        validations.append((fid, u))
-        return real_validate(lattice, fid, u)
+    def face_of(lattice, u):
+        validations.append(u)
+        return real_face(lattice, u)
 
     monkeypatch.setattr(differentials, "pick_degree", pick)
-    monkeypatch.setattr(differentials, "validate_degree", validate)
+    monkeypatch.setattr(differentials, "degree_face", face_of)
     lat, sub = square_setup()
     faces = [f.id for f in lat.faces if second_degree(lat, real_pick(lat, f.id)) is not None]
     for tau in faces:
@@ -415,9 +420,10 @@ def test_perp_basis_matches_nullspace(name, rays, rank):
     # facet's, are those of a fresh nullspace
     lat = face_lattice(rays, rank)
     for sub in (barycentric_subdivision(lat), interior_ray_subdivision(lat)):
+        walk = _walk(sub)
         for cone in sub.cones:
             expected = _perp_nullspace(sub, cone)[1]
-            assert differentials._free_columns(sub, cone) == expected
+            assert differentials._free_columns(walk, sub.rays, cone) == expected
 
 
 @pytest.mark.parametrize(
@@ -427,10 +433,11 @@ def test_pairings_recursion_matches_the_dense_dot(name, rays, rank):
     # every (mu, rho) the apex uses: each cone nu = mu + {rho} of the fan
     lat = face_lattice(rays, rank)
     for sub in (barycentric_subdivision(lat), interior_ray_subdivision(lat)):
+        walk = _walk(sub)
         for nu in sub.cones:
             for rho in nu:
                 mu = nu - {rho}
-                t, e = differentials._pairings(sub, mu, rho)
+                t, e = differentials._pairings(walk, sub.rays, mu, rho)
                 basis = _perp_nullspace(sub, mu)[0]
                 dense = [canonical(dot(b, sub.rays[rho])) for b in basis]
                 assert t == dense
@@ -443,15 +450,15 @@ def test_block_rejects_free_columns_that_do_not_nest(monkeypatch):
     mu, nu = frozenset(), frozenset({0})
     real = differentials._free_columns
 
-    def reversed_for_nu(sub, cone):
-        cols = real(sub, cone)
+    def reversed_for_nu(walk, rays, cone):
+        cols = real(walk, rays, cone)
         return cols[::-1] if cone == nu else cols
 
     monkeypatch.setattr(differentials, "_free_columns", reversed_for_nu)
     with pytest.raises(InvariantViolation):
-        differentials._contraction(sub, mu, nu)
+        differentials._contraction(_walk(sub), sub.rays, mu, nu)
     with pytest.raises(InvariantViolation):
-        differentials._apex(sub, 1)
+        differentials._apex(sub)
 
 
 def test_degree_zero_exactness_square():
@@ -510,7 +517,7 @@ def test_second_degree_reads_the_first_degree_complex(name):
                 continue
             deg = pick_degree(lat, f.id)
             other = second_degree(lat, deg)
-            assert other is not None and other.u != deg.u
+            assert other is not None and other != deg
             for p in range(lat.rank + 1):
                 complex = build_degree_complex(sub, p, deg)
                 assert build_degree_complex(sub, p, other) is complex
@@ -519,16 +526,31 @@ def test_second_degree_reads_the_first_degree_complex(name):
                     assert integer_rank(m) == dense_gauss_rank(dense)
 
 
+@pytest.mark.parametrize("name", ["cube", "polygon-5"])
+def test_the_memo_holds_four_named_entries_and_no_echelon_state(name):
+    # the echelon columns and pairings live in the apex walk alone: no key
+    # of the fan's memo, or of its entries, is a cone or a (cone, ray) pair
+    lat = corpus_by_name(name).lattice()
+    for sub in (barycentric_subdivision(lat), interior_ray_subdivision(lat)):
+        for f in lat.faces:
+            check_second_degree(sub, f.id, omega_oracle(sub, f.id))
+        memo = sub.ishida_memo
+        assert sorted(memo) == ["apex", "degree_faces", "first_degrees", "quotients"]
+        keys = [k for entry in memo.values() if isinstance(entry, dict) for k in entry]
+        assert keys and not [
+            k
+            for k in keys
+            if isinstance(k, frozenset) or isinstance(k, tuple) and isinstance(k[0], frozenset)
+        ]
+
+
 def test_invalid_degree_raises_after_the_face_complex_is_memoized():
     lat, sub = square_setup()
     face = lat.faces_of_dim(2)[0]
     deg = pick_degree(lat, face)
     assert build_degree_complex(sub, 1, deg) is build_degree_complex(sub, 1, deg)
-    negated = DegreeVector(u=tuple(-x for x in deg.u), face=face)
     with pytest.raises(DegreeMismatch):
-        build_degree_complex(sub, 1, negated)
-    with pytest.raises(DegreeMismatch):
-        build_degree_complex(sub, 1, DegreeVector(u=(0, 0, 0), face=face))
+        build_degree_complex(sub, 1, tuple(-x for x in deg))
 
 
 def test_second_degree_check_rejects_wrong_omega():
@@ -560,8 +582,8 @@ def test_second_degree_check_reads_the_dual_complex(monkeypatch):
 def _flip_first_block(real):
     """``_contraction`` with the sign of the block from the zero cone to ray 0 flipped."""
 
-    def flipped(sub, mu, nu):
-        signed, e = real(sub, mu, nu)
+    def flipped(walk, rays, mu, nu):
+        signed, e = real(walk, rays, mu, nu)
         if nu == {0}:
             signed = [-x for x in signed]
         return signed, e
@@ -597,8 +619,8 @@ def test_nonzero_composite_raises_under_optimize(child_env):
         "except CrossCheckMismatch:\n"
         "    print('raised')\n"
         "real = differentials._contraction\n"
-        "def flipped(sub, mu, nu):\n"
-        "    signed, e = real(sub, mu, nu)\n"
+        "def flipped(walk, rays, mu, nu):\n"
+        "    signed, e = real(walk, rays, mu, nu)\n"
         "    return ([-x for x in signed] if nu == {0} else signed), e\n"
         "differentials._contraction = flipped\n"
         f"lat = face_lattice({SQUARE})\n"
